@@ -47,10 +47,12 @@ tfcheck:
 	$(GO) run ./cmd/tfcheck -all -gen 10 -q
 	$(GO) test ./internal/check -run TestGoldenTableI -count=1
 
-# Run the static SIMT oracle over the whole workload catalog (also the CI
-# smoke step for cmd/tfstatic).
+# Run the static SIMT oracle over the whole workload catalog, plus the
+# dynamic replay cross-check on two workloads (exits nonzero if a branch
+# classified uniform ever diverges). Also the CI smoke step for cmd/tfstatic.
 tfstatic:
 	$(GO) run ./cmd/tfstatic -all -q
+	$(GO) run ./cmd/tfstatic -workload vectoradd,seededrace -verify
 
 # Static concurrency oracle smoke: the lock/race projection over the whole
 # catalog, plus the dynamic cross-check on the seeded-defect workloads (exits

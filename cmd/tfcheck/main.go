@@ -103,7 +103,7 @@ func main() {
 
 	// Assemble the input list: files first, then workloads, in argument
 	// order. Workload loaders also hand back the program so the
-	// "staticuniform" invariant runs; .tft files carry no IR and leave it
+	// static-oracle invariants run; .tft files carry no IR and leave them
 	// vacuously true.
 	type input struct {
 		name string

@@ -2,7 +2,8 @@
 // trace sanitizer, the Eraser-style lockset race detector, the divergence
 // lint, the lock-serialization lint, the lock-order deadlock pass, and the
 // static oracle passes ("static" for uniformity, "staticlock" for the
-// concurrency cross-check) over one or more inputs and reports structured
+// concurrency cross-check, "staticmem" for transaction bounds) over one or
+// more inputs and reports structured
 // findings. Inputs are .tft trace files or built-in workloads traced on the
 // fly; the static passes need the workload's IR and skip trace-file inputs.
 //

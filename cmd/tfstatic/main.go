@@ -10,20 +10,20 @@
 // internal/staticlock over the same programs: must-hold locksets, the static
 // lock-order graph with deadlock-cycle candidates, race-candidate address
 // classes, and acquires under divergent control (guaranteed SIMT
-// serialization, the livelock shape when the critical section spins). -verify
-// additionally traces the workload and cross-checks the static predictions
-// against the dynamic lockset and lock-order passes, exiting nonzero if any
-// soundness-class finding survives.
+// serialization, the livelock shape when the critical section spins).
 //
 // With -mem it runs the static memory oracle of internal/staticmem: every
 // load/store site classified by per-lane tid-stride (broadcast, coalesced,
 // strided, scattered) with its static transactions-per-warp bound and segment
-// claim. -verify cross-checks those bounds against the per-site histograms a
-// dynamic replay aggregates.
+// claim.
+//
+// -verify additionally traces each workload and cross-checks the selected
+// oracle against dynamic replay through the oracle's tflint pass (see
+// analysis.Oracles), exiting nonzero if any soundness-class finding survives.
 //
 // Usage:
 //
-//	tfstatic -workload vectoradd
+//	tfstatic -workload vectoradd -verify
 //	tfstatic -workload other.pigz -opt O3 -v
 //	tfstatic -workload seededspin -locks
 //	tfstatic -workload seededcycle -races -verify
@@ -33,9 +33,9 @@
 // The exit status is 2 for usage errors, 1 if any workload fails to load or
 // analyze (or, under -verify, if a soundness finding survives), and 0
 // otherwise; divergent classifications are reports, not failures. -json
-// emits an array of staticsimt.Result (or staticlock.Result) values with a
-// deterministic field and finding order, so byte-identical inputs produce
-// byte-identical output.
+// emits an array of staticsimt.Result, staticlock.Result or staticmem.Result
+// values (one per workload, by mode) with a deterministic field and finding
+// order, so byte-identical inputs produce byte-identical output.
 package main
 
 import (
@@ -87,9 +87,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tfstatic: unexpected argument %q (inputs are workloads, not files)\n", flag.Arg(0))
 		os.Exit(2)
 	}
-	lvl, ok := parseLevel(*level)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tfstatic: unknown optimization level %q\n", *level)
+	lvl, err := opt.ParseLevel(*level)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tfstatic:", err)
 		os.Exit(2)
 	}
 	if *verbose && *quiet {
@@ -100,8 +100,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tfstatic: -mem and -locks/-races are mutually exclusive")
 		os.Exit(2)
 	}
-	memMode := *mem
-	lockMode := *locks || *races || (*verify && !memMode)
+	mode := "simt"
+	switch {
+	case *mem:
+		mode = "mem"
+	case *locks || *races:
+		mode = "locks"
+	}
+	var oracle analysis.Oracle
+	for _, o := range analysis.Oracles() {
+		if o.Mode == mode {
+			oracle = o
+		}
+	}
 	if *server != "" && *verify {
 		// The cross-check replays a freshly traced workload; the service only
 		// serves the static oracles.
@@ -134,14 +145,13 @@ func main() {
 	}
 
 	failed := false
-	var results []*staticsimt.Result
-	var lockResults []*staticlock.Result
-	var memResults []*staticmem.Result
+	var results []any
 	for _, w := range list {
 		var (
 			res     *staticsimt.Result
 			lockRes *staticlock.Result
 			memRes  *staticmem.Result
+			inst    *workloads.Instance
 		)
 		if *server != "" {
 			// Server mode: the service instantiates and analyzes the bundled
@@ -153,12 +163,7 @@ func main() {
 				"opt":      {*level},
 				"threads":  {strconv.Itoa(*threads)},
 				"seed":     {strconv.FormatInt(*seed, 10)},
-			}
-			if lockMode {
-				q.Set("mode", "locks")
-			}
-			if memMode {
-				q.Set("mode", "mem")
+				"mode":     {mode},
 			}
 			if *budget != 0 {
 				q.Set("budget", strconv.Itoa(*budget))
@@ -171,14 +176,14 @@ func main() {
 				continue
 			}
 			res, lockRes, memRes = rep.SIMT, rep.Locks, rep.Mem
-			if (lockMode && lockRes == nil) || (memMode && memRes == nil) || (!lockMode && !memMode && res == nil) {
+			if (mode == "locks" && lockRes == nil) || (mode == "mem" && memRes == nil) || (mode == "simt" && res == nil) {
 				fmt.Fprintf(os.Stderr, "tfstatic: %s: server response missing the requested report\n", w.Name)
 				failed = true
 				continue
 			}
 		} else {
-			inst, err := w.Instantiate(workloads.Config{Threads: *threads, Seed: *seed})
-			if err != nil {
+			var err error
+			if inst, err = w.Instantiate(workloads.Config{Threads: *threads, Seed: *seed}); err != nil {
 				fmt.Fprintf(os.Stderr, "tfstatic: %s: %v\n", w.Name, err)
 				failed = true
 				continue
@@ -187,73 +192,56 @@ func main() {
 			if lvl != opt.O1 {
 				prog = opt.Apply(prog, lvl)
 			}
-			switch {
-			case memMode:
+			switch mode {
+			case "mem":
 				memRes = staticmem.Analyze(prog)
-				if *verify && !verifyWorkload(inst, w.Name, "staticmem",
-					"verified against dynamic replay: every per-site transaction bound and segment claim held") {
-					failed = true
-				}
-			case lockMode:
+			case "locks":
 				lockRes = staticlock.Analyze(prog)
-				if *verify && !verifyWorkload(inst, w.Name, "staticlock",
-					"verified against dynamic replay: every dynamic race and lock-order cycle statically covered") {
-					failed = true
-				}
 			default:
 				res = staticsimt.Analyze(prog, staticsimt.Options{MeldBudget: *budget})
 			}
 		}
 
-		if memMode {
+		switch mode {
+		case "mem":
 			switch {
 			case *asJSON:
-				memResults = append(memResults, memRes)
+				results = append(results, memRes)
 			case *quiet:
 				fmt.Printf("%-28s %3d mem site(s): %d broadcast, %d coalesced, %d strided, %d scattered, %d meld veto(es)\n",
 					w.Name, len(memRes.Sites), memRes.Broadcast, memRes.Coalesced, memRes.Strided, memRes.Scattered, memRes.MeldsRejectedMem)
 			default:
 				memRes.Render(os.Stdout, *verbose)
 			}
-			continue
-		}
-
-		if lockMode {
+		case "locks":
 			switch {
 			case *asJSON:
-				lockResults = append(lockResults, lockRes)
+				results = append(results, lockRes)
 			case *quiet:
 				fmt.Printf("%-28s %3d acquire(s) (%d divergent), %d cycle candidate(s), %d race candidate(s)\n",
 					w.Name, lockRes.Acquires, lockRes.DivergentAcquires, lockRes.CycleCandidates, lockRes.RaceCandidates)
 			default:
 				renderConcurrency(os.Stdout, lockRes, *locks || *verify, *races || *verify, *verbose)
 			}
-			continue
-		}
-
-		switch {
-		case *asJSON:
-			results = append(results, res)
-		case *quiet:
-			fmt.Printf("%-28s %3d uniform / %3d divergent branch(es), %d meldable\n",
-				w.Name, res.UniformBranches, res.DivergentBranches, res.Meldable)
 		default:
-			res.Render(os.Stdout, *verbose)
+			switch {
+			case *asJSON:
+				results = append(results, res)
+			case *quiet:
+				fmt.Printf("%-28s %3d uniform / %3d divergent branch(es), %d meldable\n",
+					w.Name, res.UniformBranches, res.DivergentBranches, res.Meldable)
+			default:
+				res.Render(os.Stdout, *verbose)
+			}
+		}
+		if *verify && !verifyWorkload(inst, w.Name, oracle) {
+			failed = true
 		}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		var err error
-		switch {
-		case memMode:
-			err = enc.Encode(memResults)
-		case lockMode:
-			err = enc.Encode(lockResults)
-		default:
-			err = enc.Encode(results)
-		}
-		if err != nil {
+		if err := enc.Encode(results); err != nil {
 			fmt.Fprintln(os.Stderr, "tfstatic:", err)
 			os.Exit(1)
 		}
@@ -317,16 +305,16 @@ func renderConcurrency(w io.Writer, res *staticlock.Result, showLocks, showRaces
 	}
 }
 
-// verifyWorkload traces one workload instance and runs the named static
-// cross-check pass over it; it reports the pass' findings and returns false
-// when any soundness-class (error-severity) finding survives.
-func verifyWorkload(inst *workloads.Instance, name, pass, okMsg string) bool {
+// verifyWorkload traces one workload instance and runs the oracle's lint
+// pass over it; it reports the pass' findings and returns false when any
+// soundness-class (error-severity) finding survives.
+func verifyWorkload(inst *workloads.Instance, name string, o analysis.Oracle) bool {
 	tr, err := inst.Trace()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfstatic: %s: trace: %v\n", name, err)
 		return false
 	}
-	rep, err := analysis.Run(tr, analysis.Options{Prog: inst.Prog, Passes: []string{pass}})
+	rep, err := analysis.Run(tr, analysis.Options{Prog: inst.Prog, Passes: []string{o.Pass}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfstatic: %s: verify: %v\n", name, err)
 		return false
@@ -342,15 +330,6 @@ func verifyWorkload(inst *workloads.Instance, name, pass, okMsg string) bool {
 		fmt.Fprintf(os.Stderr, "tfstatic: %s: %d soundness finding(s) survived the dynamic cross-check\n", name, rep.Errors)
 		return false
 	}
-	fmt.Printf("  %s\n", okMsg)
+	fmt.Printf("  verified against dynamic replay: %s\n", o.PropDesc)
 	return true
-}
-
-func parseLevel(s string) (opt.Level, bool) {
-	for _, l := range opt.Levels {
-		if l.String() == s {
-			return l, true
-		}
-	}
-	return 0, false
 }

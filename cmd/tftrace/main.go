@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := opt.ParseLevel(*level)
 	if err != nil {
 		fatal(err)
 	}
@@ -96,15 +96,6 @@ func main() {
 		fmt.Printf("traced %s (%s, %d threads, %d instructions, %d skipped I/O, %d skipped spin) -> %s\n",
 			w.Name, lvl, len(tr.Threads), tr.TotalInstructions(), io, spin, path)
 	}
-}
-
-func parseLevel(s string) (opt.Level, error) {
-	for _, l := range opt.Levels {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("tftrace: unknown optimization level %q (want O0..O3)", s)
 }
 
 func fatal(err error) {

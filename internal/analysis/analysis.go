@@ -142,11 +142,15 @@ type Pass interface {
 
 // Passes returns the engine's passes in their fixed execution order. The
 // sanitizer always runs first: its error findings gate the structural
-// passes, which assume a well-formed trace. The static passes ("static",
-// "staticlock", "staticmem") additionally require Options.Prog and are
-// skipped for trace-only inputs.
+// passes, which assume a well-formed trace. The static oracle passes (one
+// per Oracles entry) additionally require Options.Prog and are skipped for
+// trace-only inputs.
 func Passes() []Pass {
-	return []Pass{sanitizePass{}, locksetPass{}, divergencePass{}, lockLintPass{}, deadlockPass{}, staticPass{}, staticLockPass{}, staticMemPass{}}
+	ps := []Pass{sanitizePass{}, locksetPass{}, divergencePass{}, lockLintPass{}, deadlockPass{}}
+	for i := range oracles {
+		ps = append(ps, oraclePass{&oracles[i]})
+	}
+	return ps
 }
 
 // Options configure a lint run.
@@ -163,9 +167,9 @@ type Options struct {
 	Passes []string
 	// MinSeverity drops findings below the threshold from the report.
 	MinSeverity Severity
-	// Prog attaches the traced program's IR, enabling the static pass
-	// (static-oracle-vs-replay comparison). Nil disables it: trace-only
-	// inputs have no IR to analyze.
+	// Prog attaches the traced program's IR, enabling the static oracle
+	// passes (static-oracle-vs-replay comparison). Nil disables them:
+	// trace-only inputs have no IR to analyze.
 	Prog *ir.Program
 	// Cache, if set, is attached to the run's session: replay reports the
 	// passes request are served from it when present and stored after
@@ -365,7 +369,7 @@ func RunSession(sess *core.Session, t *trace.Trace, opts Options) (*Report, erro
 				if !selected[p.ID()] {
 					continue
 				}
-				if (p.ID() == "static" || p.ID() == "staticlock" || p.ID() == "staticmem") && opts.Prog == nil {
+				if _, static := p.(oraclePass); static && opts.Prog == nil {
 					// Only surface the skip when the pass was asked for by
 					// name; an all-passes run over a trace-only input just
 					// omits it silently.

@@ -1,14 +1,12 @@
 package analysis_test
 
 import (
-	"bytes"
 	"testing"
 
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/ir"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/vm"
-	"threadfuser/internal/workloads"
 )
 
 // runProg traces a small program with nthreads threads; r0 gets base in
@@ -220,56 +218,5 @@ func TestDynamicRaceAccessesSites(t *testing.T) {
 	}
 	if accs[1].Store || accs[1].Instr != 1 || !accs[1].Unlocked {
 		t.Errorf("site 1 = %+v, want unlocked load at i1", accs[1])
-	}
-}
-
-// TestStaticLockSoundOnAllWorkloads is the golden agreement test: on every
-// built-in workload the static concurrency oracle must cover every dynamic
-// lockset race and lock-order cycle — zero soundness errors — and the
-// report must be byte-deterministic across repeated runs.
-func TestStaticLockSoundOnAllWorkloads(t *testing.T) {
-	for _, w := range workloads.All() {
-		inst, err := w.Instantiate(workloads.Config{Seed: 7})
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		tr, err := inst.Trace()
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		var prev []byte
-		for round := 0; round < 2; round++ {
-			rep, err := analysis.Run(tr, analysis.Options{Prog: inst.Prog, Passes: []string{"staticlock"}})
-			if err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
-			}
-			if n := countPass(rep, "staticlock", analysis.SevError); n != 0 {
-				rep.Render(testWriter{t})
-				t.Fatalf("%s: static concurrency oracle reported %d soundness error(s)", w.Name, n)
-			}
-			if !hasMessage(rep, "staticlock", "static concurrency oracle:") {
-				t.Fatalf("%s: missing staticlock summary finding", w.Name)
-			}
-			var buf bytes.Buffer
-			rep.Render(&buf)
-			if round > 0 && !bytes.Equal(prev, buf.Bytes()) {
-				t.Fatalf("%s: staticlock findings not byte-deterministic", w.Name)
-			}
-			prev = buf.Bytes()
-		}
-	}
-}
-
-// TestStaticLockPassRejectsMismatchedProgram mirrors the static pass guard.
-func TestStaticLockPassRejectsMismatchedProgram(t *testing.T) {
-	_, tr := instanceFor(t, "vectoradd")
-	other, _ := instanceFor(t, "seededrace")
-	rep, err := analysis.Run(tr, analysis.Options{Prog: other.Prog, Passes: []string{"staticlock"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasMessage(rep, "staticlock", "does not match the trace symbol table") {
-		rep.Render(testWriter{t})
-		t.Fatal("mismatched program accepted for staticlock comparison")
 	}
 }

@@ -142,16 +142,3 @@ func TestStaticPassSkippedWithoutProgram(t *testing.T) {
 		t.Fatalf("explicit static selection without a program not surfaced: %+v", rep.SkippedPasses)
 	}
 }
-
-func TestStaticPassRejectsMismatchedProgram(t *testing.T) {
-	_, tr := instanceFor(t, "vectoradd")
-	other, _ := instanceFor(t, "seededrace")
-	rep, err := analysis.Run(tr, analysis.Options{Prog: other.Prog, Passes: []string{"static"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasMessage(rep, "static", "does not match the trace symbol table") {
-		rep.Render(testWriter{t})
-		t.Fatal("mismatched program accepted for static comparison")
-	}
-}

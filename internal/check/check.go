@@ -50,9 +50,10 @@ type Options struct {
 	// Analyze overrides the analyzer under test (fault injection for the
 	// engine's own tests). Nil uses a memoized core.Session.
 	Analyze AnalyzeFunc
-	// Prog attaches the traced program's IR, enabling the "staticuniform"
-	// and "staticlockset" properties (static-oracle soundness against
-	// replay). Nil leaves them vacuously true: trace-only inputs have no IR.
+	// Prog attaches the traced program's IR, enabling the static-oracle
+	// soundness properties, one per analysis.Oracles entry: "staticuniform",
+	// "staticlockset" and "staticcoalesce". Nil leaves them vacuously true:
+	// trace-only inputs have no IR.
 	Prog *ir.Program
 	// Cache, if set, is attached to the default session, so matrix cells
 	// already analyzed in an earlier run skip replay. Ignored when Analyze
@@ -180,9 +181,12 @@ func selectProps(ids []string) ([]Property, error) {
 // ctx carries one input through a verification run: the trace, the resolved
 // options, a memoized report per matrix cell, and the violation sink.
 type ctx struct {
-	name    string
-	tr      *trace.Trace
-	opts    Options
+	name string
+	tr   *trace.Trace
+	opts Options
+	// sess is the run's session; it replays the matrix unless Analyze is
+	// overridden, and always supplies the trace's DCFGs.
+	sess    *core.Session
 	analyze AnalyzeFunc
 	reports map[Cell]*core.Report
 	rerrs   map[Cell]error
@@ -274,9 +278,9 @@ func Run(name string, tr *trace.Trace, opts Options) (*Report, error) {
 			return nil, fmt.Errorf("check: negative parallelism %d", p)
 		}
 	}
+	sess := core.NewSession()
 	analyze := opts.Analyze
 	if analyze == nil {
-		sess := core.NewSession()
 		if opts.Cache != nil {
 			sess.SetCache(opts.Cache)
 		}
@@ -296,6 +300,7 @@ func Run(name string, tr *trace.Trace, opts Options) (*Report, error) {
 		name:    name,
 		tr:      tr,
 		opts:    opts,
+		sess:    sess,
 		analyze: analyze,
 		reports: make(map[Cell]*core.Report),
 		rerrs:   make(map[Cell]error),

@@ -3,25 +3,20 @@ package check
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"threadfuser/internal/analysis"
 	"threadfuser/internal/core"
+	"threadfuser/internal/staticsimt"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/workloads"
 )
 
 func workloadTrace(t *testing.T, name string) *trace.Trace {
 	t.Helper()
-	w, err := workloads.ByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := w.Instantiate(workloads.Config{Threads: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := inst.Trace()
+	tr, err := workloadInstance(t, name).Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,21 +280,122 @@ func TestStaticUniformInvariantOnAllWorkloads(t *testing.T) {
 	}
 }
 
-func TestStaticUniformRejectsMismatchedProgram(t *testing.T) {
+func workloadInstance(t *testing.T, name string) *workloads.Instance {
+	t.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := w.Instantiate(workloads.Config{Threads: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// TestOraclesRejectMismatchedProgram runs every registered oracle through
+// both of its consumers with a program that does not describe the trace:
+// the lint pass must refuse the comparison with a warning, and the check
+// property must report a violation.
+func TestOraclesRejectMismatchedProgram(t *testing.T) {
 	tr := workloadTrace(t, "vectoradd")
-	other, err := workloads.ByName("seededrace")
-	if err != nil {
-		t.Fatal(err)
+	other := workloadInstance(t, "seededrace")
+	for _, o := range analysis.Oracles() {
+		lint, err := analysis.Run(tr, analysis.Options{Prog: other.Prog, Passes: []string{o.Pass}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := false
+		for _, f := range lint.Findings {
+			refused = refused || (f.Pass == o.Pass && f.Severity == analysis.SevWarning &&
+				strings.Contains(f.Message, "does not match the trace symbol table"))
+		}
+		if !refused {
+			t.Errorf("%s: lint pass accepted a mismatched program: %+v", o.Pass, lint.Findings)
+		}
+
+		rejectsMismatchedProgram(t, tr, other, o.Prop)
 	}
-	inst, err := other.Instantiate(workloads.Config{Threads: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run("x", tr, Options{Props: []string{"staticuniform"}, Prog: inst.Prog})
+}
+
+// rejectsMismatchedProgram asserts that prop reports a violation when given
+// a program that does not describe tr.
+func rejectsMismatchedProgram(t *testing.T, tr *trace.Trace, other *workloads.Instance, prop string) {
+	t.Helper()
+	rep, err := Run("x", tr, Options{Props: []string{prop}, Prog: other.Prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.OK() {
-		t.Fatal("mismatched program accepted by staticuniform")
+		t.Errorf("%s: check property accepted a mismatched program", prop)
+	}
+}
+
+func TestStaticUniformRejectsMismatchedProgram(t *testing.T) {
+	rejectsMismatchedProgram(t, workloadTrace(t, "vectoradd"), workloadInstance(t, "seededrace"), "staticuniform")
+}
+
+// TestOracleFaultInjectionIsCaught proves the replay-reading oracle
+// properties can fail: an analyzer that reports a divergence on a statically
+// uniform branch, or a memory site needing more transactions than any static
+// bound allows, must produce a violation of the matching property.
+func TestOracleFaultInjectionIsCaught(t *testing.T) {
+	inst := workloadInstance(t, "vectoradd")
+	tr, err := inst.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uniform *core.BranchReport
+	for _, fr := range staticsimt.Analyze(inst.Prog, staticsimt.Options{}).Funcs {
+		for _, b := range fr.Branches {
+			if b.Uniform && uniform == nil {
+				uniform = &core.BranchReport{Func: fr.Name, Block: b.Block, Divergences: 1, LanesOff: 1}
+			}
+		}
+	}
+	if uniform == nil {
+		t.Fatal("vectoradd has no statically uniform branch to fault")
+	}
+	cases := []struct {
+		prop   string
+		mutate func(*core.Report)
+	}{
+		{"staticuniform", func(r *core.Report) {
+			r.Branches = append(slices.Clip(r.Branches), *uniform)
+		}},
+		{"staticcoalesce", func(r *core.Report) {
+			r.MemSites = slices.Clone(r.MemSites)
+			r.MemSites[0].MaxTx = 1 << 20
+		}},
+	}
+	for _, tc := range cases {
+		broken := func(tr *trace.Trace, opts core.Options) (*core.Report, error) {
+			r, err := core.Analyze(tr, opts)
+			if err != nil {
+				return r, err
+			}
+			rr := *r
+			tc.mutate(&rr)
+			return &rr, nil
+		}
+		rep, err := Run("vectoradd", tr, Options{Analyze: broken, Props: []string{tc.prop}, Prog: inst.Prog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK() {
+			t.Errorf("%s: injected fault not caught", tc.prop)
+		}
+		for _, v := range rep.Violations {
+			if v.Prop != tc.prop || !strings.Contains(v.Msg, "oracle soundness bug") {
+				t.Errorf("%s: unexpected violation %s", tc.prop, v)
+			}
+		}
+		control, err := Run("vectoradd", tr, Options{Props: []string{tc.prop}, Prog: inst.Prog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !control.OK() {
+			t.Errorf("%s: control run failed: %v", tc.prop, control.Violations)
+		}
 	}
 }

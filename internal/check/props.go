@@ -3,21 +3,19 @@ package check
 import (
 	"bytes"
 	"reflect"
-	"sort"
+	"slices"
 
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/coalesce"
-	"threadfuser/internal/staticlock"
-	"threadfuser/internal/staticmem"
-	"threadfuser/internal/staticsimt"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
 )
 
 // properties is the invariant catalog, in execution order. Each entry is an
 // algebraic statement about the analyzer that must hold for every valid
-// trace; DESIGN.md §9 documents the catalog.
-var properties = []Property{
+// trace; DESIGN.md §9 documents the catalog. The static-oracle properties
+// come from the analysis.Oracles registry.
+var properties = slices.Concat([]Property{
 	{
 		id:   "determinism",
 		desc: "parallel replay is bit-identical to serial at every worker count",
@@ -292,155 +290,7 @@ var properties = []Property{
 			}
 		},
 	},
-	{
-		id:   "staticuniform",
-		desc: "no branch the static oracle classifies warp-uniform ever records a divergence",
-		check: func(c *ctx) {
-			prog := c.opts.Prog
-			if prog == nil {
-				return // trace-only input: no IR, vacuously true
-			}
-			cell := Cell{WarpSize: c.opts.WarpSizes[0], Parallelism: 1, Formation: c.opts.Formations[0]}
-			if !progMatchesTrace(c, cell) {
-				return
-			}
-			res := staticsimt.Analyze(prog, staticsimt.Options{})
-			// Replay reports name branch sites by function name; AND-join the
-			// classification over same-named functions so a duplicate name can
-			// only make the check more conservative, never less.
-			type key struct {
-				name  string
-				block uint32
-			}
-			uniform := map[key]bool{}
-			for _, fr := range res.Funcs {
-				for _, b := range fr.Branches {
-					k := key{fr.Name, b.Block}
-					u, seen := uniform[k]
-					uniform[k] = (!seen || u) && b.Uniform
-				}
-			}
-			for _, cl := range c.baseCells() {
-				r, ok := c.mustReport(cl)
-				if !ok {
-					continue
-				}
-				for _, br := range r.Branches {
-					if br.Divergences == 0 {
-						continue
-					}
-					u, classified := uniform[key{br.Func, br.Block}]
-					c.assert(cl, !(classified && u),
-						"branch %s.b%d classified warp-uniform statically but diverged %d time(s) (%d lane(s) idled)",
-						br.Func, br.Block, br.Divergences, br.LanesOff)
-				}
-			}
-		},
-	},
-	{
-		id:   "staticlockset",
-		desc: "every dynamic lockset race and lock-order cycle has a covering static candidate",
-		check: func(c *ctx) {
-			prog := c.opts.Prog
-			if prog == nil {
-				return // trace-only input: no IR, vacuously true
-			}
-			cell := Cell{WarpSize: c.opts.WarpSizes[0], Parallelism: 1, Formation: c.opts.Formations[0]}
-			if !progMatchesTrace(c, cell) {
-				return
-			}
-			// The static oracle and the dynamic facts both depend only on the
-			// program and the trace; the matrix sweep below re-asserts the
-			// coverage contract in every serial cell so a violation names the
-			// configuration it was observed under.
-			sr := staticlock.Analyze(prog)
-			races := analysis.DynamicRaceAccesses(c.tr)
-			order := analysis.DynamicLockOrder(c.tr)
-			for _, cl := range c.baseCells() {
-				for _, ra := range races {
-					any := false
-					for _, acc := range ra.Accesses {
-						ai, ok := sr.AccessAt(acc.Func, acc.Block, acc.Instr)
-						if !ok {
-							c.check()
-							c.violatef(cl, "racy addr 0x%x accessed at f%d.b%d i%d with no static access entry",
-								ra.Addr, acc.Func, acc.Block, acc.Instr)
-							continue
-						}
-						sa := &sr.Accesses[ai]
-						if sa.Candidate {
-							any = true
-						}
-						c.assert(cl, !acc.Unlocked || sa.Candidate,
-							"racy addr 0x%x accessed lock-free at f%d.b%d i%d (shape %s) but its class is not a static race candidate",
-							ra.Addr, acc.Func, acc.Block, acc.Instr, sa.Shape)
-					}
-					c.assert(cl, any, "racy addr 0x%x has no static race-candidate access", ra.Addr)
-				}
-				for _, e := range order.Edges {
-					fi, okF := sr.SiteAt(e.FromSite.Func, e.FromSite.Block, e.FromSite.Instr)
-					ti, okT := sr.SiteAt(e.ToSite.Func, e.ToSite.Block, e.ToSite.Instr)
-					if !okF || !okT {
-						c.check()
-						c.violatef(cl, "dynamic lock edge 0x%x->0x%x has sites missing from the static site table", e.From, e.To)
-						continue
-					}
-					c.assert(cl, sr.HasEdge(sr.Sites[fi].Shape, sr.Sites[ti].Shape),
-						"dynamic lock edge 0x%x->0x%x (shapes %s -> %s) missing from the static order graph",
-						e.From, e.To, sr.Sites[fi].Shape, sr.Sites[ti].Shape)
-				}
-				for _, cy := range order.Cycles {
-					classes, ok := cycleClasses(sr, order, cy)
-					c.assert(cl, ok && sr.CycleCovering(classes),
-						"dynamic lock-order cycle over %d lock(s) has no covering static cycle candidate (classes %v)",
-						len(cy.Addrs), classes)
-				}
-			}
-		},
-	},
-	{
-		id:   "staticcoalesce",
-		desc: "no replayed memory site exceeds its static transactions-per-warp bound or contradicts its segment claim",
-		check: func(c *ctx) {
-			prog := c.opts.Prog
-			if prog == nil {
-				return // trace-only input: no IR, vacuously true
-			}
-			cell := Cell{WarpSize: c.opts.WarpSizes[0], Parallelism: 1, Formation: c.opts.Formations[0]}
-			if !progMatchesTrace(c, cell) {
-				return
-			}
-			sm := staticmem.Analyze(prog)
-			for _, cl := range c.baseCells() {
-				r, ok := c.mustReport(cl)
-				if !ok {
-					continue
-				}
-				contiguous := cl.Formation == warp.RoundRobin
-				for i := range r.MemSites {
-					d := &r.MemSites[i]
-					si, found := sm.SiteAt(d.FuncID, d.Block, d.Instr)
-					if !found {
-						c.check()
-						c.violatef(cl, "replay touched memory at %s.b%d i%d but the static site table has no entry",
-							d.Func, d.Block, d.Instr)
-						continue
-					}
-					s := &sm.Sites[si]
-					bound := uint64(s.TxBound(cl.WarpSize, contiguous))
-					c.assert(cl, d.MaxTx <= bound,
-						"site %s.b%d i%d classified %s (addr %s) is statically bounded at %d tx/warp but a replay execution needed %d",
-						d.Func, d.Block, d.Instr, s.Class, s.Shape, bound, d.MaxTx)
-					c.assert(cl, s.Segment != staticmem.SegmentStack || d.HeapTx == 0,
-						"site %s.b%d i%d claimed stack-segment (addr %s) but replay observed %d heap transaction(s)",
-						d.Func, d.Block, d.Instr, s.Shape, d.HeapTx)
-					c.assert(cl, s.Segment != staticmem.SegmentOther || d.StackTx == 0,
-						"site %s.b%d i%d claimed heap/global-segment (addr %s) but replay observed %d stack transaction(s)",
-						d.Func, d.Block, d.Instr, s.Shape, d.StackTx)
-				}
-			}
-		},
-	},
+}, oracleProperties(), []Property{
 	{
 		id:   "fusion",
 		desc: "lockstep-fusion replay is bit-identical to the per-block engine in every cell",
@@ -485,74 +335,58 @@ var properties = []Property{
 			}
 		},
 	},
-}
+})
 
-// progMatchesTrace verifies the attached program describes the traced
-// binary (same functions, blocks and instruction counts); on a mismatch it
-// records a violation against cell and returns false. Shared by every
-// property that correlates static IR positions with trace positions.
-func progMatchesTrace(c *ctx, cell Cell) bool {
-	prog := c.opts.Prog
-	if len(prog.Funcs) != len(c.tr.Funcs) {
-		c.check()
-		c.violatef(cell, "attached program has %d function(s), trace has %d", len(prog.Funcs), len(c.tr.Funcs))
-		return false
-	}
-	for id, f := range prog.Funcs {
-		if f.Name != c.tr.Funcs[id].Name {
-			c.check()
-			c.violatef(cell, "attached program function %d is %q, trace says %q", id, f.Name, c.tr.Funcs[id].Name)
-			return false
-		}
-		if len(f.Blocks) != len(c.tr.Funcs[id].Blocks) {
-			c.check()
-			c.violatef(cell, "attached program function %q has %d block(s), trace says %d", f.Name, len(f.Blocks), len(c.tr.Funcs[id].Blocks))
-			return false
-		}
-		for bi, b := range f.Blocks {
-			if len(b.Instrs) != int(c.tr.Funcs[id].Blocks[bi].NInstr) {
+// oracleProperties turns each static oracle into a soundness property. The
+// attached program must describe the trace; then every error-severity
+// finding of the oracle's Verify is a violation at the cell it was seen in.
+// An oracle that reads the replay is verified in every base cell; one that
+// reads only the trace is verified once.
+func oracleProperties() []Property {
+	var props []Property
+	for _, o := range analysis.Oracles() {
+		props = append(props, Property{id: o.Prop, desc: o.PropDesc, check: func(c *ctx) {
+			prog := c.opts.Prog
+			if prog == nil {
+				return // trace-only input: no IR, vacuously true
+			}
+			cells := c.baseCells()
+			if err := analysis.MatchProgram(prog, c.tr); err != nil {
 				c.check()
-				c.violatef(cell, "attached program block %s.b%d has %d instruction(s), trace says %d", f.Name, bi, len(b.Instrs), c.tr.Funcs[id].Blocks[bi].NInstr)
-				return false
+				c.violatef(cells[0], "attached program does not match the trace symbol table: %v", err)
+				return
 			}
-		}
-	}
-	return true
-}
-
-// cycleClasses maps one dynamic lock-order cycle to the static lock classes
-// of the acquire sites along its in-cycle edges; ok is false when any site
-// or shape is missing from the static tables.
-func cycleClasses(sr *staticlock.Result, order *analysis.LockOrder, cy analysis.LockCycle) ([]int, bool) {
-	in := make(map[uint64]bool, len(cy.Addrs))
-	for _, a := range cy.Addrs {
-		in[a] = true
-	}
-	set := map[int]bool{}
-	ok := true
-	for _, e := range order.Edges {
-		if !in[e.From] || !in[e.To] {
-			continue
-		}
-		for _, s := range []analysis.LockSite{e.FromSite, e.ToSite} {
-			si, found := sr.SiteAt(s.Func, s.Block, s.Instr)
-			if !found {
-				ok = false
-				continue
+			if !o.Replays {
+				cells = cells[:1]
 			}
-			if ci, found := sr.LockClassOf(sr.Sites[si].Shape); found {
-				set[ci] = true
-			} else {
-				ok = false
+			// A trace that cannot be prepared fails every replay cell below;
+			// Verify reads the DCFGs only for precision findings.
+			graphs, _, _ := c.sess.Prepared(c.tr)
+			for _, cl := range cells {
+				in := &analysis.VerifyInput{Prog: prog, Trace: c.tr, Formation: cl.Formation, Graphs: graphs}
+				if o.Replays {
+					r, ok := c.mustReport(cl)
+					if !ok {
+						continue
+					}
+					in.Report = r
+				}
+				c.check()
+				for _, f := range o.Verify(in) {
+					if f.Severity != analysis.SevError {
+						continue
+					}
+					msg := f.Message
+					if loc := f.Location(); loc != "" {
+						msg = loc + ": " + msg
+					}
+					c.check()
+					c.violatef(cl, "%s", msg)
+				}
 			}
-		}
+		}})
 	}
-	classes := make([]int, 0, len(set))
-	for ci := range set {
-		classes = append(classes, ci)
-	}
-	sort.Ints(classes)
-	return classes, ok
+	return props
 }
 
 // traceMemBounds computes, straight from the trace, the maximum possible

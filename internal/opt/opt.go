@@ -21,7 +21,11 @@
 //     with the level, and GPUs themselves predicate only tiny branches.
 package opt
 
-import "threadfuser/internal/ir"
+import (
+	"fmt"
+
+	"threadfuser/internal/ir"
+)
 
 // Level is a compiler optimization level.
 type Level int
@@ -49,6 +53,16 @@ func (l Level) String() string {
 
 // Levels lists the sweep order used by the correlation experiments.
 var Levels = []Level{O0, O1, O2, O3}
+
+// ParseLevel parses a level by its String form ("O0".."O3").
+func ParseLevel(s string) (Level, error) {
+	for _, l := range Levels {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown optimization level %q (want O0..O3)", s)
+}
 
 // If-conversion size budgets per level (instructions per branch side).
 const (

@@ -50,6 +50,29 @@ func TestTransformsPreserveSemantics(t *testing.T) {
 	}
 }
 
+func TestParseLevel(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Level
+		ok   bool
+	}{
+		{"O0", O0, true},
+		{"O1", O1, true},
+		{"O2", O2, true},
+		{"O3", O3, true},
+		{"o1", 0, false},
+		{"O4", 0, false},
+		{"", 0, false},
+		{" O1", 0, false},
+	}
+	for _, tc := range cases {
+		got, err := ParseLevel(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestIfConvertFiresOnWorkloads guards against the transform silently
 // matching nothing (which would flatten the figure-5 scatter to a line).
 func TestIfConvertFiresOnWorkloads(t *testing.T) {

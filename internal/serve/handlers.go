@@ -342,10 +342,10 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 	if level == "" {
 		level = "O1"
 	}
-	lvl, ok := parseOptLevel(level)
-	if !ok {
+	lvl, err := opt.ParseLevel(level)
+	if err != nil {
 		s.stats.clientErrors.Add(1)
-		s.fail(w, http.StatusBadRequest, "parameter opt: unknown level %q", level)
+		s.fail(w, http.StatusBadRequest, "parameter opt: %v", err)
 		return
 	}
 	threads, err := queryInt(q, "threads", 0)
@@ -396,15 +396,6 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 			return resp, false, nil
 		})
 	})
-}
-
-func parseOptLevel(s string) (opt.Level, bool) {
-	for _, l := range opt.Levels {
-		if l.String() == s {
-			return l, true
-		}
-	}
-	return 0, false
 }
 
 // splitList splits a comma-separated parameter, dropping empty elements.

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"threadfuser/internal/trace"
-
 	"threadfuser/internal/cfg"
 	"threadfuser/internal/ipdom"
 	"threadfuser/internal/ir"
@@ -34,9 +32,11 @@ func batchLoopProgram(t *testing.T) *ir.Program {
 	return pb.MustBuild()
 }
 
-// TestBatchedReplayMatchesStepped pins run batching to the stepped replay
-// across the interesting regimes: uniform long runs, divergent loop trip
-// counts, and contended critical-section serialization.
+// TestBatchedReplayMatchesStepped pins the default replay, which executes
+// converged runs as fused record batches, to the stepped replay
+// (DisableLockstepFusion) across the interesting regimes: uniform long runs,
+// divergent loop trip counts, and contended critical-section serialization
+// under both lock reconvergence policies.
 func TestBatchedReplayMatchesStepped(t *testing.T) {
 	const threads = 8
 	cases := []struct {
@@ -103,7 +103,7 @@ func TestBatchedReplayMatchesStepped(t *testing.T) {
 					t.Fatal(err)
 				}
 				stepped := opts
-				stepped.disableRunBatch = true
+				stepped.DisableLockstepFusion = true
 				want, err := Replay(tr, graphs, pdoms, warps, stepped)
 				if err != nil {
 					t.Fatal(err)
@@ -114,69 +114,5 @@ func TestBatchedReplayMatchesStepped(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// benchReplayInput builds a long uniform-loop trace: the best case for run
-// batching (one long same-block run per warp) and the A/B baseline for
-// whether batching pays for its run detection.
-func benchReplayInput(b *testing.B) (tr *trace.Trace, graphs map[uint32]*cfg.DCFG, pdoms map[uint32]*ipdom.PostDom, warps []warp.Warp) {
-	b.Helper()
-	pb := ir.NewBuilder("batchbench")
-	f := pb.NewFunc("worker")
-	head := f.NewBlock("head")
-	body := f.NewBlock("body")
-	tail := f.NewBlock("tail")
-	head.Nop(1).Jmp(body)
-	body.Mov(ir.MemIdx(ir.R(0), ir.TID, 8, 0, 8), ir.Rg(ir.R(1))).
-		Sub(ir.Rg(ir.R(1)), ir.Imm(1)).
-		Cmp(ir.Rg(ir.R(1)), ir.Imm(0)).
-		Jcc(ir.CondGT, body, tail)
-	tail.Ret()
-	prog, err := pb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const threads = 32
-	p := vm.NewProcess(prog)
-	table := p.AllocGlobal(8 * threads)
-	tr, err = vm.TraceAll(p, threads, vm.RunConfig{}, func(tid int, th *vm.Thread) {
-		th.SetReg(ir.R(0), int64(table))
-		th.SetReg(ir.R(1), 2000)
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	graphs, err = cfg.Build(tr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pdoms = ipdom.ComputeAll(graphs)
-	warps, err = warp.Form(tr, 8, warp.RoundRobin)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tr, graphs, pdoms, warps
-}
-
-func BenchmarkReplayBatched(b *testing.B) {
-	tr, graphs, pdoms, warps := benchReplayInput(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Replay(tr, graphs, pdoms, warps, Options{WarpSize: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReplayStepped(b *testing.B) {
-	tr, graphs, pdoms, warps := benchReplayInput(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := Options{WarpSize: 8}
-		opts.disableRunBatch = true
-		if _, err := Replay(tr, graphs, pdoms, warps, opts); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

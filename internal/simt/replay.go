@@ -69,12 +69,6 @@ type Options struct {
 	// equivalence suite and the check catalog's "fusion" invariant replay
 	// every workload both ways and assert bit-identical Results.
 	DisableLockstepFusion bool
-
-	// disableRunBatch turns off same-block run batching in the replay inner
-	// loop, forcing one group-formation step per block execution. Only the
-	// batched/stepped equivalence test sets it. It implies
-	// DisableLockstepFusion: the fused window is a superset of run batching.
-	disableRunBatch bool
 }
 
 // workers resolves the effective worker count for a warp count. Warps are
@@ -350,7 +344,7 @@ func Replay(t *trace.Trace, graphs map[uint32]*cfg.DCFG, pdoms map[uint32]*ipdom
 	// the bench setup); otherwise derive it here — one streaming pass, shared
 	// read-only by all workers. A nil cols disables fusion outright.
 	var cols *trace.Cols
-	if !opts.DisableLockstepFusion && !opts.disableRunBatch && opts.Listener == nil {
+	if !opts.DisableLockstepFusion && opts.Listener == nil {
 		cols = t.Cols
 		if cols == nil {
 			cols = trace.BuildCols(t)
@@ -624,14 +618,6 @@ func (wr *warpReplay) run() error {
 			if err := wr.execGroup(e, g.pos, g.mask); err != nil {
 				return err
 			}
-			// Batch the rest of the run without re-forming groups each
-			// iteration; with fusion on, the fused window above already did,
-			// so the stepped execRun remains as the listener/A-B path.
-			if g.pos.kind == posBlock && !wr.opts.disableRunBatch && !wr.fuse {
-				if err := wr.execRun(e, g.pos, g.mask); err != nil {
-					return err
-				}
-			}
 			continue
 		}
 		wr.diverge(e, groups)
@@ -833,52 +819,6 @@ func (wr *warpReplay) execGroup(e *entry, pos position, mask uint64) error {
 	return fmt.Errorf("execGroup on %v", pos)
 }
 
-// execRun executes the tail of a run of identical block records in one
-// batch: as long as every lane's immediate next record is another execution
-// of pos's block (and carries no lock operations when locks are emulated),
-// stepping the main loop would deterministically produce the same
-// single-group execution again, so the loop's group formation, sorting, and
-// reconvergence checks are skipped wholesale. The batch is exact, not an
-// approximation: each iteration reuses execBlock, so instruction charging,
-// branch-region accounting, memory coalescing, and listener callbacks are
-// bit-identical to the stepped replay (the equivalence test pins this down).
-func (wr *warpReplay) execRun(e *entry, pos position, mask uint64) error {
-	// At the entry's reconvergence position the stepped loop pops instead of
-	// executing again (e.hasLast is set after the block above); any other
-	// pop condition needs pos.depth both >= and < the RPC depth at once,
-	// which cannot happen, so this is the only exit the batch must respect.
-	if e.hasRPC && e.rpc == pos {
-		return nil
-	}
-	for wr.sameBlockRunNext(pos, mask) {
-		if err := wr.execBlock(e, pos, mask); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sameBlockRunNext reports whether every lane in mask has, as its immediate
-// next record, another execution of pos's basic block with no lock
-// operations to serialize — the condition under which one more stepped
-// iteration is guaranteed to re-form exactly this group and execute it.
-func (wr *warpReplay) sameBlockRunNext(pos position, mask uint64) bool {
-	for m := mask; m != 0; m &= m - 1 {
-		c := &wr.cursors[bits.TrailingZeros64(m)]
-		if c.idx >= len(c.recs) {
-			return false
-		}
-		r := &c.recs[c.idx]
-		if r.Kind != trace.KindBBL || r.Func != pos.fn || r.Block != pos.block {
-			return false
-		}
-		if wr.opts.EmulateLocks && len(r.Locks) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // maxWindow bounds how many records one execRunFused call consumes, keeping
 // the cancellation poll (every 4096 main-loop steps) reasonably prompt even
 // for million-record converged phases; the main loop re-enters the fused
@@ -912,8 +852,12 @@ func uniformAt(uni [][]bool, fn, block uint32) bool {
 // Exactness does not rest on the static table: an element executes fused
 // only after every active lane's control word was checked to be the same
 // lock-free block execution, which is precisely the condition under which
-// one more stepped iteration would re-form this single group and execute it
-// (see execRun for why no pop condition can fire mid-run at constant depth).
+// one more stepped iteration would re-form this single group and execute it.
+// No pop can fire mid-window either: the entry's reconvergence position is
+// never fused, and any other pop condition needs the position's call depth
+// to be both at or past and short of the reconvergence depth at once, which
+// cannot happen while the window stays at constant depth.
+//
 // The UniformBranches table only shapes lane 0's proposal: with a table,
 // windows stop at statically divergence-capable terminators, so fusion never
 // speculates past a point where a warp split is possible; without one,

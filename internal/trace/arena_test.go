@@ -11,7 +11,7 @@ import (
 // arenaEdgeTraces are hand-built traces hitting the arena section-size edge
 // cases: no threads at all, empty threads between populated ones,
 // single-record threads, and a maximal run of identical blocks (the shape
-// the batched replay and run-length-friendly layouts care about).
+// the fused replay and run-length-friendly layouts care about).
 func arenaEdgeTraces() map[string]*Trace {
 	funcs := []FuncInfo{{Name: "f", Blocks: []BlockInfo{{NInstr: 2}, {NInstr: 3}}}}
 	longRun := &ThreadTrace{TID: 2}

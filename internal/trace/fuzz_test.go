@@ -228,7 +228,7 @@ func FuzzDecode(f *testing.F) {
 // arenaEdgeSeedTraces are valid traces hitting the arena decoder's
 // section-size edge cases: empty threads between populated ones,
 // single-record threads, and a long run of identical blocks (maximal
-// same-block run length for the batched replay).
+// same-block run length for the fused replay).
 func arenaEdgeSeedTraces() []*trace.Trace {
 	funcs := []trace.FuncInfo{{Name: "f", Blocks: []trace.BlockInfo{{NInstr: 2}}}}
 	longRun := &trace.ThreadTrace{TID: 1}
