@@ -547,22 +547,11 @@ func BenchmarkDecodeV2Serial(b *testing.B) {
 	benchDecodeSerial(b, decodeBench.v2)
 }
 
-// BenchmarkDecodeV3Serial decodes the indexed format serially through the
-// arena fast path, reusing one arena across iterations — the steady-state
-// cost of the scan-many-trace-files loop, where the PR's decode throughput
-// target lives. The first iteration sizes the tables; the rest run with zero
-// table allocation.
+// BenchmarkDecodeV3Serial decodes the indexed format serially, its table
+// sizes taken from the index footer.
 func BenchmarkDecodeV3Serial(b *testing.B) {
 	decodeBenchSetup(b)
-	data := decodeBench.v3
-	b.SetBytes(int64(len(data)))
-	var arena trace.Arena
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.DecodeInto(data, &arena); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchDecodeSerial(b, decodeBench.v3)
 }
 
 // BenchmarkDecodeV3Parallel fans per-thread section decoding over one worker

@@ -175,16 +175,16 @@ func main() {
 		fatal(fmt.Errorf("unknown formation %q", *formation))
 	}
 
-	if *sweep {
-		// A session validates the trace and builds DCFG+IPDOM once for all
-		// five warp-width points; an indexed file streams into it.
-		sess := core.NewSession()
-		sess.SetCache(cache)
-		if rd != nil {
-			if tr, err = sess.Ingest(rd, *parallel); err != nil {
-				fatal(err)
-			}
+	// A session validates the trace and builds DCFG+IPDOM once, for one
+	// analysis or all five -sweep points; an indexed file streams into it.
+	sess := core.NewSession()
+	sess.SetCache(cache)
+	if rd != nil {
+		if tr, err = sess.Ingest(rd, *parallel); err != nil {
+			fatal(err)
 		}
+	}
+	if *sweep {
 		fmt.Printf("%-10s %s\n", "warp size", "SIMT efficiency")
 		for _, ws := range []int{4, 8, 16, 32, 64} {
 			o := opts
@@ -197,12 +197,7 @@ func main() {
 		}
 		return
 	}
-	var rep *core.Report
-	if rd != nil {
-		rep, _, err = core.AnalyzeStreamCached(cache, rd, opts)
-	} else {
-		rep, _, err = core.AnalyzeCached(cache, tr, opts)
-	}
+	rep, err := sess.Analyze(tr, opts)
 	if err != nil {
 		fatal(err)
 	}

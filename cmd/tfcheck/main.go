@@ -113,7 +113,7 @@ func main() {
 	for _, path := range flag.Args() {
 		path := path
 		inputs = append(inputs, input{name: path, load: func() (*trace.Trace, *ir.Program, error) {
-			tr, err := trace.ReadFile(path)
+			tr, err := trace.ReadFileParallel(path, 1)
 			return tr, nil, err
 		}})
 	}

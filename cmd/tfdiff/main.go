@@ -95,7 +95,7 @@ func analyzeFile(path string, opts core.Options, cache *core.Cache, server, tena
 		c := serve.Client{BaseURL: server, Tenant: tenant}
 		return c.Analyze(context.Background(), f, q)
 	}
-	tr, err := trace.ReadFile(path)
+	tr, err := trace.ReadFileParallel(path, 1)
 	if err != nil {
 		return nil, err
 	}

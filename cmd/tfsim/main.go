@@ -62,7 +62,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		mim, err = trace.ReadFile(*path)
+		mim, err = trace.ReadFileParallel(*path, 1)
 		if err != nil {
 			fatal(err)
 		}

@@ -46,45 +46,6 @@ func AnalyzeStream(r *trace.Reader, opts Options) (*Report, error) {
 	return analyzeWith(t, p, warps, opts)
 }
 
-// AnalyzeStreamCached is AnalyzeStream through the report cache. The trace
-// must be ingested either way (the cache key hashes record content), so the
-// pipelined decode always runs; a hit then skips only the replay, exactly
-// like AnalyzeCached.
-func AnalyzeStreamCached(c *Cache, r *trace.Reader, opts Options) (*Report, bool, error) {
-	if c == nil || opts.Listener != nil {
-		rep, err := AnalyzeStream(r, opts)
-		return rep, false, err
-	}
-	if opts.WarpSize == 0 {
-		return nil, false, fmt.Errorf("core: WarpSize must be set (use core.Defaults)")
-	}
-	if opts.Context != nil && opts.Context.Err() != nil {
-		return nil, false, fmt.Errorf("core: analysis canceled: %w", opts.Context.Err())
-	}
-	t, p, err := prepareStream(r, opts.Parallelism)
-	if err != nil {
-		return nil, false, err
-	}
-	key, kerr := cacheKey(t, opts)
-	if kerr == nil {
-		if rep, ok := c.get(key); ok {
-			return rep, true, nil
-		}
-	}
-	warps, err := warp.Form(t, opts.WarpSize, opts.Formation)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: forming warps: %w", err)
-	}
-	rep, err := analyzeWith(t, p, warps, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if kerr == nil {
-		c.put(key, rep)
-	}
-	return rep, false, nil
-}
-
 // prepareStream ingests every thread section of r and returns the decoded
 // trace plus its prepared analysis products. Decode workers (work-stealing
 // over sections, bounded by pool.Workers) each decode a section, validate

@@ -55,28 +55,43 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestAnalyzeStreamCached checks the cached streaming path: a first call
-// misses and stores, a second call with identical content hits, and the hit
-// equals the miss bit for bit.
-func TestAnalyzeStreamCached(t *testing.T) {
-	tr := traceWorkload(t, "rodinia.bfs", 64)
-	r := indexedReader(t, tr)
+// TestSessionIngestCacheHit checks the cached streaming path tfanalyze runs
+// (SetCache, Ingest, Analyze): a second session ingesting the same bytes
+// hits the cache without replaying, and its report equals the first bit for
+// bit.
+func TestSessionIngestCacheHit(t *testing.T) {
+	var buf bytes.Buffer
+	if err := trace.EncodeIndexed(&buf, traceWorkload(t, "rodinia.bfs", 64)); err != nil {
+		t.Fatal(err)
+	}
 	c := NewCache(t.TempDir())
-	opts := Defaults()
-
-	first, hit, err := AnalyzeStreamCached(c, r, opts)
-	if err != nil {
-		t.Fatalf("first: %v", err)
+	replays := 0
+	defer SetReplayTestHook(func() { replays++ })()
+	analyze := func() *Report {
+		t.Helper()
+		r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := NewSession()
+		sess.SetCache(c)
+		st, err := sess.Ingest(r, 0)
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		rep, err := sess.Analyze(st, Defaults())
+		if err != nil {
+			t.Fatalf("analyze: %v", err)
+		}
+		return rep
 	}
-	if hit {
-		t.Fatal("first call reported a cache hit on an empty cache")
+	first := analyze()
+	if replays != 1 {
+		t.Fatalf("first ingest replayed %d times, want 1", replays)
 	}
-	second, hit, err := AnalyzeStreamCached(c, r, opts)
-	if err != nil {
-		t.Fatalf("second: %v", err)
-	}
-	if !hit {
-		t.Fatal("second call missed the cache")
+	second := analyze()
+	if replays != 1 {
+		t.Fatalf("second ingest of the same bytes replayed %d more times, want 0", replays-1)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Error("cache hit differs from the stored report")

@@ -5,18 +5,25 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
+	"sync"
+
+	"threadfuser/internal/pool"
 )
 
 // This file implements the columnar trace arena: the decoded form of a trace
 // as three flat tables — records, memory accesses, lock operations — plus a
 // per-thread span header, instead of per-thread record slices with
 // per-record access slices. The arena is what makes decode run at memory
-// bandwidth: one large allocation per table (near-zero per-record
-// allocation), filled by a byte-slice decoder with no reader interface calls
-// on the hot path, and filled in disjoint sub-ranges by parallel workers when
-// the v3 index carries per-thread table sizes.
+// bandwidth: one exactly sized allocation per table (near-zero per-record
+// allocation), filled section by section by one byte-slice routine
+// (fillSection) with no reader interface calls on the hot path, and filled
+// in disjoint sub-ranges by parallel workers.
+//
+// Every whole-trace decode goes through decode: it takes its per-section
+// table sizes from the v3 index footer when that validates, and otherwise
+// from a measuring walk over the stream, then runs the same fill over either
+// index.
 //
 // The public Trace/Record API is preserved as a zero-copy view: every
 // ThreadTrace.Records is a sub-slice of the arena's record table, and every
@@ -28,62 +35,19 @@ import (
 // Arena is the columnar backing store of a decoded trace. All threads'
 // records live contiguously in Records (thread sections in file order), all
 // memory accesses in Mem, and all lock operations in Locks, each in record
-// order. MemOff and LockOff are prefix-offset columns of length
-// len(Records)+1: record i's accesses are Mem[MemOff[i]:MemOff[i+1]], its
-// lock operations Locks[LockOff[i]:LockOff[i+1]]. Spans maps each thread to
-// its record range.
+// order. Spans maps each thread to its record range; each record's Mem and
+// Locks fields are views of its entries in the shared tables.
 type Arena struct {
 	Spans   []Span
 	Records []Record
 	Mem     []MemAccess
 	Locks   []LockOp
-	MemOff  []uint32
-	LockOff []uint32
 }
 
 // Span locates one thread's records inside the arena's record table.
 type Span struct {
 	TID    int
 	Lo, Hi int // record index range [Lo,Hi)
-}
-
-// NewArena flattens an existing trace into columnar form, copying its
-// records and access/lock entries into freshly allocated tables. It is the
-// adapter in the opposite direction from decode: workload generators build
-// traces record by record, and NewArena gives tests (and anything that wants
-// contiguous tables) the arena view of them.
-func NewArena(t *Trace) *Arena {
-	var nrec, nmem, nlock int
-	for _, th := range t.Threads {
-		nrec += len(th.Records)
-		for i := range th.Records {
-			nmem += len(th.Records[i].Mem)
-			nlock += len(th.Records[i].Locks)
-		}
-	}
-	a := &Arena{
-		Spans:   make([]Span, 0, len(t.Threads)),
-		Records: make([]Record, 0, nrec),
-		Mem:     make([]MemAccess, 0, nmem),
-		Locks:   make([]LockOp, 0, nlock),
-		MemOff:  make([]uint32, 1, nrec+1),
-		LockOff: make([]uint32, 1, nrec+1),
-	}
-	for _, th := range t.Threads {
-		lo := len(a.Records)
-		for i := range th.Records {
-			r := th.Records[i] // copy; the arena owns its own entries
-			a.Mem = append(a.Mem, r.Mem...)
-			a.Locks = append(a.Locks, r.Locks...)
-			r.Mem, r.Locks = nil, nil
-			a.Records = append(a.Records, r)
-			a.MemOff = append(a.MemOff, uint32(len(a.Mem)))
-			a.LockOff = append(a.LockOff, uint32(len(a.Locks)))
-		}
-		a.Spans = append(a.Spans, Span{TID: th.TID, Lo: lo, Hi: len(a.Records)})
-	}
-	a.fixup(0, len(a.Records))
-	return a
 }
 
 // Trace materializes the view adapter: a Trace whose thread record slices
@@ -104,25 +68,9 @@ func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	return t
 }
 
-// fixup points the Mem/Locks view slices of records [lo,hi) at their
-// sections of the shared tables. It must run only after the tables' backing
-// arrays are final (no further appends), or the views would alias stale
-// copies.
-func (a *Arena) fixup(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if s, e := a.MemOff[i], a.MemOff[i+1]; e > s {
-			a.Records[i].Mem = a.Mem[s:e]
-		}
-		if s, e := a.LockOff[i], a.LockOff[i+1]; e > s {
-			a.Records[i].Locks = a.Locks[s:e]
-		}
-	}
-}
-
 // bdec decodes .tft structures from an in-memory byte slice. Unlike the
 // stream decoder it makes no reader interface calls: the single-byte varint
-// fast path is a bounds check and an increment, which is where the decode
-// MB/s comes from.
+// fast path is a bounds check and an increment.
 type bdec struct {
 	data []byte
 	off  int
@@ -169,7 +117,8 @@ func (d *bdec) uvarintSlow() uint64 {
 }
 
 // skipUvarint advances past one varint without decoding its value — the
-// measuring pass cares only about structure.
+// measuring walk cares only about structure. Overflowing varints are left
+// for fillSection to reject.
 func (d *bdec) skipUvarint() {
 	for i := d.off; i < len(d.data); i++ {
 		if d.data[i] < 0x80 {
@@ -203,8 +152,6 @@ func (d *bdec) byte() byte {
 	return b
 }
 
-func (d *bdec) bool() bool { return d.byte() != 0 }
-
 func (d *bdec) str() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -236,8 +183,8 @@ func (d *bdec) count(what string, n uint64) uint64 {
 }
 
 // header decodes the version-independent metadata section, mirroring
-// decoder.header byte for byte (including prealloc clamps), so the arena and
-// stream decoders accept and reject exactly the same inputs.
+// decoder.header byte for byte (including prealloc clamps), so decode and
+// the legacy stream decoder accept and reject exactly the same inputs.
 func (d *bdec) header() *Header {
 	if len(d.data)-d.off < len(magic) {
 		d.err = io.ErrUnexpectedEOF
@@ -277,80 +224,42 @@ func (d *bdec) header() *Header {
 	return h
 }
 
-// DecodeBytes decodes a complete in-memory .tft encoding (any version) into
-// an arena-backed trace. It is the fast path behind Decode and ReadFile;
-// trailing bytes past the last thread section (a v3 index footer) are
-// ignored, exactly as the stream decoder never reads them.
-func DecodeBytes(data []byte) (*Trace, error) {
-	t, _, err := decodeArena(data)
-	return t, err
-}
-
-// DecodeInto decodes like DecodeBytes but reuses a's tables as the backing
-// store, growing them only when this trace needs more capacity than the
-// arena already has. Steady-state decoding of similarly sized traces — the
-// scan-many-files loop — allocates almost nothing per decode and never
-// re-zeroes the tables. The returned Trace aliases the arena: the next
-// DecodeInto on the same arena overwrites it.
-func DecodeInto(data []byte, a *Arena) (*Trace, error) {
-	t, _, err := decodeArenaInto(data, a)
-	return t, err
-}
-
-// decodeArena is DecodeBytes exposing the arena, for tests and internal
-// callers that want the columnar form.
-func decodeArena(data []byte) (*Trace, *Arena, error) {
-	return decodeArenaInto(data, nil)
-}
-
-func decodeArenaInto(data []byte, a *Arena) (*Trace, *Arena, error) {
-	return decodeArenaStream(data, a, false)
-}
-
-// decodeArenaStream is the shared decode body. In strict mode the input
-// must be fully accounted for: either the index footer validates, or the
-// bare stream ends exactly at the last byte — leftover bytes (a truncated
-// footer or trailer) are an error instead of being silently ignored.
-func decodeArenaStream(data []byte, a *Arena, strict bool) (*Trace, *Arena, error) {
-	if a == nil {
-		a = &Arena{}
-	}
-	// Indexed inputs carry exact per-thread table sizes in the footer: skip
-	// the measuring pass and fill exactly-sized tables straight from each
-	// section. Anything without a usable index — or an index the stream
-	// contradicts — takes the measure-then-fill path below, which trusts
-	// only the stream.
-	if t, err := decodeArenaIndexed(data, a); err == nil {
-		return t, a, nil
+// decode is the one decoder behind Decode, DecodeParallel, DecodeStrict and
+// ReadFileParallel: it picks an index of the thread sections, then fills
+// every section through fillSection, up to workers at a time. A v3 index
+// footer that NewReader validates is used as is; anything else — a v1/v2
+// stream, a damaged footer, or a footer whose counts the stream contradicts —
+// is decoded from a measured index, which trusts only the stream. The result
+// is identical at every worker count.
+//
+// In strict mode the input must be fully accounted for: either the footer
+// validates, or the bare stream ends exactly at the last byte — leftover
+// bytes (a truncated footer or trailer) are an error instead of being
+// silently ignored.
+func decode(data []byte, workers int, strict bool) (*Trace, error) {
+	r, rerr := NewReader(bytes.NewReader(data), int64(len(data)))
+	if rerr == nil {
+		if a, err := fill(data, r.index, false, workers); err == nil {
+			return a.Trace(r.hdr.Program, r.hdr.Entry, r.hdr.Funcs), nil
+		}
 	}
 	d := &bdec{data: data}
 	h := d.header()
 	if d.err != nil {
-		return nil, nil, fmt.Errorf("trace: decode: %w", d.err)
+		return nil, fmt.Errorf("trace: decode: %w", d.err)
 	}
-	// Measure pass: walk the thread sections once without decoding values
-	// to learn the exact table sizes. The second pass then performs one
-	// exact allocation per column and never reallocates, so decode memory
-	// equals decoded size (entries are only counted after their bytes are
-	// verified present, so a lying count cannot inflate the allocation).
-	nrec, nmem, nlock := measureStream(data, d.off, h.NumThreads)
-	a.Spans = growEmpty(a.Spans, h.NumThreads)
-	a.Records = growEmpty(a.Records, nrec)
-	a.Mem = growEmpty(a.Mem, nmem)
-	a.Locks = growEmpty(a.Locks, nlock)
-	a.MemOff = append(growEmpty(a.MemOff, nrec+1), 0)
-	a.LockOff = append(growEmpty(a.LockOff, nrec+1), 0)
-	for i := 0; i < h.NumThreads && d.err == nil; i++ {
-		a.appendThread(d, h.Version)
+	index, end, err := measureStream(data, d.off, h.NumThreads)
+	if err != nil {
+		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	if d.err != nil {
-		return nil, nil, fmt.Errorf("trace: decode: %w", d.err)
+	if strict && rerr != nil && end != len(data) {
+		return nil, fmt.Errorf("trace: decode: %d trailing bytes after the last thread section (truncated or damaged index?)", len(data)-end)
 	}
-	if strict && d.off != len(data) {
-		return nil, nil, fmt.Errorf("trace: decode: %d trailing bytes after the last thread section (truncated or damaged index?)", len(data)-d.off)
+	a, err := fill(data, index, h.Version == version, workers)
+	if err != nil {
+		return nil, err
 	}
-	a.fixup(0, len(a.Records))
-	return a.Trace(h.Program, h.Entry, h.Funcs), a, nil
+	return a.Trace(h.Program, h.Entry, h.Funcs), nil
 }
 
 // DecodeStrict decodes an untrusted upload, refusing inputs the lenient
@@ -359,251 +268,124 @@ func decodeArenaStream(data []byte, a *Arena, strict bool) (*Trace, *Arena, erro
 // precedes the index, so the lenient path sees a complete stream and
 // ignores the damaged tail. For ingestion that leniency masks data loss:
 // the uploader meant to send an index, so unaccounted-for trailing bytes
-// mean the transfer was damaged. Inputs with a valid index decode through
-// DecodeParallel at the given parallelism; bare v1/v2 streams must end
-// exactly at the last thread section.
+// mean the transfer was damaged. Inputs with a valid index decode at the
+// given parallelism; bare v1/v2 streams must end exactly at the last thread
+// section.
 func DecodeStrict(ra io.ReaderAt, size int64, parallelism int) (*Trace, error) {
 	data, err := readAllAt(ra, size)
 	if err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	if _, err := NewReader(bytes.NewReader(data), size); err == nil {
-		return DecodeParallel(bytes.NewReader(data), size, parallelism)
-	}
-	t, _, err := decodeArenaStream(data, nil, true)
-	return t, err
+	return decode(data, parallelism, true)
 }
 
-// decodeArenaIndexed decodes a v3 input through its index footer into a:
-// exact per-section table sizes, serial section fills. It fails (for the
-// caller to fall back) on any input without a valid index or whose stream
-// disagrees with it.
-func decodeArenaIndexed(data []byte, a *Arena) (*Trace, error) {
-	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return nil, err
+// fill sizes the arena's tables once from the index's per-section counts and
+// decodes every section into its disjoint sub-range of them, distributing
+// sections over pool.Workers(workers, len(index)) goroutines. Among the
+// sections that ran, the first failing one in index order supplies the
+// error.
+func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error) {
+	n := len(index)
+	a := &Arena{Spans: make([]Span, n)}
+	// lo[i] holds section i's first access and lock slots; its first record
+	// slot is Spans[i].Lo.
+	lo := make([][2]int, n)
+	var nrec, nmem, nlock int
+	for i, en := range index {
+		a.Spans[i] = Span{TID: en.tid, Lo: nrec, Hi: nrec + int(en.nrec)}
+		lo[i] = [2]int{nmem, nlock}
+		nrec += int(en.nrec)
+		nmem += int(en.nmem)
+		nlock += int(en.nlock)
 	}
-	if err := a.sizeFromIndex(r); err != nil {
-		return nil, err
-	}
-	ri, mi, li := 0, 0, 0
-	for i, en := range r.index {
-		if err := a.fillSection(data[en.off:en.off+en.len], en, i, ri, mi, li); err != nil {
-			return nil, err
+	a.Records = make([]Record, nrec)
+	a.Mem = make([]MemAccess, nmem)
+	a.Locks = make([]LockOp, nlock)
+
+	var mu sync.Mutex
+	failed, ferr := n, error(nil)
+	pool.ForEach(pool.Workers(workers, n), n, func(_, i int) bool {
+		en := index[i]
+		err := a.fillSection(data[en.off:en.off+en.len], en, raw, i, a.Spans[i].Lo, lo[i][0], lo[i][1])
+		if err == nil {
+			return false
 		}
-		ri += int(en.nrec)
-		mi += int(en.nmem)
-		li += int(en.nlock)
-	}
-	return a.Trace(r.hdr.Program, r.hdr.Entry, r.hdr.Funcs), nil
+		mu.Lock()
+		if i < failed {
+			failed, ferr = i, err
+		}
+		mu.Unlock()
+		return true
+	})
+	return a, ferr
 }
 
-// sizeFromIndex sizes the arena tables exactly from an index's per-thread
-// counts, reusing existing backing arrays when they are large enough.
-// Reused tables are NOT re-zeroed: fillSection stores every field of every
-// entry it covers, and the index's counts are exactly the entries filled.
-func (a *Arena) sizeFromIndex(r *Reader) error {
-	var nrec, nmem, nlock int64
-	for _, en := range r.index {
-		nrec += en.nrec
-		nmem += en.nmem
-		nlock += en.nlock
+// measureStream builds the index of nthreads thread sections starting at
+// off by walking them with measureSection, and returns it with the offset
+// just past the last section.
+func measureStream(data []byte, off, nthreads int) ([]indexEntry, int, error) {
+	index := make([]indexEntry, 0, preallocCap(uint64(nthreads)))
+	for t := 0; t < nthreads; t++ {
+		en, err := measureSection(data, off)
+		if err != nil {
+			return nil, 0, err
+		}
+		index = append(index, en)
+		off += int(en.len)
 	}
-	if nmem > math.MaxUint32 || nlock > math.MaxUint32 {
-		return fmt.Errorf("trace: decode: implausible table size")
-	}
-	a.Spans = resize(a.Spans, len(r.index))
-	a.Records = resize(a.Records, int(nrec))
-	a.Mem = resize(a.Mem, int(nmem))
-	a.Locks = resize(a.Locks, int(nlock))
-	a.MemOff = resize(a.MemOff, int(nrec)+1)
-	a.LockOff = resize(a.LockOff, int(nrec)+1)
-	a.MemOff[0], a.LockOff[0] = 0, 0
-	return nil
+	return index, off, nil
 }
 
-// resize returns s with length n, reusing the backing array when its
-// capacity allows. Surviving contents are unspecified; callers overwrite
-// every element.
-func resize[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
-}
-
-// growEmpty returns s emptied, with capacity at least n.
-func growEmpty[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:0]
-	}
-	return make([]T, 0, n)
-}
-
-// measureStream walks every thread section from off, returning the exact
-// table sizes a fill pass will produce. Values are skipped, not decoded;
-// entries count only once their bytes are verified present, so adversarial
-// counts cannot inflate the subsequent allocation. The walk is
-// version-independent: v1 and v2 records have identical field structure
-// (only the address encoding differs, invisible to a skip).
-func measureStream(data []byte, off, nthreads int) (nrec, nmem, nlock int) {
+// measureSection walks the thread section at off without decoding values
+// and returns its index entry: tid, byte range, and exact table sizes. It
+// rejects what the legacy stream decoder rejects — truncation, implausible
+// counts, unknown record kinds — except overflowing varints, which the fill
+// over the measured entry rejects. Every counted entry has consumed input
+// bytes, so hostile counts cannot inflate the allocation sized from it. The
+// walk is version-independent: v1 and v2 records have identical field
+// structure (only the address encoding differs, invisible to a skip).
+func measureSection(data []byte, off int) (indexEntry, error) {
 	d := &bdec{data: data, off: off}
-	for t := 0; t < nthreads && d.err == nil; t++ {
-		d.skipUvarint() // tid
-		nr := d.count("record", d.uvarint())
-		for j := uint64(0); j < nr && d.err == nil; j++ {
-			switch Kind(d.byte()) {
-			case KindBBL:
-				d.skipUvarint() // func
-				d.skipUvarint() // block
-				d.skipUvarint() // n
-				nm := d.count("mem access", d.uvarint())
-				for i := uint64(0); i < nm && d.err == nil; i++ {
-					d.skipUvarint()
-					d.skipUvarint()
-					d.skip(2)
-					if d.err == nil {
-						nmem++
-					}
-				}
-				nl := d.count("lock op", d.uvarint())
-				for i := uint64(0); i < nl && d.err == nil; i++ {
-					d.skipUvarint()
-					d.skipUvarint()
-					d.skip(1)
-					if d.err == nil {
-						nlock++
-					}
-				}
-			case KindCall:
-				d.skipUvarint()
-			case KindRet:
-			case KindSkip:
-				d.skip(1)
-				d.skipUvarint()
-			default:
-				return nrec, nmem, nlock
-			}
-			if d.err == nil {
-				nrec++
-			}
-		}
-	}
-	return nrec, nmem, nlock
-}
-
-// appendThread decodes one thread section from d onto the end of the arena,
-// recording its span. Address deltas reset at the section start in every
-// versioned encoding, so sections decode independently.
-func (a *Arena) appendThread(d *bdec, version int) {
-	tid := int(d.uvarint())
+	en := indexEntry{tid: int(d.uvarint()), off: int64(off)}
 	nr := d.count("record", d.uvarint())
-	lo := len(a.Records)
-	var prevAddr uint64
 	for j := uint64(0); j < nr && d.err == nil; j++ {
-		if version >= version2 {
-			prevAddr = a.appendRecord2(d, prevAddr)
-		} else {
-			a.appendRecord1(d)
+		switch kind := Kind(d.byte()); kind {
+		case KindBBL:
+			d.skipUvarint() // func
+			d.skipUvarint() // block
+			d.skipUvarint() // n
+			nm := d.count("mem access", d.uvarint())
+			for i := uint64(0); i < nm && d.err == nil; i++ {
+				d.skipUvarint()
+				d.skipUvarint()
+				d.skip(2)
+			}
+			nl := d.count("lock op", d.uvarint())
+			for i := uint64(0); i < nl && d.err == nil; i++ {
+				d.skipUvarint()
+				d.skipUvarint()
+				d.skip(1)
+			}
+			en.nmem += int64(nm)
+			en.nlock += int64(nl)
+		case KindCall:
+			d.skipUvarint()
+		case KindRet:
+		case KindSkip:
+			d.skip(1)
+			d.skipUvarint()
+		default:
+			if d.err == nil {
+				d.err = fmt.Errorf("unknown record kind %d", kind)
+			}
 		}
 	}
-	// The offset columns are uint32; a single thread cannot legally push the
-	// tables past 4G entries (each entry consumes input bytes), but guard
-	// the invariant rather than assume it.
-	if d.err == nil && (len(a.Mem) > math.MaxUint32 || len(a.Locks) > math.MaxUint32) {
-		d.err = fmt.Errorf("implausible table size")
-		return
+	if d.err != nil {
+		return indexEntry{}, d.err
 	}
-	a.Spans = append(a.Spans, Span{TID: tid, Lo: lo, Hi: len(a.Records)})
-}
-
-// appendRecord1 decodes one v1 (raw-address) record onto the arena.
-func (a *Arena) appendRecord1(d *bdec) {
-	r := Record{Kind: Kind(d.byte())}
-	switch r.Kind {
-	case KindBBL:
-		r.Func = uint32(d.uvarint())
-		r.Block = uint32(d.uvarint())
-		r.N = d.uvarint()
-		nm := d.count("mem access", d.uvarint())
-		for i := uint64(0); i < nm && d.err == nil; i++ {
-			a.Mem = append(a.Mem, MemAccess{
-				Instr: uint16(d.uvarint()),
-				Addr:  d.uvarint(),
-				Size:  d.byte(),
-				Store: d.bool(),
-			})
-		}
-		nl := d.count("lock op", d.uvarint())
-		for i := uint64(0); i < nl && d.err == nil; i++ {
-			a.Locks = append(a.Locks, LockOp{
-				Instr:   uint16(d.uvarint()),
-				Addr:    d.uvarint(),
-				Release: d.bool(),
-			})
-		}
-	case KindCall:
-		r.Callee = uint32(d.uvarint())
-	case KindRet:
-	case KindSkip:
-		r.SkipKind = SkipKind(d.byte())
-		r.N = d.uvarint()
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("unknown record kind %d", r.Kind)
-		}
-	}
-	a.Records = append(a.Records, r)
-	a.MemOff = append(a.MemOff, uint32(len(a.Mem)))
-	a.LockOff = append(a.LockOff, uint32(len(a.Locks)))
-}
-
-// appendRecord2 decodes one v2/v3 (delta-address) record onto the arena.
-func (a *Arena) appendRecord2(d *bdec, prevAddr uint64) uint64 {
-	r := Record{Kind: Kind(d.byte())}
-	switch r.Kind {
-	case KindBBL:
-		r.Func = uint32(d.uvarint())
-		r.Block = uint32(d.uvarint())
-		r.N = d.uvarint()
-		nm := d.count("mem access", d.uvarint())
-		for i := uint64(0); i < nm && d.err == nil; i++ {
-			instr := uint16(d.uvarint())
-			addr := prevAddr + uint64(unzigzag(d.uvarint()))
-			prevAddr = addr
-			a.Mem = append(a.Mem, MemAccess{
-				Instr: instr,
-				Addr:  addr,
-				Size:  d.byte(),
-				Store: d.bool(),
-			})
-		}
-		nl := d.count("lock op", d.uvarint())
-		for i := uint64(0); i < nl && d.err == nil; i++ {
-			instr := uint16(d.uvarint())
-			addr := prevAddr + uint64(unzigzag(d.uvarint()))
-			prevAddr = addr
-			a.Locks = append(a.Locks, LockOp{
-				Instr:   instr,
-				Addr:    addr,
-				Release: d.bool(),
-			})
-		}
-	case KindCall:
-		r.Callee = uint32(d.uvarint())
-	case KindRet:
-	case KindSkip:
-		r.SkipKind = SkipKind(d.byte())
-		r.N = d.uvarint()
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("unknown record kind %d", r.Kind)
-		}
-	}
-	a.Records = append(a.Records, r)
-	a.MemOff = append(a.MemOff, uint32(len(a.Mem)))
-	a.LockOff = append(a.LockOff, uint32(len(a.Locks)))
-	return prevAddr
+	en.nrec = int64(nr)
+	en.len = int64(d.off - off)
+	return en, nil
 }
 
 // uvarint2 is the manually inlined varint fast path for the section fill
@@ -671,22 +453,24 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 	return 0, off, false
 }
 
-// fillSection decodes one indexed thread section directly into the arena's
-// preallocated tables at the given base offsets. Every caller owns a disjoint
-// sub-range of the same backing arrays (the index footer's per-thread table
-// sizes are the partition), so section fills allocate nothing and may run in
-// parallel. Any disagreement between the stream and the index is an error;
-// the caller falls back to the sequential decode, which trusts only the
-// stream.
+// fillSection decodes one thread section into the arena's tables at the
+// given base offsets. It is the only routine that decodes record fields from
+// section bytes. Every caller owns a disjoint sub-range of the same backing
+// arrays (the index's per-section table sizes are the partition), so section
+// fills allocate nothing and may run in parallel. raw selects the v1 address
+// encoding (raw addresses instead of zig-zag deltas, the one field that
+// differs between versions). Any disagreement between the stream and the
+// index is an error; decode then falls back to a measured index, which
+// trusts only the stream.
 //
 // This is the decode hot loop: records are written field by field through a
 // pointer into the record table (no build-then-copy, no bulk write barrier),
-// every field is stored on every path (the tables may be reused across
-// decodes and carry stale values), and varints go through the inlined
-// uvarint2 fast path. The section is fully validated against the index
-// before returning: record/access/lock counts and the section byte length
-// must all match exactly.
-func (a *Arena) fillSection(data []byte, en indexEntry, span, recLo, memLo, lockLo int) error {
+// fields that stay zero are never stored (the tables are freshly allocated),
+// and varints go through the inlined uvarint2 fast path. The section is
+// fully validated against the index before returning: tid,
+// record/access/lock counts and the section byte length must all match
+// exactly.
+func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, memLo, lockLo int) error {
 	d := &bdec{data: data}
 	tid := int(d.uvarint())
 	nr := d.uvarint()
@@ -747,7 +531,6 @@ func (a *Arena) fillSection(data []byte, en indexEntry, span, recLo, memLo, lock
 				}
 			}
 			r.Func, r.Block, r.N = uint32(fn), uint32(blk), n
-			r.SkipKind, r.Callee = 0, 0
 			if cnt > maxCount || cnt > uint64(memEnd-mi) {
 				return fmt.Errorf("trace: thread section %d: stream carries more accesses than the index declares", span)
 			}
@@ -787,18 +570,17 @@ func (a *Arena) fillSection(data []byte, en indexEntry, span, recLo, memLo, lock
 				if off+1 >= len(data) {
 					return fmt.Errorf("trace: thread section %d (tid %d): %w", span, en.tid, io.ErrUnexpectedEOF)
 				}
-				addr := prevAddr + uint64(unzigzag(delta))
-				prevAddr = addr
+				addr := delta
+				if !raw {
+					addr = prevAddr + uint64(unzigzag(delta))
+					prevAddr = addr
+				}
 				a.Mem[mi] = MemAccess{Instr: uint16(instr), Addr: addr, Size: data[off], Store: data[off+1] != 0}
 				off += 2
 				mi++
 			}
-			// Conditional nil store: on arena reuse the field is usually
-			// already nil, and skipping the store skips its write barrier.
 			if mi > m0 {
 				r.Mem = a.Mem[m0:mi]
-			} else if r.Mem != nil {
-				r.Mem = nil
 			}
 			if cnt, off, ok = uvarint2(data, off); !ok {
 				if cnt, off, ok = uvarintAt(data, off); !ok {
@@ -824,16 +606,17 @@ func (a *Arena) fillSection(data []byte, en indexEntry, span, recLo, memLo, lock
 				if off >= len(data) {
 					return fmt.Errorf("trace: thread section %d (tid %d): %w", span, en.tid, io.ErrUnexpectedEOF)
 				}
-				addr := prevAddr + uint64(unzigzag(delta))
-				prevAddr = addr
+				addr := delta
+				if !raw {
+					addr = prevAddr + uint64(unzigzag(delta))
+					prevAddr = addr
+				}
 				a.Locks[li] = LockOp{Instr: uint16(instr), Addr: addr, Release: data[off] != 0}
 				off++
 				li++
 			}
 			if li > l0 {
 				r.Locks = a.Locks[l0:li]
-			} else if r.Locks != nil {
-				r.Locks = nil
 			}
 		case KindCall:
 			var callee uint64
@@ -842,52 +625,28 @@ func (a *Arena) fillSection(data []byte, en indexEntry, span, recLo, memLo, lock
 					return a.badVarint(span, en)
 				}
 			}
-			r.Func, r.Block, r.N = 0, 0, 0
-			r.SkipKind, r.Callee = 0, uint32(callee)
-			r.clearViews()
+			r.Callee = uint32(callee)
 		case KindRet:
-			r.Func, r.Block, r.N = 0, 0, 0
-			r.SkipKind, r.Callee = 0, 0
-			r.clearViews()
 		case KindSkip:
 			if off >= len(data) {
 				return fmt.Errorf("trace: thread section %d (tid %d): %w", span, en.tid, io.ErrUnexpectedEOF)
 			}
-			sk := SkipKind(data[off])
+			r.SkipKind = SkipKind(data[off])
 			off++
-			var n uint64
-			if n, off, ok = uvarint2(data, off); !ok {
-				if n, off, ok = uvarintAt(data, off); !ok {
+			if r.N, off, ok = uvarint2(data, off); !ok {
+				if r.N, off, ok = uvarintAt(data, off); !ok {
 					return a.badVarint(span, en)
 				}
 			}
-			r.Func, r.Block, r.N = 0, 0, n
-			r.SkipKind, r.Callee = sk, 0
-			r.clearViews()
 		default:
 			return fmt.Errorf("trace: thread section %d (tid %d): unknown record kind %d", span, en.tid, kind)
 		}
-		a.MemOff[ri+1] = uint32(mi)
-		a.LockOff[ri+1] = uint32(li)
 		ri++
 	}
 	if off != len(data) || mi != memEnd || li != lockEnd {
 		return fmt.Errorf("trace: thread section %d (tid %d): stream and index disagree on section contents", span, en.tid)
 	}
-	a.Spans[span] = Span{TID: tid, Lo: recLo, Hi: ri}
 	return nil
-}
-
-// clearViews nils a record's Mem/Locks view slices, skipping the store (and
-// its write barrier) when they already are — the common case when the arena
-// is reused across decodes of similar traces.
-func (r *Record) clearViews() {
-	if r.Mem != nil {
-		r.Mem = nil
-	}
-	if r.Locks != nil {
-		r.Locks = nil
-	}
 }
 
 // badVarint is fillSection's shared truncated/overflowing-varint error.

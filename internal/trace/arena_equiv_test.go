@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -86,5 +88,76 @@ func TestArenaWorkloadEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLyingIndexCounts: a v3 footer that understates one section's access
+// count still validates as an index, but only the stream is trusted: Decode,
+// ReadFileParallel and every Reader.Thread return the encoded trace, and the
+// streaming analysis reports exactly what the batch analysis does.
+func TestLyingIndexCounts(t *testing.T) {
+	w, err := workloads.ByName("rodinia.bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := w.Instantiate(workloads.Config{Threads: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := inst.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.EncodeIndexed(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	data := trace.LyingAccessIndex(buf.Bytes())
+	if bytes.Equal(data, buf.Bytes()) {
+		t.Fatal("the trace has no access count to understate")
+	}
+	r, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatalf("the lying footer no longer validates as an index: %v", err)
+	}
+
+	got, err := trace.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !reflect.DeepEqual(tr, got) {
+		t.Error("Decode differs from the encoded trace")
+	}
+	path := filepath.Join(t.TempDir(), "lying.tft")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = trace.ReadFileParallel(path, 4)
+	if err != nil {
+		t.Fatalf("ReadFileParallel: %v", err)
+	}
+	if !reflect.DeepEqual(tr, got) {
+		t.Error("ReadFileParallel differs from the encoded trace")
+	}
+	for i := 0; i < r.NumThreads(); i++ {
+		th, err := r.Thread(i)
+		if err != nil {
+			t.Fatalf("Thread(%d): %v", i, err)
+		}
+		if !reflect.DeepEqual(tr.Threads[i], th) {
+			t.Errorf("Thread(%d) differs from the encoded thread", i)
+		}
+	}
+
+	want, err := core.Analyze(tr, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.AnalyzeStream(r, core.Defaults())
+	if err != nil {
+		t.Fatalf("AnalyzeStream: %v", err)
+	}
+	if !reflect.DeepEqual(want, rep) {
+		t.Error("streaming report differs from the batch report")
 	}
 }

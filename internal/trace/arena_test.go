@@ -67,7 +67,7 @@ func TestArenaDecodeMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: legacy decode: %v", name, e.name, err)
 			}
-			arena, err := DecodeBytes(buf.Bytes())
+			arena, err := Decode(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("%s/%s: arena decode: %v", name, e.name, err)
 			}
@@ -87,94 +87,90 @@ func TestArenaDecodeMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestArenaInvariants checks the columnar layout contract: offset columns
-// are monotone prefix sums closing at the table lengths, spans partition the
-// record table in file order, and the Trace view's slices are zero-copy
-// aliases of the arena tables (not copies).
+// TestArenaInvariants checks the columnar layout contract over both index
+// sources (the v3 footer, and the measuring walk over a v1 stream): spans
+// partition the record table in file order, and the Trace view's slices are
+// zero-copy aliases of the arena tables (not copies) that cover the access
+// and lock tables exactly, in record order.
 func TestArenaInvariants(t *testing.T) {
 	for name, tr := range arenaEdgeTraces() {
-		var buf bytes.Buffer
-		if err := EncodeIndexed(&buf, tr); err != nil {
+		var v1, v3 bytes.Buffer
+		if err := Encode(&v1, tr); err != nil {
 			t.Fatal(err)
 		}
-		view, a, err := decodeArena(buf.Bytes())
+		if err := EncodeIndexed(&v3, tr); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(v3.Bytes()), int64(v3.Len()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(a.MemOff) != len(a.Records)+1 || len(a.LockOff) != len(a.Records)+1 {
-			t.Fatalf("%s: offset columns have %d/%d entries for %d records",
-				name, len(a.MemOff), len(a.LockOff), len(a.Records))
+		d := &bdec{data: v1.Bytes()}
+		h := d.header()
+		measured, _, err := measureStream(v1.Bytes(), d.off, h.NumThreads)
+		if err != nil {
+			t.Fatalf("%s: measure: %v", name, err)
 		}
-		if a.MemOff[0] != 0 || a.LockOff[0] != 0 {
-			t.Fatalf("%s: offset columns do not start at 0", name)
-		}
-		for i := 0; i < len(a.Records); i++ {
-			if a.MemOff[i] > a.MemOff[i+1] || a.LockOff[i] > a.LockOff[i+1] {
-				t.Fatalf("%s: offset column decreases at record %d", name, i)
+		for _, src := range []struct {
+			kind  string
+			data  []byte
+			index []indexEntry
+			raw   bool
+		}{
+			{"footer", v3.Bytes(), r.index, false},
+			{"measured", v1.Bytes(), measured, true},
+		} {
+			a, err := fill(src.data, src.index, src.raw, 1)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, src.kind, err)
 			}
-		}
-		if int(a.MemOff[len(a.Records)]) != len(a.Mem) || int(a.LockOff[len(a.Records)]) != len(a.Locks) {
-			t.Fatalf("%s: offset columns do not close at the table lengths", name)
-		}
-		prev := 0
-		for i, sp := range a.Spans {
-			if sp.Lo != prev || sp.Hi < sp.Lo {
-				t.Fatalf("%s: span %d = %+v does not continue the partition at %d", name, i, sp, prev)
+			view := a.Trace(tr.Program, tr.Entry, tr.Funcs)
+			if !reflect.DeepEqual(tr, view) {
+				t.Fatalf("%s/%s: arena view differs from the encoded trace", name, src.kind)
 			}
-			prev = sp.Hi
-		}
-		if prev != len(a.Records) {
-			t.Fatalf("%s: spans cover %d of %d records", name, prev, len(a.Records))
-		}
-		if len(view.Threads) != len(a.Spans) {
-			t.Fatalf("%s: %d threads for %d spans", name, len(view.Threads), len(a.Spans))
-		}
-		for i, th := range view.Threads {
-			sp := a.Spans[i]
-			if th.TID != sp.TID {
-				t.Fatalf("%s: thread %d tid %d, span tid %d", name, i, th.TID, sp.TID)
-			}
-			if len(th.Records) > 0 && &th.Records[0] != &a.Records[sp.Lo] {
-				t.Fatalf("%s: thread %d records are not a view into the arena", name, i)
-			}
-		}
-		ri := 0
-		for _, th := range view.Threads {
-			for j := range th.Records {
-				r := &th.Records[j]
-				if len(r.Mem) > 0 && &r.Mem[0] != &a.Mem[a.MemOff[ri]] {
-					t.Fatalf("%s: record %d Mem is not a view into the arena", name, ri)
-				}
-				if len(r.Locks) > 0 && &r.Locks[0] != &a.Locks[a.LockOff[ri]] {
-					t.Fatalf("%s: record %d Locks is not a view into the arena", name, ri)
-				}
-				ri++
-			}
+			checkArena(t, name+"/"+src.kind, a, view)
 		}
 	}
 }
 
-// TestNewArenaRoundTrip flattens traces into arenas and materializes them
-// back, requiring a deeply-equal trace with zero-copy views.
-func TestNewArenaRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	traces := arenaEdgeTraces()
-	for i := 0; i < 6; i++ {
-		traces[string(rune('a'+i))+"-random"] = randomTrace(r)
+func checkArena(t *testing.T, name string, a *Arena, view *Trace) {
+	t.Helper()
+	prev := 0
+	for i, sp := range a.Spans {
+		if sp.Lo != prev || sp.Hi < sp.Lo {
+			t.Fatalf("%s: span %d = %+v does not continue the partition at %d", name, i, sp, prev)
+		}
+		prev = sp.Hi
 	}
-	for name, tr := range traces {
-		a := NewArena(tr)
-		got := a.Trace(tr.Program, tr.Entry, tr.Funcs)
-		if !reflect.DeepEqual(tr, got) {
-			t.Fatalf("%s: NewArena->Trace round trip differs", name)
+	if prev != len(a.Records) {
+		t.Fatalf("%s: spans cover %d of %d records", name, prev, len(a.Records))
+	}
+	if len(view.Threads) != len(a.Spans) {
+		t.Fatalf("%s: %d threads for %d spans", name, len(view.Threads), len(a.Spans))
+	}
+	mi, li := 0, 0
+	for i, th := range view.Threads {
+		sp := a.Spans[i]
+		if th.TID != sp.TID {
+			t.Fatalf("%s: thread %d tid %d, span tid %d", name, i, th.TID, sp.TID)
 		}
-		var total int
-		for _, sp := range a.Spans {
-			total += sp.Hi - sp.Lo
+		if len(th.Records) > 0 && &th.Records[0] != &a.Records[sp.Lo] {
+			t.Fatalf("%s: thread %d records are not a view into the arena", name, i)
 		}
-		if total != len(a.Records) {
-			t.Fatalf("%s: spans cover %d of %d records", name, total, len(a.Records))
+		for j := range th.Records {
+			r := &th.Records[j]
+			if len(r.Mem) > 0 && &r.Mem[0] != &a.Mem[mi] {
+				t.Fatalf("%s: thread %d record %d Mem is not a view into the arena", name, i, j)
+			}
+			if len(r.Locks) > 0 && &r.Locks[0] != &a.Locks[li] {
+				t.Fatalf("%s: thread %d record %d Locks is not a view into the arena", name, i, j)
+			}
+			mi += len(r.Mem)
+			li += len(r.Locks)
 		}
+	}
+	if mi != len(a.Mem) || li != len(a.Locks) {
+		t.Fatalf("%s: views cover %d/%d of %d/%d table entries", name, mi, li, len(a.Mem), len(a.Locks))
 	}
 }
 
@@ -209,62 +205,5 @@ func TestReadHeaderStopsAtHeader(t *testing.T) {
 		if b != 7 {
 			t.Fatalf("%s: byte after ReadHeader = %#x, want the tid varint 0x07 (header overread)", name, b)
 		}
-	}
-}
-
-// TestDecodeIntoReuse pins the arena-reuse contract: decoding different
-// traces through one arena — shrinking, growing, switching container
-// versions — always produces exactly what a fresh decode produces, with no
-// stale state bleeding through reused (not re-zeroed) tables.
-func TestDecodeIntoReuse(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	var seq []*Trace
-	for name, tr := range arenaEdgeTraces() {
-		_ = name
-		seq = append(seq, tr)
-	}
-	for i := 0; i < 8; i++ {
-		seq = append(seq, randomTrace(r))
-	}
-	encoders := []func(io.Writer, *Trace) error{Encode, EncodeCompact, EncodeIndexed}
-	var arena Arena
-	for i, tr := range seq {
-		enc := encoders[i%len(encoders)]
-		var buf bytes.Buffer
-		if err := enc(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := DecodeBytes(buf.Bytes())
-		if err != nil {
-			t.Fatalf("trace %d: fresh decode: %v", i, err)
-		}
-		reused, err := DecodeInto(buf.Bytes(), &arena)
-		if err != nil {
-			t.Fatalf("trace %d: reuse decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(fresh, reused) {
-			t.Fatalf("trace %d (encoder %d): reuse decode differs from fresh decode", i, i%len(encoders))
-		}
-	}
-	// Same bytes twice through one arena: second decode must not allocate
-	// new tables (capacity is already exact) and must still be equal.
-	var buf bytes.Buffer
-	if err := EncodeIndexed(&buf, seq[len(seq)-1]); err != nil {
-		t.Fatal(err)
-	}
-	first, err := DecodeInto(buf.Bytes(), &arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := &arena.Records[0]
-	second, err := DecodeInto(buf.Bytes(), &arena)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("repeat decode into the same arena differs")
-	}
-	if &arena.Records[0] != back {
-		t.Fatal("repeat decode reallocated the record table despite sufficient capacity")
 	}
 }

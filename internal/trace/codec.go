@@ -151,16 +151,17 @@ func (e *encoder) bool(b bool) {
 // Decode reads a trace in the .tft binary format. All format versions are
 // accepted transparently: v1 (raw addresses), v2 (delta-encoded addresses),
 // and v3 (delta-encoded with an index footer, which a pure stream decode
-// simply never reads). The input is slurped and decoded in memory by the
-// columnar arena decoder (see arena.go); a decoded trace occupies several
-// times its encoding anyway, so the extra resident bytes are bounded while
-// the byte-slice hot path runs several times faster than stream decoding.
+// simply never reads). The input is slurped and decoded serially in memory
+// by the columnar arena decoder (see arena.go); a decoded trace occupies
+// several times its encoding anyway, so the extra resident bytes are bounded
+// while the byte-slice hot path runs several times faster than stream
+// decoding.
 func Decode(r io.Reader) (*Trace, error) {
 	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	return DecodeBytes(data)
+	return decode(data, 1, false)
 }
 
 // readAll slurps r, preallocating exactly when the reader can report its
@@ -254,15 +255,6 @@ func (d *decoder) thread(version int) *ThreadTrace {
 		}
 	}
 	return th
-}
-
-// ReadFile decodes the named .tft file.
-func ReadFile(path string) (*Trace, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(data)
 }
 
 // byteReader is what the stream decoder needs from its input: bulk reads for

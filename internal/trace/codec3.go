@@ -2,14 +2,11 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-
-	"threadfuser/internal/pool"
 )
 
 // Version 3 of the .tft format keeps the v2 delta-encoded record stream but
@@ -192,9 +189,10 @@ type Reader struct {
 }
 
 // NewReader validates the index footer of a v3 trace held in ra. Any input
-// without a usable index — a v1/v2 file, a truncated footer, offsets past
-// EOF — yields an error wrapping ErrNoIndex so callers can fall back to the
-// sequential Decode.
+// without a usable index — a v1/v2 file, a truncated footer, sections that
+// do not tile the data region, a header length that disagrees with the
+// header — yields an error wrapping ErrNoIndex so callers can fall back to
+// the sequential Decode.
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if size < minIndexSize {
 		return nil, fmt.Errorf("%w: %d-byte input is too short for a footer", ErrNoIndex, size)
@@ -217,6 +215,13 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: decoding footer: %v", ErrNoIndex, d.err)
 	}
+	if headerLen <= 0 || headerLen > footerOff {
+		return nil, fmt.Errorf("%w: implausible header length %d", ErrNoIndex, headerLen)
+	}
+	// The sections must tile the data region [headerLen, footerOff) in file
+	// order: that is what makes the index describe exactly the stream a
+	// front-to-back decode reads, section for section.
+	end := headerLen
 	index := make([]indexEntry, 0, preallocCap(n))
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		e := indexEntry{
@@ -230,10 +235,11 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		if d.err != nil {
 			break
 		}
-		if e.off < headerLen || e.len < 0 || e.off+e.len > footerOff {
-			return nil, fmt.Errorf("%w: thread %d section [%d,+%d) outside data region [%d,%d)",
-				ErrNoIndex, e.tid, e.off, e.len, headerLen, footerOff)
+		if e.off != end || e.len < 0 || e.len > footerOff-e.off {
+			return nil, fmt.Errorf("%w: thread %d section [%d,+%d) does not continue the data region [%d,%d) at %d",
+				ErrNoIndex, e.tid, e.off, e.len, headerLen, footerOff, end)
 		}
+		end = e.off + e.len
 		// Every record and table entry costs at least one stream byte, so
 		// counts exceeding the section length cannot be honest. (The record
 		// count additionally went through the shared maxCount cap above,
@@ -247,14 +253,21 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: decoding footer: %v", ErrNoIndex, d.err)
 	}
-	if headerLen <= 0 || headerLen > footerOff {
-		return nil, fmt.Errorf("%w: implausible header length %d", ErrNoIndex, headerLen)
+	if end != footerOff {
+		return nil, fmt.Errorf("%w: thread sections end at %d, footer starts at %d", ErrNoIndex, end, footerOff)
 	}
-	// The section is exactly the header, so buffered reads cannot overshoot
-	// into thread data; bufio keeps the byte-at-a-time header decode cheap.
-	hdr, err := ReadHeader(bufio.NewReaderSize(io.NewSectionReader(ra, 0, headerLen), 1<<12))
-	if err != nil {
-		return nil, err
+	// The header must occupy exactly the headerLen bytes the footer claims.
+	hb := make([]byte, headerLen)
+	if _, err := ra.ReadAt(hb, 0); err != nil {
+		return nil, fmt.Errorf("%w: reading header: %v", ErrNoIndex, err)
+	}
+	hd := &bdec{data: hb}
+	hdr := hd.header()
+	if hd.err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrNoIndex, hd.err)
+	}
+	if hd.off != len(hb) {
+		return nil, fmt.Errorf("%w: header is %d bytes, footer says %d", ErrNoIndex, hd.off, headerLen)
 	}
 	if hdr.Version != version3 {
 		return nil, fmt.Errorf("%w: version %d file carries a footer", ErrNoIndex, hdr.Version)
@@ -313,128 +326,69 @@ func (r *Reader) NumThreads() int { return len(r.index) }
 // TID returns the thread id of section i without decoding it.
 func (r *Reader) TID(i int) int { return r.index[i].tid }
 
-// Thread decodes thread section i into a per-thread mini arena: one exact
-// read of the section bytes, then exact-capacity record/access/lock tables
-// sized from the index counts. Sections decode independently (address deltas
-// reset per thread), so concurrent calls are safe.
+// Thread decodes thread section i into tables of its own through
+// fillSection: one exact read of the section bytes, then tables sized from
+// the index counts. The counts are trusted only as far as the stream bears
+// them out: a section they misdescribe is measured and filled again, so a
+// lying index costs a second pass, never a wrong or rejected thread.
+// Sections decode independently (address deltas reset per thread), so
+// concurrent calls are safe.
 func (r *Reader) Thread(i int) (*ThreadTrace, error) {
-	th, _, err := r.thread(i, nil)
-	return th, err
-}
-
-// thread decodes section i using buf as scratch when it is large enough,
-// returning the (possibly grown) scratch buffer for reuse.
-func (r *Reader) thread(i int, buf []byte) (*ThreadTrace, []byte, error) {
 	if i < 0 || i >= len(r.index) {
-		return nil, buf, fmt.Errorf("trace: thread section %d out of range [0,%d)", i, len(r.index))
+		return nil, fmt.Errorf("trace: thread section %d out of range [0,%d)", i, len(r.index))
 	}
 	en := r.index[i]
-	if int64(cap(buf)) < en.len {
-		buf = make([]byte, en.len)
+	data := make([]byte, en.len)
+	if _, err := r.ra.ReadAt(data, en.off); err != nil {
+		return nil, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, err)
 	}
-	b := buf[:en.len]
-	if _, err := r.ra.ReadAt(b, en.off); err != nil {
-		return nil, buf, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, err)
-	}
-	th, err := threadFromSection(b, en, r.hdr.Version)
+	en.off = 0
+	recs, err := fillThread(data, en, i)
 	if err != nil {
-		return nil, buf, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, err)
+		m, merr := measureSection(data, 0)
+		if merr != nil {
+			return nil, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, merr)
+		}
+		if m.tid != en.tid {
+			return nil, fmt.Errorf("trace: thread section %d decodes tid %d, index says %d", i, m.tid, en.tid)
+		}
+		if recs, err = fillThread(data[:m.len], m, i); err != nil {
+			return nil, err
+		}
 	}
-	if th.TID != en.tid {
-		return nil, buf, fmt.Errorf("trace: thread section %d decodes tid %d, index says %d", i, th.TID, en.tid)
-	}
-	return th, buf, nil
+	return &ThreadTrace{TID: en.tid, Records: recs}, nil
 }
 
-// threadFromSection decodes one thread's section bytes into a private mini
-// arena. The index counts size the tables exactly; a lying index merely
-// costs append growth before the stream decode detects the mismatch.
-func threadFromSection(data []byte, en indexEntry, version int) (*ThreadTrace, error) {
-	a := &Arena{
-		Spans:   make([]Span, 0, 1),
-		Records: make([]Record, 0, en.nrec),
-		Mem:     make([]MemAccess, 0, en.nmem),
-		Locks:   make([]LockOp, 0, en.nlock),
-		MemOff:  make([]uint32, 1, en.nrec+1),
-		LockOff: make([]uint32, 1, en.nrec+1),
+// fillThread fills one v3 section into freshly allocated, exactly sized
+// tables and returns its records.
+func fillThread(data []byte, en indexEntry, span int) ([]Record, error) {
+	a := Arena{
+		Records: make([]Record, en.nrec),
+		Mem:     make([]MemAccess, en.nmem),
+		Locks:   make([]LockOp, en.nlock),
 	}
-	d := &bdec{data: data}
-	a.appendThread(d, version)
-	if d.err != nil {
-		return nil, d.err
-	}
-	a.fixup(0, len(a.Records))
-	sp := a.Spans[0]
-	return &ThreadTrace{TID: sp.TID, Records: a.Records[sp.Lo:sp.Hi]}, nil
+	return a.Records, a.fillSection(data, en, false, span, 0, 0, 0)
 }
 
-// Iter returns an iterator over the thread sections in file order. Each
-// Next decodes exactly one section, so a consumer that processes threads one
-// at a time never materializes the whole trace.
-func (r *Reader) Iter() *ThreadIter { return &ThreadIter{r: r} }
-
-// ThreadIter yields one ThreadTrace per Next call. The iterator reuses one
-// scratch buffer for section bytes across threads, so it is not safe for
-// concurrent use (the decoded ThreadTraces themselves are independent).
-type ThreadIter struct {
-	r   *Reader
-	i   int
-	buf []byte
-}
-
-// Next decodes and returns the next thread section, or (nil, io.EOF) after
-// the last one.
-func (it *ThreadIter) Next() (*ThreadTrace, error) {
-	if it.i >= it.r.NumThreads() {
-		return nil, io.EOF
-	}
-	th, buf, err := it.r.thread(it.i, it.buf)
-	it.buf = buf
-	it.i++
-	return th, err
-}
-
-// DecodeParallel decodes a trace from ra, fanning per-thread section decodes
-// out over a bounded worker pool (parallelism 0 = one worker per core, 1 =
-// serial). The input is read into memory once; the index footer's per-thread
-// table sizes are prefix-summed into one exactly-sized allocation per arena
-// column, and each worker fills its thread's disjoint sub-range of those
-// shared arrays — no per-worker copies, so parallel decode allocates the
-// same bytes as serial. Assembly is deterministic: threads land at their
-// index position, so the result is identical to Decode at every parallelism.
-//
-// The sequential path is taken outright when it would win: pool.Workers —
-// the same resolver the SIMT replay pool uses per warp — resolves the
-// section count and parallelism limit to one worker (parallelism 1,
-// GOMAXPROCS=1 with parallelism 0, or fewer sections than
-// pool.MinParallelItems). Inputs without a usable index (v1/v2 files,
-// corrupt footers) degrade to the sequential whole-stream decode rather
-// than erroring, as does an index whose counts turn out to disagree with
-// the stream — only the stream is trusted.
+// DecodeParallel decodes a trace from ra, filling its thread sections over a
+// bounded worker pool (parallelism 0 = one worker per core, 1 = serial). The
+// input is read into memory once; every section's table sizes come from the
+// index footer (or, without a usable one, from a measuring walk over the
+// stream), so each column is one exactly sized allocation and each worker
+// fills its sections' disjoint sub-ranges of it — parallel decode allocates
+// the same bytes as serial. Threads land at their index position, so the
+// result is identical to Decode at every parallelism. pool.Workers — the
+// same resolver the SIMT replay pool uses per warp — keeps small traces
+// (fewer sections than pool.MinParallelItems) on one worker. Inputs without
+// a usable index (v1/v2 files, corrupt footers) and indexes whose counts
+// disagree with the stream decode from the measured index rather than
+// erroring — only the stream is trusted.
 func DecodeParallel(ra io.ReaderAt, size int64, parallelism int) (*Trace, error) {
 	data, err := readAllAt(ra, size)
 	if err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
-	r, err := NewReader(bytes.NewReader(data), size)
-	if err != nil {
-		if errors.Is(err, ErrNoIndex) {
-			return DecodeBytes(data)
-		}
-		return nil, err
-	}
-	workers := pool.Workers(parallelism, r.NumThreads())
-	if workers <= 1 {
-		return DecodeBytes(data)
-	}
-	t, err := decodeArenaParallel(data, r, workers)
-	if err != nil {
-		// The index disagreed with the stream. The stream may still be
-		// perfectly decodable (only the footer lied), so degrade to the
-		// sequential decode, which trusts nothing but the stream.
-		return DecodeBytes(data)
-	}
-	return t, nil
+	return decode(data, parallelism, false)
 }
 
 // readAllAt reads the whole [0,size) range of ra into one exactly-sized
@@ -450,49 +404,11 @@ func readAllAt(ra io.ReaderAt, size int64) ([]byte, error) {
 	return data, nil
 }
 
-// decodeArenaParallel fills one shared arena from the indexed sections of
-// data: prefix sums over the index counts partition each column into
-// disjoint per-thread ranges, and a worker pool fills them concurrently.
-// Any stream/index disagreement surfaces as an error; the caller falls back
-// to sequential decode.
-func decodeArenaParallel(data []byte, r *Reader, workers int) (*Trace, error) {
-	n := len(r.index)
-	recLo := make([]int, n+1)
-	memLo := make([]int, n+1)
-	lockLo := make([]int, n+1)
-	for i, en := range r.index {
-		recLo[i+1] = recLo[i] + int(en.nrec)
-		memLo[i+1] = memLo[i] + int(en.nmem)
-		lockLo[i+1] = lockLo[i] + int(en.nlock)
-	}
-	a := &Arena{}
-	if err := a.sizeFromIndex(r); err != nil {
-		return nil, err
-	}
-	g := pool.New(workers)
-	for i := range r.index {
-		i := i
-		g.Go(func() error {
-			en := r.index[i]
-			return a.fillSection(data[en.off:en.off+en.len], en, i, recLo[i], memLo[i], lockLo[i])
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return nil, err
-	}
-	return a.Trace(r.hdr.Program, r.hdr.Entry, r.hdr.Funcs), nil
-}
-
-// ReadFileParallel decodes the named .tft file with DecodeParallel.
+// ReadFileParallel decodes the named .tft file like DecodeParallel.
 func ReadFileParallel(path string, parallelism int) (*Trace, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	return DecodeParallel(f, st.Size(), parallelism)
+	return decode(data, parallelism, false)
 }

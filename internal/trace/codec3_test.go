@@ -106,9 +106,9 @@ func TestReadHeaderAllVersions(t *testing.T) {
 	}
 }
 
-// TestReaderThreadsAndIter: per-thread random access and the iterator both
-// reproduce the encoded streams, in file order, without a whole-trace decode.
-func TestReaderThreadsAndIter(t *testing.T) {
+// TestReaderThreads: per-thread random access reproduces the encoded
+// streams without a whole-trace decode.
+func TestReaderThreads(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(11)))
 	var buf bytes.Buffer
 	if err := EncodeIndexed(&buf, tr); err != nil {
@@ -136,23 +136,6 @@ func TestReaderThreadsAndIter(t *testing.T) {
 	}
 	if _, err := r.Thread(r.NumThreads()); err == nil {
 		t.Error("Thread(out of range) succeeded")
-	}
-	// Iterator, in order, ending with io.EOF.
-	it := r.Iter()
-	for i := 0; ; i++ {
-		th, err := it.Next()
-		if err == io.EOF {
-			if i != len(tr.Threads) {
-				t.Fatalf("iterator stopped after %d threads, want %d", i, len(tr.Threads))
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(th, tr.Threads[i]) {
-			t.Fatalf("iterated thread %d mismatch", i)
-		}
 	}
 }
 
@@ -183,14 +166,6 @@ func TestOpenFileAndReadFileParallel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr, got) {
 		t.Error("ReadFileParallel mismatch on indexed file")
-	}
-	// And the plain ReadFile still understands v3.
-	got, err = ReadFile(indexed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, got) {
-		t.Error("ReadFile mismatch on indexed file")
 	}
 	// Unindexed files take the fallback path.
 	plain := filepath.Join(dir, "plain.tft")
@@ -250,40 +225,56 @@ func TestTruncatedFooterDegrades(t *testing.T) {
 	}
 }
 
-// TestIndexOffsetsPastEOFDegrade: a footer whose offsets point outside the
-// data region is rejected as ErrNoIndex, and DecodeParallel falls back to
-// the stream decode rather than erroring.
+// rewriteIndex returns a copy of the valid v3 encoding data with its footer
+// re-encoded after edit has changed the header length or index entries.
+func rewriteIndex(data []byte, edit func(headerLen *int64, index []indexEntry)) []byte {
+	r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		panic(err)
+	}
+	footerLen := int(binary.LittleEndian.Uint64(data[len(data)-trailerSize:]))
+	body := data[:len(data)-trailerSize-footerLen]
+	headerLen := int64(len(body))
+	if len(r.index) > 0 {
+		headerLen = r.index[0].off
+	}
+	index := append([]indexEntry(nil), r.index...)
+	edit(&headerLen, index)
+	out := append([]byte(nil), body...)
+	out = binary.AppendUvarint(out, uint64(headerLen))
+	out = binary.AppendUvarint(out, uint64(len(index)))
+	for _, e := range index {
+		for _, v := range []int64{int64(e.tid), e.off, e.len, e.nrec, e.nmem, e.nlock} {
+			out = binary.AppendUvarint(out, uint64(v))
+		}
+	}
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(out)-len(body)))
+	return append(out, indexMagic...)
+}
+
+// TestIndexOffsetsPastEOFDegrade: a footer whose sections do not tile the
+// data region, or whose header length disagrees with the header, is rejected
+// as ErrNoIndex, and DecodeParallel falls back to the stream decode rather
+// than erroring.
 func TestIndexOffsetsPastEOFDegrade(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(17)))
-	body, _, _ := indexedParts(t, tr)
-
-	uv := func(buf []byte, v uint64) []byte {
-		var tmp [binary.MaxVarintLen64]byte
-		return append(buf, tmp[:binary.PutUvarint(tmp[:], v)]...)
+	var buf bytes.Buffer
+	if err := EncodeIndexed(&buf, tr); err != nil {
+		t.Fatal(err)
 	}
-	bogus := []struct {
-		name     string
-		off, len uint64
+	for _, c := range []struct {
+		name string
+		edit func(headerLen *int64, index []indexEntry)
 	}{
-		{"offset past EOF", uint64(len(body)) + 1000, 10},
-		{"length past EOF", uint64(len(body)) - 1, 1 << 30},
-		{"offset inside header", 1, 10},
-	}
-	for _, c := range bogus {
-		var footer []byte
-		footer = uv(footer, 10)                      // headerLen
-		footer = uv(footer, uint64(len(tr.Threads))) // nthreads
-		for range tr.Threads {
-			footer = uv(footer, 0) // tid
-			footer = uv(footer, c.off)
-			footer = uv(footer, c.len)
-		}
-		data := append(append([]byte(nil), body...), footer...)
-		var trailer [trailerSize]byte
-		binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footer)))
-		copy(trailer[8:], indexMagic)
-		data = append(data, trailer[:]...)
-
+		{"offset past EOF", func(_ *int64, ix []indexEntry) { ix[0].off = int64(buf.Len()) + 1000 }},
+		{"length past EOF", func(_ *int64, ix []indexEntry) { ix[0].len = 1 << 30 }},
+		{"offset inside header", func(_ *int64, ix []indexEntry) { ix[0].off = 1 }},
+		// The footer understates the header length and the first section
+		// starts where it says the header ends: the sections still tile,
+		// but the header does not fit.
+		{"short header length", func(h *int64, ix []indexEntry) { *h--; ix[0].off--; ix[0].len++ }},
+	} {
+		data := rewriteIndex(buf.Bytes(), c.edit)
 		if _, err := NewReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("%s: NewReader error = %v, want ErrNoIndex", c.name, err)
 		}

@@ -9,6 +9,21 @@ import "io"
 // DecodeStream runs the legacy record-at-a-time streaming decoder.
 func DecodeStream(r io.Reader) (*Trace, error) { return decodeStream(r) }
 
-// DecodeArena decodes data and returns the backing arena alongside the
-// trace view, so tests can check arena invariants directly.
-func DecodeArena(data []byte) (*Trace, *Arena, error) { return decodeArena(data) }
+// ShortHeaderIndex returns a copy of the v3 encoding data whose footer
+// understates the header length by one byte.
+func ShortHeaderIndex(data []byte) []byte {
+	return rewriteIndex(data, func(headerLen *int64, _ []indexEntry) { *headerLen-- })
+}
+
+// LyingAccessIndex returns a copy of the v3 encoding data whose footer
+// understates the access count of the first section that has accesses.
+func LyingAccessIndex(data []byte) []byte {
+	return rewriteIndex(data, func(_ *int64, index []indexEntry) {
+		for i := range index {
+			if index[i].nmem > 0 {
+				index[i].nmem--
+				return
+			}
+		}
+	})
+}

@@ -159,10 +159,13 @@ func TestStridedSeedExercisesSiteHistograms(t *testing.T) {
 	}
 }
 
-// FuzzDecode asserts the contract the tflint sanitizer depends on: arbitrary
-// bytes never panic or exhaust memory in the decoder, and any trace the
-// decoder does accept is either valid or diagnosed by the sanitize pass —
-// never silently consumed by the structural passes.
+// FuzzDecode asserts the decoder's contracts on arbitrary bytes: they never
+// panic or exhaust memory in it; Decode and the legacy stream decoder accept
+// and reject the same inputs and agree on every accepted trace, as does
+// DecodeParallel; whatever DecodeStrict accepts, Decode accepts as the same
+// trace; and any accepted trace is either valid or diagnosed by the sanitize
+// pass (the contract tflint depends on) — never silently consumed by the
+// structural passes.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []*trace.Trace{fuzzSeedTrace(), lockSeedTrace(), stridedSeedTrace()} {
 		var v1, v2, v3 bytes.Buffer
@@ -202,6 +205,18 @@ func FuzzDecode(f *testing.F) {
 			f.Add(mut)
 		}
 	}
+	// Footers that still parse but misdescribe the stream: a header length
+	// one byte short, and a section whose access count is understated. The
+	// first is no index at all; the second validates as an index, and
+	// decode must fall back to the stream.
+	for _, seed := range []*trace.Trace{fuzzSeedTrace(), lockSeedTrace()} {
+		var v3 bytes.Buffer
+		if err := trace.EncodeIndexed(&v3, seed); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(trace.ShortHeaderIndex(v3.Bytes()))
+		f.Add(trace.LyingAccessIndex(v3.Bytes()))
+	}
 	f.Add([]byte{})
 	f.Add([]byte("TFT\x02garbage"))
 	// Implausible declared counts: a huge thread count, and a single thread
@@ -212,8 +227,29 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Decode(bytes.NewReader(data))
+		legacy, lerr := trace.DecodeStream(bytes.NewReader(data))
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("Decode error %v, legacy decode error %v", err, lerr)
+		}
+		par, perr := trace.DecodeParallel(bytes.NewReader(data), int64(len(data)), 4)
+		if (perr == nil) != (err == nil) {
+			t.Fatalf("DecodeParallel error %v, Decode error %v", perr, err)
+		}
+		strict, serr := trace.DecodeStrict(bytes.NewReader(data), int64(len(data)), 1)
+		if serr == nil && err != nil {
+			t.Fatalf("DecodeStrict accepted an input Decode rejects (%v)", err)
+		}
 		if err != nil {
 			return // rejected outright: fine
+		}
+		if !reflect.DeepEqual(tr, legacy) {
+			t.Fatal("Decode and the legacy decoder disagree on an accepted input")
+		}
+		if !reflect.DeepEqual(tr, par) {
+			t.Fatal("DecodeParallel and Decode disagree on an accepted input")
+		}
+		if serr == nil && !reflect.DeepEqual(tr, strict) {
+			t.Fatal("DecodeStrict and Decode disagree on an accepted input")
 		}
 		rep, err := analysis.Run(tr, analysis.Options{WarpSize: 4})
 		if err != nil {

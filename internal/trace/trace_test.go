@@ -117,7 +117,7 @@ func TestCodecFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	got, err := ReadFileParallel(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
