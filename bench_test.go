@@ -24,7 +24,6 @@ import (
 	"threadfuser/internal/report"
 	"threadfuser/internal/simt"
 	"threadfuser/internal/simtrace"
-	"threadfuser/internal/staticsimt"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
 	"threadfuser/internal/workloads"
@@ -372,13 +371,12 @@ func itoa(v int) string {
 // products, so the replay benchmarks measure the SIMT-stack replay alone —
 // not tracing, DCFG construction, or IPDOM analysis.
 var replayBench struct {
-	once    sync.Once
-	tr      *trace.Trace
-	graphs  map[uint32]*cfg.DCFG
-	pdoms   map[uint32]*ipdom.PostDom
-	warps   []warp.Warp
-	uniform [][]bool
-	err     error
+	once   sync.Once
+	tr     *trace.Trace
+	graphs map[uint32]*cfg.DCFG
+	pdoms  map[uint32]*ipdom.PostDom
+	warps  []warp.Warp
+	err    error
 }
 
 func replayBenchSetup(b *testing.B) {
@@ -409,13 +407,11 @@ func replayBenchSetup(b *testing.B) {
 			replayBench.err = err
 			return
 		}
-		// Mirror the analyzer pipeline's setup: the packed SoA columns and
-		// the static oracle's uniform-region table are built once per trace
-		// (core.prepare does the same), so the benchmark measures replay in
-		// its steady state rather than re-deriving them per op.
-		tr.EnsureCols()
-		replayBench.uniform = staticsimt.UniformBlocks(inst.Prog,
-			staticsimt.Analyze(inst.Prog, staticsimt.Options{AssumeUniformEntry: true}))
+		// Mirror the analyzer pipeline's setup: the packed SoA columns are
+		// built once per trace (core.prepare packs them during ingest), so
+		// the benchmark measures replay in its steady state rather than
+		// re-deriving them per op.
+		tr.Cols = trace.BuildCols(tr)
 		replayBench.tr = tr
 		replayBench.graphs = graphs
 		replayBench.pdoms = ipdom.ComputeAll(graphs)
@@ -428,7 +424,7 @@ func replayBenchSetup(b *testing.B) {
 
 func benchReplay(b *testing.B, parallelism int) {
 	replayBenchSetup(b)
-	opts := simt.Options{WarpSize: 32, Parallelism: parallelism, UniformBranches: replayBench.uniform}
+	opts := simt.Options{WarpSize: 32, Parallelism: parallelism}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := simt.Replay(replayBench.tr, replayBench.graphs, replayBench.pdoms, replayBench.warps, opts); err != nil {

@@ -304,9 +304,7 @@ func RunSession(sess *core.Session, t *trace.Trace, opts Options) (*Report, erro
 	if opts.WarpSize < 1 || opts.WarpSize > simt.MaxWarpSize {
 		return nil, fmt.Errorf("analysis: warp size %d out of range 1..%d", opts.WarpSize, simt.MaxWarpSize)
 	}
-	if opts.Cache != nil {
-		sess.SetCache(opts.Cache)
-	}
+	sess.SetCache(opts.Cache)
 	all := Passes()
 	selected := make(map[string]bool, len(all))
 	if len(opts.Passes) == 0 {

@@ -281,9 +281,7 @@ func Run(name string, tr *trace.Trace, opts Options) (*Report, error) {
 	sess := core.NewSession()
 	analyze := opts.Analyze
 	if analyze == nil {
-		if opts.Cache != nil {
-			sess.SetCache(opts.Cache)
-		}
+		sess.SetCache(opts.Cache)
 		analyze = sess.Analyze
 	}
 	if opts.Context != nil {

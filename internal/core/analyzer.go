@@ -15,6 +15,7 @@ import (
 
 	"threadfuser/internal/cfg"
 	"threadfuser/internal/ipdom"
+	"threadfuser/internal/pool"
 	"threadfuser/internal/simt"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
@@ -49,14 +50,6 @@ type Options struct {
 	// disconnects down into replay. Like Parallelism, Context is excluded
 	// from cache keys — it can stop an analysis, never change its result.
 	Context context.Context
-
-	// UniformBranches, when non-nil, is the static oracle's uniform-region
-	// table (staticsimt.UniformBlocks) for the traced program, passed down to
-	// replay's lockstep-fusion fast path to shape fused-window proposals.
-	// Purely a performance hint — replay verifies every fused window against
-	// every active lane — so, like Parallelism, it is excluded from cache
-	// keys.
-	UniformBranches [][]bool
 
 	// DisableLockstepFusion forces the per-block replay engine. It is the
 	// A/B verification hook: the equivalence suite and tfcheck's "fusion"
@@ -209,20 +202,73 @@ type prep struct {
 	pdoms  map[uint32]*ipdom.PostDom
 }
 
-// prepare validates a trace and builds its DCFGs and IPDOM trees.
-func prepare(t *trace.Trace) (*prep, error) {
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid trace: %w", err)
+// prepare is the analyzer's one ingest, shared by the batch path (thread(i)
+// returns t.Threads[i]) and the streaming path (thread(i) decodes section i
+// into t.Threads[i]). Pool workers (work-stealing, bounded by pool.Workers)
+// each fetch a thread, validate it against t's symbol table, and pack its
+// replay columns while it is cache-hot; one consumer goroutine merges
+// finished threads into the DCFGs in trace order, so graph construction
+// overlaps the remaining per-thread work. The ordered walk keeps the graphs —
+// including DCFG entry observation order — and the error independent of
+// scheduling: the first failing thread in trace order wins, whichever stage
+// it failed. Columns already cached on t are reused; otherwise t.Cols is set
+// on success, so repeated analyses of one trace pay the packing pass once.
+func prepare(t *trace.Trace, thread func(i int) (*trace.ThreadTrace, error), parallelism int) (*prep, error) {
+	n := len(t.Threads)
+	pack := t.Cols == nil
+	cols := t.Cols
+	if pack {
+		cols = trace.NewCols(n)
 	}
-	graphs, err := cfg.Build(t)
-	if err != nil {
-		return nil, fmt.Errorf("core: building DCFG: %w", err)
+	// ready[i] is closed once thread i is fetched and checked (or failed);
+	// the close publishes the worker's writes to threads[i], errs[i], and
+	// the column slots to the consumer.
+	ready := make([]chan struct{}, n)
+	for i := range ready {
+		ready[i] = make(chan struct{})
 	}
-	// Build (and cache on the trace) the packed SoA columns replay's fused
-	// fast path walks, so repeated analyses of one trace — warp-size sweeps,
-	// formation studies — pay the one streaming pass once instead of per
-	// replay.
-	t.EnsureCols()
+	threads := make([]*trace.ThreadTrace, n)
+	errs := make([]error, n)
+
+	b := cfg.NewBuilder(t.Funcs)
+	var walkErr error
+	walked := make(chan struct{})
+	go func() {
+		defer close(walked)
+		for i := 0; i < n; i++ {
+			<-ready[i]
+			if walkErr = errs[i]; walkErr != nil {
+				return
+			}
+			if walkErr = b.AddThread(threads[i]); walkErr != nil {
+				return
+			}
+		}
+	}()
+
+	pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) bool {
+		th, err := thread(i)
+		if err == nil {
+			err = t.ValidateThread(th)
+		}
+		if err == nil {
+			threads[i] = th
+			if pack {
+				cols.SetThread(i, th)
+			}
+		}
+		errs[i] = err
+		close(ready[i])
+		return false
+	})
+	<-walked
+	if walkErr != nil {
+		return nil, fmt.Errorf("core: ingest: %w", walkErr)
+	}
+	if pack {
+		t.Cols = cols
+	}
+	graphs := b.Finish()
 	return &prep{graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil
 }
 
@@ -242,7 +288,6 @@ func analyzeWith(t *trace.Trace, p *prep, warps []warp.Warp, opts Options) (*Rep
 		Listener:              opts.Listener,
 		Parallelism:           opts.Parallelism,
 		Context:               opts.Context,
-		UniformBranches:       opts.UniformBranches,
 		DisableLockstepFusion: opts.DisableLockstepFusion,
 	})
 	if err != nil {
@@ -253,21 +298,20 @@ func analyzeWith(t *trace.Trace, p *prep, warps []warp.Warp, opts Options) (*Rep
 
 // Analyze runs the full analyzer pipeline on a trace.
 func Analyze(t *trace.Trace, opts Options) (*Report, error) {
-	if opts.WarpSize == 0 {
-		return nil, fmt.Errorf("core: WarpSize must be set (use core.Defaults)")
-	}
-	if opts.Context != nil && opts.Context.Err() != nil {
-		return nil, fmt.Errorf("core: analysis canceled: %w", opts.Context.Err())
-	}
-	p, err := prepare(t)
+	return NewSession().Analyze(t, opts)
+}
+
+// AnalyzeStream runs the full analyzer over an indexed trace, with decode,
+// validation, column packing, and DCFG construction pipelined per thread
+// section (Session.Ingest). The returned report is identical to decoding the
+// trace and calling Analyze.
+func AnalyzeStream(r *trace.Reader, opts Options) (*Report, error) {
+	s := NewSession()
+	t, err := s.Ingest(r, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
-	warps, err := warp.Form(t, opts.WarpSize, opts.Formation)
-	if err != nil {
-		return nil, fmt.Errorf("core: forming warps: %w", err)
-	}
-	return analyzeWith(t, p, warps, opts)
+	return s.Analyze(t, opts)
 }
 
 func buildReport(t *trace.Trace, res *simt.Result, nwarps int) *Report {

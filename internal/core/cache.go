@@ -211,15 +211,6 @@ func cacheKeyFromDigest(sum [sha256.Size]byte, opts Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheKey computes the full content-addressed key for one analysis.
-func cacheKey(t *trace.Trace, opts Options) (string, error) {
-	sum, err := traceDigest(t)
-	if err != nil {
-		return "", err
-	}
-	return cacheKeyFromDigest(sum, opts), nil
-}
-
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
@@ -341,22 +332,7 @@ func (c *Cache) evict() {
 // Listener (which must observe a real replay), degrade to a plain Analyze.
 // The boolean reports whether the result came from the cache.
 func AnalyzeCached(c *Cache, t *trace.Trace, opts Options) (*Report, bool, error) {
-	if c == nil || opts.Listener != nil {
-		r, err := Analyze(t, opts)
-		return r, false, err
-	}
-	key, kerr := cacheKey(t, opts)
-	if kerr == nil {
-		if r, ok := c.get(key); ok {
-			return r, true, nil
-		}
-	}
-	r, err := Analyze(t, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if kerr == nil {
-		c.put(key, r)
-	}
-	return r, false, nil
+	s := NewSession()
+	s.SetCache(c)
+	return s.AnalyzeCached(t, opts)
 }

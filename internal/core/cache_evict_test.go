@@ -24,7 +24,7 @@ func evictFixture(t *testing.T, n int) (*Cache, []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, err := cacheKey(tr, opts)
+		key, err := CacheKey(tr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestCachePutEnforcesCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := cacheKey(tr, opts)
+	key, err := CacheKey(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCacheCorruptedEntryDegradesToReplay(t *testing.T) {
 	if _, hit, err := AnalyzeCached(c, tr, opts); err != nil || hit {
 		t.Fatalf("first analysis: hit=%v err=%v", hit, err)
 	}
-	key, err := cacheKey(tr, opts)
+	key, err := CacheKey(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

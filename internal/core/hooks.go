@@ -35,5 +35,5 @@ func TraceDigest(t *trace.Trace) (string, error) {
 // (trace, options) analysis under: the trace digest mixed with the schema
 // tag and the semantic options (Parallelism, Listener, and Context excluded).
 func CacheKey(t *trace.Trace, opts Options) (string, error) {
-	return cacheKey(t, opts)
+	return NewSession().CacheKey(t, opts)
 }

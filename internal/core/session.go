@@ -11,9 +11,11 @@ import (
 	"threadfuser/internal/warp"
 )
 
-// Session memoizes the trace-derived analysis products — validation,
-// cfg.Build, ipdom.ComputeAll, and warp formation — keyed by trace identity,
-// so sweeps that analyze one trace under many configurations (warp widths,
+// Session is the analyzer: every entry point (Analyze, AnalyzeCached,
+// AnalyzeStream, CacheKey) runs through one. It memoizes the trace-derived
+// analysis products — the ingest (validation, packed columns, DCFGs),
+// ipdom.ComputeAll, warp formation, and the content digest — keyed by trace
+// identity, so sweeps that analyze one trace under many configurations (warp widths,
 // formations, lock policies: figure 1, the extension studies,
 // examples/warpwidthstudy) pay for the preparation exactly once. A Session
 // is safe for concurrent use: concurrent Analyze calls on the same trace
@@ -78,59 +80,95 @@ func (s *Session) SetCache(c *Cache) {
 // session's cached DCFG/IPDOM products and warp formations for traces it
 // has seen before, and consults the attached report cache (if any) first.
 func (s *Session) Analyze(t *trace.Trace, opts Options) (*Report, error) {
+	r, _, err := s.AnalyzeCached(t, opts)
+	return r, err
+}
+
+// AnalyzeCached is the one implementation of an analysis; every other entry
+// point wraps it. It checks the options and the context, looks the analysis
+// up in the attached report cache under the session's memoized trace digest,
+// and on a miss prepares the trace, forms warps, replays, and stores the
+// report. Options carrying a Listener bypass the cache, since a listener
+// must observe a real replay. The boolean reports a cache hit.
+func (s *Session) AnalyzeCached(t *trace.Trace, opts Options) (*Report, bool, error) {
 	if opts.WarpSize == 0 {
-		return nil, fmt.Errorf("core: WarpSize must be set (use core.Defaults)")
+		return nil, false, fmt.Errorf("core: WarpSize must be set (use core.Defaults)")
 	}
 	if opts.Context != nil && opts.Context.Err() != nil {
-		return nil, fmt.Errorf("core: analysis canceled: %w", opts.Context.Err())
+		return nil, false, fmt.Errorf("core: analysis canceled: %w", opts.Context.Err())
 	}
 	s.mu.Lock()
 	c := s.cache
 	s.mu.Unlock()
 	key := ""
 	if c != nil && opts.Listener == nil {
-		if sum, err := s.digest(t); err == nil {
-			key = cacheKeyFromDigest(sum, opts)
-			if r, ok := c.get(key); ok {
-				return r, nil
+		if k, err := s.CacheKey(t, opts); err == nil {
+			if r, ok := c.get(k); ok {
+				return r, true, nil
 			}
+			key = k
 		}
 	}
-	p, err := s.prep(t)
+	p, err := s.prep(t, opts.Parallelism)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	warps, err := s.form(t, opts.WarpSize, opts.Formation)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	r, err := analyzeWith(t, p, warps, opts)
-	if err == nil && key != "" {
+	if err != nil {
+		return nil, false, err
+	}
+	if key != "" {
 		c.put(key, r)
 	}
-	return r, err
+	return r, false, nil
 }
 
-// Ingest decodes an indexed trace through the streaming pipeline
-// (prepareStream: per-section decode, validation, and column building fused
-// in the decode workers, DCFG construction chasing them in trace order) and
-// seeds the session's preparation memo with the result. The returned trace
-// is what subsequent Analyze calls should be handed: sweeps over warp
-// widths, formations, and lock policies then start replaying immediately,
-// having paid the ingest exactly once — and never serially.
+// CacheKey returns the report-cache key of one (trace, options) analysis,
+// hashing the trace through the session's digest memo, so a caller that
+// needs the key before analyzing (the service's in-flight deduplication)
+// and the analysis itself share one digest.
+func (s *Session) CacheKey(t *trace.Trace, opts Options) (string, error) {
+	sum, err := s.digest(t)
+	if err != nil {
+		return "", err
+	}
+	return cacheKeyFromDigest(sum, opts), nil
+}
+
+// Ingest decodes an indexed trace through prepare, the analyzer's one
+// ingest: the pool workers decode, validate, and pack each thread section
+// while it is cache-hot, and the DCFG walk chases them in trace order, so no
+// stage waits for a whole-trace pass. The preparation seeds the session's
+// memo; the returned trace is what subsequent Analyze calls should be
+// handed, so sweeps over warp widths, formations, and lock policies start
+// replaying immediately, having paid the ingest exactly once.
 func (s *Session) Ingest(r *trace.Reader, parallelism int) (*trace.Trace, error) {
-	t, p, err := prepareStream(r, parallelism)
+	hdr := r.Header()
+	t := &trace.Trace{
+		Program: hdr.Program,
+		Entry:   hdr.Entry,
+		Funcs:   hdr.Funcs,
+		Threads: make([]*trace.ThreadTrace, r.NumThreads()),
+	}
+	p, err := prepare(t, func(i int) (*trace.ThreadTrace, error) {
+		th, err := r.Thread(i)
+		t.Threads[i] = th
+		return th, err
+	}, parallelism)
 	if err != nil {
 		return nil, err
 	}
+	// t is new, so no other call can hold its memo entry yet: install one
+	// already done.
+	e := &prepEntry{p: p}
+	e.once.Do(func() {})
 	s.mu.Lock()
-	e := s.preps[t]
-	if e == nil {
-		e = &prepEntry{}
-		s.preps[t] = e
-	}
+	s.preps[t] = e
 	s.mu.Unlock()
-	e.once.Do(func() { e.p = p })
 	return t, nil
 }
 
@@ -152,15 +190,16 @@ func (s *Session) digest(t *trace.Trace) ([sha256.Size]byte, error) {
 // walk graph structure (divergence lint, static lock-leak paths) share the
 // same preparation the replay consumes; both maps are read-only.
 func (s *Session) Prepared(t *trace.Trace) (map[uint32]*cfg.DCFG, map[uint32]*ipdom.PostDom, error) {
-	p, err := s.prep(t)
+	p, err := s.prep(t, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	return p.graphs, p.pdoms, nil
 }
 
-// prep returns the trace's cached preparation, computing it on first use.
-func (s *Session) prep(t *trace.Trace) (*prep, error) {
+// prep returns the trace's cached preparation, computing it on first use
+// with at most parallelism ingest workers (0: one per core).
+func (s *Session) prep(t *trace.Trace, parallelism int) (*prep, error) {
 	s.mu.Lock()
 	e := s.preps[t]
 	if e == nil {
@@ -168,7 +207,9 @@ func (s *Session) prep(t *trace.Trace) (*prep, error) {
 		s.preps[t] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.p, e.err = prepare(t) })
+	e.once.Do(func() {
+		e.p, e.err = prepare(t, func(i int) (*trace.ThreadTrace, error) { return t.Threads[i], nil }, parallelism)
+	})
 	return e.p, e.err
 }
 

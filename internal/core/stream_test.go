@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"threadfuser/internal/trace"
@@ -147,5 +148,60 @@ func TestAnalyzeStreamSurfacesSectionErrors(t *testing.T) {
 	r := indexedReader(t, &bad)
 	if _, err := AnalyzeStream(r, Defaults()); err == nil {
 		t.Fatal("streaming analyze accepted a trace the batch validator rejects")
+	}
+}
+
+// TestBatchAndStreamFailIdentically pins the shared ingest's error order:
+// thread 1 fails only the DCFG walk (a block of another function inside an
+// invocation, which ValidateThread does not check) and thread 3 fails
+// ValidateThread (a wrong instruction count). Every entry point must report
+// the same error, and it must be thread 1's: the first failing thread in
+// trace order wins, whichever stage it failed.
+func TestBatchAndStreamFailIdentically(t *testing.T) {
+	tr := traceWorkload(t, "usuite.hdsearch.mid", 16)
+	bad := *tr
+	bad.Threads = append([]*trace.ThreadTrace(nil), tr.Threads...)
+	mutate := func(i int, f func(r *trace.Record) bool) {
+		th := *bad.Threads[i]
+		th.Records = append([]trace.Record(nil), th.Records...)
+		for j := range th.Records {
+			if th.Records[j].Kind == trace.KindBBL && f(&th.Records[j]) {
+				bad.Threads[i] = &th
+				return
+			}
+		}
+		t.Fatalf("thread %d: no record to corrupt (%d funcs)", i, len(bad.Funcs))
+	}
+	mutate(1, func(r *trace.Record) bool {
+		for fn := range bad.Funcs {
+			if uint32(fn) != r.Func && len(bad.Funcs[fn].Blocks) > 0 {
+				r.Func, r.Block = uint32(fn), 0
+				r.N = uint64(bad.Funcs[fn].Blocks[0].NInstr)
+				r.Mem, r.Locks = nil, nil
+				return true
+			}
+		}
+		return false
+	})
+	mutate(3, func(r *trace.Record) bool { r.N += 7; return true })
+	if err := bad.ValidateThread(bad.Threads[1]); err != nil {
+		t.Fatalf("thread 1 must pass validation, got %v", err)
+	}
+
+	_, batchErr := Analyze(&bad, Defaults())
+	_, _, cachedErr := AnalyzeCached(NewCache(t.TempDir()), &bad, Defaults())
+	_, streamErr := AnalyzeStream(indexedReader(t, &bad), Defaults())
+	for name, err := range map[string]error{"Analyze": batchErr, "AnalyzeCached": cachedErr, "AnalyzeStream": streamErr} {
+		if err == nil {
+			t.Fatalf("%s accepted a corrupt trace", name)
+		}
+	}
+	want := fmt.Sprintf("thread %d ", bad.Threads[1].TID)
+	if !strings.Contains(batchErr.Error(), want) {
+		t.Errorf("batch error %q does not name thread 1", batchErr)
+	}
+	if cachedErr.Error() != batchErr.Error() || streamErr.Error() != batchErr.Error() {
+		t.Errorf("entry points disagree:\nAnalyze:       %v\nAnalyzeCached: %v\nAnalyzeStream: %v",
+			batchErr, cachedErr, streamErr)
 	}
 }

@@ -76,9 +76,7 @@ func analyze(w *workloads.Workload, s Scale, warpSize int, locks bool) (*core.Re
 // session returns a fresh analysis session wired to the scale's cache.
 func (s Scale) session() *core.Session {
 	sess := core.NewSession()
-	if s.Cache != nil {
-		sess.SetCache(s.Cache)
-	}
+	sess.SetCache(s.Cache)
 	return sess
 }
 

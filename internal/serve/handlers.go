@@ -142,8 +142,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	// The dedup key is the content-addressed cache key: trace digest plus
 	// the semantic options — exactly the identity under which two requests
-	// are guaranteed the same report.
-	key, err := core.CacheKey(tr, opts)
+	// are guaranteed the same report. The job runs on the same session, so
+	// its cache lookup reuses the digest instead of hashing the upload again.
+	sess := core.NewSession()
+	sess.SetCache(s.cfg.Cache)
+	key, err := sess.CacheKey(tr, opts)
 	if err != nil {
 		s.stats.clientErrors.Add(1)
 		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
@@ -155,12 +158,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return s.runJob(jctx, func(jctx context.Context) (any, bool, error) {
 			o := opts
 			o.Context = jctx
-			if s.cfg.Cache != nil {
-				rep, hit, err := core.AnalyzeCached(s.cfg.Cache, tr, o)
-				return rep, hit, err
-			}
-			rep, err := core.Analyze(tr, o)
-			return rep, false, err
+			return sess.AnalyzeCached(tr, o)
 		})
 	})
 }
@@ -333,9 +331,15 @@ func (s *Server) handleStatic(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "simt"
 	}
-	if mode != "simt" && mode != "locks" && mode != "mem" {
+	var modes []string
+	known := false
+	for _, o := range analysis.Oracles() {
+		modes = append(modes, o.Mode)
+		known = known || o.Mode == mode
+	}
+	if !known {
 		s.stats.clientErrors.Add(1)
-		s.fail(w, http.StatusBadRequest, "parameter mode: %q (want simt, locks or mem)", mode)
+		s.fail(w, http.StatusBadRequest, "parameter mode: %q (want one of %s)", mode, strings.Join(modes, ", "))
 		return
 	}
 	level := q.Get("opt")

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"threadfuser/internal/analysis"
 	"threadfuser/internal/core"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/vm"
@@ -362,6 +363,17 @@ func TestStaticEndpoint(t *testing.T) {
 	_, err = c.Static(context.Background(), nil)
 	if !asRemote(err, &re) || re.Status != 400 || !strings.Contains(re.Message, "vectoradd") {
 		t.Fatalf("missing workload param: %v, want 400 listing workloads", err)
+	}
+	// Modes come from the oracle registry: an unknown one is 400 naming
+	// every registered mode.
+	_, err = c.Static(context.Background(), url.Values{"workload": {"vectoradd"}, "mode": {"bogus"}})
+	if !asRemote(err, &re) || re.Status != 400 {
+		t.Fatalf("unknown mode: %v, want 400", err)
+	}
+	for _, o := range analysis.Oracles() {
+		if !strings.Contains(re.Message, o.Mode) {
+			t.Errorf("unknown-mode error %q does not list mode %q", re.Message, o.Mode)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"threadfuser/internal/ipdom"
 	"threadfuser/internal/ir"
 	"threadfuser/internal/simt"
-	"threadfuser/internal/staticsimt"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/vm"
 	"threadfuser/internal/warp"
@@ -89,8 +88,6 @@ func TestFusionMatchesSteppedAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			pdoms := ipdom.ComputeAll(graphs)
-			uniform := staticsimt.UniformBlocks(inst.Prog,
-				staticsimt.Analyze(inst.Prog, staticsimt.Options{AssumeUniformEntry: true}))
 			for _, width := range fusionWidths(t) {
 				for _, form := range fusionFormations {
 					warps, err := warp.Form(tr, width, form)
@@ -98,7 +95,7 @@ func TestFusionMatchesSteppedAllWorkloads(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertFusionAB(t, tr, graphs, pdoms, warps,
-						simt.Options{WarpSize: width, UniformBranches: uniform})
+						simt.Options{WarpSize: width})
 				}
 			}
 			// Lock emulation changes the replay's control flow (serialization
@@ -108,7 +105,7 @@ func TestFusionMatchesSteppedAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertFusionAB(t, tr, graphs, pdoms, warps,
-				simt.Options{WarpSize: 32, EmulateLocks: true, UniformBranches: uniform})
+				simt.Options{WarpSize: 32, EmulateLocks: true})
 		})
 	}
 }
@@ -164,7 +161,7 @@ func fusionEdgeProgram(t testing.TB) *ir.Program {
 // traceFusionEdge instantiates fusionEdgeProgram for nthreads with trip
 // counts drawn from tripBits (3 bits per thread, +1) and locks shared
 // distinct-ways, then traces it.
-func traceFusionEdge(t testing.TB, nthreads int, tripOf func(tid int) int64, distinct int) (*trace.Trace, *ir.Program) {
+func traceFusionEdge(t testing.TB, nthreads int, tripOf func(tid int) int64, distinct int) *trace.Trace {
 	t.Helper()
 	prog := fusionEdgeProgram(t)
 	p := vm.NewProcess(prog)
@@ -179,12 +176,12 @@ func traceFusionEdge(t testing.TB, nthreads int, tripOf func(tid int) int64, dis
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, prog
+	return tr
 }
 
 // fusionEdgeAB runs the shared fuzz/seed body: trace the parametric edge
 // program and assert fused == per-block at the given width, with and without
-// the uniform oracle, with and without lock emulation.
+// lock emulation.
 func fusionEdgeAB(t *testing.T, width uint8, tripBits uint64, distinct uint8) {
 	t.Helper()
 	w := int(width)
@@ -197,26 +194,18 @@ func fusionEdgeAB(t *testing.T, width uint8, tripBits uint64, distinct uint8) {
 	d := int(distinct)%4 + 1
 	const nthreads = 16
 	tripOf := func(tid int) int64 { return int64((tripBits>>(uint(tid%16)*3))&7) + 1 }
-	tr, prog := traceFusionEdge(t, nthreads, tripOf, d)
+	tr := traceFusionEdge(t, nthreads, tripOf, d)
 	graphs, err := cfg.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pdoms := ipdom.ComputeAll(graphs)
-	uniform := staticsimt.UniformBlocks(prog,
-		staticsimt.Analyze(prog, staticsimt.Options{AssumeUniformEntry: true}))
 	warps, err := warp.Form(tr, w, warp.RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, locks := range []bool{false, true} {
-		for _, oracle := range [][][]bool{nil, uniform} {
-			assertFusionAB(t, tr, graphs, pdoms, warps, simt.Options{
-				WarpSize:        w,
-				EmulateLocks:    locks,
-				UniformBranches: oracle,
-			})
-		}
+		assertFusionAB(t, tr, graphs, pdoms, warps, simt.Options{WarpSize: w, EmulateLocks: locks})
 	}
 }
 

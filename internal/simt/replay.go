@@ -51,19 +51,6 @@ type Options struct {
 	// replay, never change the metrics of one that completes.
 	Context context.Context
 
-	// UniformBranches, when non-nil, is the static oracle's exported
-	// uniform-region table (staticsimt.UniformBlocks): UniformBranches[fn]
-	// [block] reports that fn's block ends in a terminator the oracle proved
-	// can never split a warp. The lockstep-fusion fast path uses it to shape
-	// fused-window proposals — a window extends across a block boundary only
-	// through a terminator the table clears, so proposals end exactly where a
-	// split is statically possible. The table is a performance hint, never a
-	// semantic input: every proposed record is still verified against every
-	// active lane before fused execution, so a missing, partial, or even
-	// wrong table cannot change any metric. When nil, fusion runs in pure
-	// runtime-detection mode and extends through every agreeing boundary.
-	UniformBranches [][]bool
-
 	// DisableLockstepFusion turns off the lockstep-fusion fast path, forcing
 	// the per-block engine. It exists as the A/B verification hook: the
 	// equivalence suite and the check catalog's "fusion" invariant replay
@@ -826,19 +813,12 @@ func (wr *warpReplay) execGroup(e *entry, pos position, mask uint64) error {
 // records.
 const maxWindow = 8192
 
-// uniformAt reports whether the static table clears fn's block for window
-// extension (its terminator can never split a warp).
-func uniformAt(uni [][]bool, fn, block uint32) bool {
-	return int(fn) < len(uni) && int(block) < len(uni[fn]) && uni[fn][block]
-}
-
 // execRunFused executes the tail of a converged run as a fused window off
 // the trace's packed SoA columns, in three passes. Pass 1 scans lane 0's
 // control column for the longest window proposal the stepped loop would
 // provably run as single full-mask groups: KindBBL words at constant call
 // depth, no lock operations when locks are emulated, never the entry's
-// reconvergence position, and (with a static table) no extension across a
-// terminator the oracle did not prove warp-uniform. Pass 2 trims the
+// reconvergence position, and no function boundary. Pass 2 trims the
 // proposal to the lanes' actual agreement: each other lane's control column
 // is compared to lane 0's as two contiguous arrays — one 8-byte compare per
 // element covering kind, function, block, size, lock presence, and
@@ -849,8 +829,8 @@ func uniformAt(uni [][]bool, fn, block uint32) bool {
 // coalescing over the flat access columns. The stepped loop resumes at the
 // first rejected element.
 //
-// Exactness does not rest on the static table: an element executes fused
-// only after every active lane's control word was checked to be the same
+// Exactness rests on verification, not on the proposal: an element executes
+// fused only after every active lane's control word was checked to be the same
 // lock-free block execution, which is precisely the condition under which
 // one more stepped iteration would re-form this single group and execute it.
 // No pop can fire mid-window either: the entry's reconvergence position is
@@ -858,10 +838,7 @@ func uniformAt(uni [][]bool, fn, block uint32) bool {
 // to be both at or past and short of the reconvergence depth at once, which
 // cannot happen while the window stays at constant depth.
 //
-// The UniformBranches table only shapes lane 0's proposal: with a table,
-// windows stop at statically divergence-capable terminators, so fusion never
-// speculates past a point where a warp split is possible; without one,
-// windows extend through every same-function boundary and per-lane
+// Proposals extend through every same-function block boundary; per-lane
 // verification alone trims them. Control words marked CtlInvalid (packed
 // field overflow) break the window like any disagreement, handing the
 // element to the stepped engine, which reads full records.
@@ -891,7 +868,6 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 	wr.fview.lanes, wr.fview.idxs = lanes, idxs
 	ctls := wr.warpCtl
 	ctl0 := ctls[lanes[0]][idxs[0]:]
-	uni := wr.opts.UniformBranches
 	// KindBBL packs to zero kind bits, so one mask test rejects every
 	// non-block kind, invalid words, and (when emulating) lock carriers.
 	reject := trace.CtlInvalid | trace.CtlKindMask
@@ -899,9 +875,7 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 		reject |= trace.CtlLocksBit
 	}
 	depth := pos.depth
-	curBlock := pos.block // block of the latest proposed element
-	curKey := trace.PackFnBlock(pos.fn, pos.block)
-	fnKey := curKey & trace.CtlFuncMask
+	fnKey := trace.PackFnBlock(pos.fn, pos.block) & trace.CtlFuncMask
 	// rpcKey is the entry's reconvergence position as a masked (fn, block)
 	// key when it could appear inside this window, else a value no valid
 	// word's key can equal.
@@ -918,24 +892,16 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 			break
 		}
 		key := c0 & trace.CtlFnBlockMask
-		if key != curKey {
-			// Interprocedural boundaries always end a window (well-formed
-			// traces mark them with call/return records anyway); block
-			// boundaries pass when the oracle cleared the terminator, or
-			// unconditionally in runtime-detection mode (no table).
-			if key&trace.CtlFuncMask != fnKey ||
-				(uni != nil && !uniformAt(uni, pos.fn, curBlock)) {
-				break
-			}
+		// Interprocedural boundaries always end a window (well-formed traces
+		// mark them with call/return records anyway); block boundaries pass,
+		// and pass 2 trims them.
+		if key&trace.CtlFuncMask != fnKey {
+			break
 		}
 		// Never take the entry's reconvergence position into the window: the
 		// stepped loop pops there instead of executing.
 		if key == rpcKey {
 			break
-		}
-		if key != curKey {
-			curKey = key
-			curBlock = trace.CtlBlock(key)
 		}
 	}
 	// Pass 2: trim to the lanes' agreement — contiguous pairwise column

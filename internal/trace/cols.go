@@ -132,9 +132,9 @@ func BuildCols(t *Trace) *Cols {
 }
 
 // NewCols returns an empty column view with room for n threads, for callers
-// that fill thread slots out of order via SetThread — the streaming analyzer
-// builds each section's columns inside the decode worker that just produced
-// it, while the section is still cache-hot.
+// that fill thread slots out of order via SetThread — the analyzer's ingest
+// builds each thread's columns inside the worker that just validated it,
+// while the thread is still cache-hot.
 func NewCols(n int) *Cols {
 	return &Cols{
 		Ctl:     make([][]uint64, n),
@@ -192,15 +192,4 @@ func buildThreadCols(th *ThreadTrace) ([]uint64, []uint32, []uint64, []uint32) {
 	}
 	off[n] = uint32(len(addr))
 	return ctl, off, addr, meta
-}
-
-// EnsureCols returns the trace's packed column view, building and caching it
-// on first use. Not safe for concurrent first calls; pipelines build the
-// view once (analyzer setup, bench setup) before fanning out replay workers,
-// which then share it read-only.
-func (t *Trace) EnsureCols() *Cols {
-	if t.Cols == nil {
-		t.Cols = BuildCols(t)
-	}
-	return t.Cols
 }

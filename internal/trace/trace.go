@@ -155,7 +155,7 @@ type Trace struct {
 
 	// Cols caches the packed SoA view replay's fusion fast path walks (see
 	// cols.go). It is derived state — never serialized, never compared —
-	// populated by EnsureCols and invalidated by mutating Records.
+	// populated by the analyzer's ingest and invalidated by mutating Records.
 	Cols *Cols `json:"-"`
 }
 
