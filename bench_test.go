@@ -407,7 +407,7 @@ func replayBenchSetup(b *testing.B) {
 			replayBench.err = err
 			return
 		}
-		// Mirror the analyzer pipeline's setup: the packed SoA columns are
+		// Mirror the analyzer pipeline's setup: the control-word columns are
 		// built once per trace (core.prepare packs them during ingest), so
 		// the benchmark measures replay in its steady state rather than
 		// re-deriving them per op.

@@ -21,35 +21,26 @@ func ChargeInstrs(wm *WarpMetrics, fm *FuncMetrics, n uint64, active int) {
 	}
 }
 
+// fusedMaxSites bounds the per-element instruction-slot array of the fused
+// charge path. Real blocks touch a handful of memory instructions; an
+// element with more is charged through Charge.
+const fusedMaxSites = 6
+
 // MemCharger coalesces lockstep block executions' memory accesses while
 // reusing its instruction-index and per-segment access buffers across
 // blocks, keeping the replay inner loop allocation-free. The zero value is
 // ready to use; a MemCharger must not be shared between goroutines — each
 // replay worker owns one.
-// fusedMaxSites bounds the per-element instruction-slot array of the fused
-// charge path. Real blocks touch a handful of memory instructions; an
-// element with more falls back to the gather path.
-const fusedMaxSites = 6
-
-// siteAcc is one instruction slot of the fused charge path: four streaming
-// sector walks, one per (load/store × stack/heap) sub-stream, fed in lane
-// order — the same partition Charge's gather-then-Split computes.
-type siteAcc struct {
-	instr                                      uint16
-	loadStack, loadHeap, storeStack, storeHeap coalesce.Walk
-}
-
 type MemCharger struct {
 	idx           []uint16
 	loads, stores []coalesce.Access
 	scratch       coalesce.Scratch
-	sites         [fusedMaxSites]siteAcc
 
 	// Site, when non-nil, observes each per-instruction coalescing outcome:
 	// the instruction index within the block just charged and its combined
 	// load+store transaction counts per segment. The replay engine hooks the
-	// per-site histograms through it; when nil (the lockstep hardware oracle,
-	// throwaway chargers) the accounting path is unchanged.
+	// per-site histograms through it; when nil (the lockstep hardware
+	// oracle) the accounting path is unchanged.
 	Site func(instr uint16, stackTx, heapTx int)
 }
 
@@ -127,153 +118,125 @@ func (mc *MemCharger) Charge(wm *WarpMetrics, fm *FuncMetrics, recs []*trace.Rec
 	}
 }
 
-// fusedView bundles what the fused charge path needs to reach any active
-// lane's accesses for a window element without touching records: the
-// lane-indexed SoA columns of the warp's threads (offset prefix sums, flat
-// address and packed-meta columns — see trace.Cols) plus the window's active
-// lane list and each lane's cursor index at window start. Lane li's accesses
-// for window element k are the m-long runs of addr/meta starting at
-// off[lanes[li]][idxs[li]+k].
-type fusedView struct {
-	lanes []int
-	idxs  []int32
-	off   [][]uint32
-	addr  [][]uint64
-	meta  [][]uint32
-}
-
-// chargeFused coalesces one fused window element's memory accesses without
-// touching records at all: each lane's accesses come straight from its flat
-// columns at the offset its prefix-sum column gives for the element, every
-// lane's list being exactly m long (the fused verifier already proved the
-// lanes' control words — including the access-list length — identical). The
-// outcome is bit-identical to Charge — the same min(distinct sectors, cap)
-// counts over the same lane-ordered sub-streams — but only for shapes the
-// closed forms and streaming walks can handle. chargeFused returns false
-// (having charged nothing) when a sub-stream is not walkable (addresses
-// decrease, a zero size) or the element touches more than fusedMaxSites
-// distinct instructions; the caller must then gather the records and charge
-// via Charge.
-func (mc *MemCharger) chargeFused(wm *WarpMetrics, fm *FuncMetrics, v *fusedView, k, m, nl int) bool {
-	if mc.chargeUniform(wm, fm, v, k, m, nl) {
-		return true
-	}
-	return mc.chargeGeneral(wm, fm, v, k, m, nl)
-}
-
-// colAcc is one instruction column of the fused uniform charge path: the
-// shared packed (instruction, size, store) meta word plus the arithmetic
-// address progression being verified across lanes.
+// colAcc is one instruction column of the fused uniform charge path: lane
+// 0's access (whose instruction, size and store kind every lane must share)
+// plus the arithmetic address progression being verified across lanes.
 type colAcc struct {
-	meta   uint32
-	a0     uint64 // lane 0's address
+	first  trace.MemAccess
 	prev   uint64 // last verified lane's address
 	stride uint64 // constant lane-to-lane delta (set at lane 1)
 }
 
-// chargeUniform is chargeFused's hot path for the dominant SIMT access
-// shape: every lane issued the same access list (same strictly increasing
-// instruction sequence, same load/store kinds and sizes) and each list
-// position's addresses form a non-decreasing arithmetic progression across
-// lanes — base+TID*stride table walks and the per-thread stack mirror, which
-// is what warp-uniform regions produce. Each position then IS one
-// instruction's warp-wide sub-stream in ascending address order, and its
-// transaction count follows in closed form from (base, stride, size, lanes)
-// — no per-access sector walk at all. Metric writes happen only once every
-// lane has verified; any bail returns false with nothing charged, and the
-// caller re-coalesces through the general path.
-func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, v *fusedView, k, m, nl int) bool {
+// sameSite reports whether a has the non-address fields of the column.
+func (c *colAcc) sameSite(a *trace.MemAccess) bool {
+	return a.Instr == c.first.Instr && a.Size == c.first.Size && a.Store == c.first.Store
+}
+
+// chargeUniform is the fused replay's closed-form charge for the dominant
+// SIMT access shape: every lane in recs issued the same access list (same
+// length, same strictly increasing instruction sequence, same load/store
+// kinds and sizes) and each list position's addresses form a non-decreasing
+// arithmetic progression across lanes — base+TID*stride table walks and the
+// per-thread stack mirror, which is what warp-uniform regions produce. Each
+// position then IS one instruction's warp-wide sub-stream in ascending
+// address order, and its transaction count follows in closed form from
+// (base, stride, size, lanes) — no per-access sector walk at all. The
+// outcome is bit-identical to Charge on the same recs. Metric writes happen
+// only once every lane has verified; any bail returns false with nothing
+// charged, and the caller charges recs through Charge instead.
+func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, recs []*trace.Record) bool {
+	nl := len(recs)
+	if nl == 0 {
+		return false
+	}
+	mem0 := recs[0].Mem
+	m := len(mem0)
 	if m > fusedMaxSites {
 		return false
 	}
-	l0 := v.lanes[0]
-	o0 := int(v.off[l0][int(v.idxs[0])+k])
-	meta0 := v.meta[l0][o0 : o0+m]
-	addr0 := v.addr[l0][o0 : o0+m]
 	var cols [fusedMaxSites]colAcc
 	if m == 1 {
 		// Single memory instruction — the dominant block shape. Keep the
-		// whole column in registers: no slot array traffic, one offset load
-		// and two column loads per lane.
-		mw := meta0[0]
-		if trace.MetaSize(mw) == 0 {
+		// whole column in registers: no slot array traffic.
+		c := colAcc{first: mem0[0], prev: mem0[0].Addr}
+		if c.first.Size == 0 {
 			return false
 		}
-		a0 := addr0[0]
-		prev := a0
-		var stride uint64
 		for li := 1; li < nl; li++ {
-			l := v.lanes[li]
-			o := v.off[l][int(v.idxs[li])+k]
-			if v.meta[l][o] != mw {
+			mem := recs[li].Mem
+			if len(mem) != 1 || !c.sameSite(&mem[0]) {
 				return false
 			}
-			a := v.addr[l][o]
+			a := mem[0].Addr
 			if li == 1 {
-				if a < prev {
+				if a < c.prev {
 					return false
 				}
-				stride = a - prev
-			} else if a != prev+stride {
+				c.stride = a - c.prev
+			} else if a != c.prev+c.stride || a < c.prev {
+				// Off the progression, or on it only modulo 2^64.
 				return false
 			}
-			prev = a
+			c.prev = a
 		}
-		cols[0] = colAcc{meta: mw, a0: a0, prev: prev, stride: stride}
+		cols[0] = c
 	} else {
 		prev := -1
-		for j := 0; j < m; j++ {
-			mw := meta0[j]
+		for j := range mem0 {
 			// Strictly increasing instruction indices mean each instruction
 			// owns exactly one column (no split sub-streams) and the commit
 			// order below matches Charge's sorted order for free.
-			if int(trace.MetaInstr(mw)) <= prev || trace.MetaSize(mw) == 0 {
+			if int(mem0[j].Instr) <= prev || mem0[j].Size == 0 {
 				return false
 			}
-			prev = int(trace.MetaInstr(mw))
-			cols[j] = colAcc{meta: mw, a0: addr0[j], prev: addr0[j]}
+			prev = int(mem0[j].Instr)
+			cols[j] = colAcc{first: mem0[j], prev: mem0[j].Addr}
 		}
 		// Lane 1 sets each column's stride; later lanes only verify it, so
 		// the per-lane loop below carries no lane-index branch.
 		if nl > 1 {
-			l := v.lanes[1]
-			o := int(v.off[l][int(v.idxs[1])+k])
-			meta := v.meta[l][o : o+m]
-			addr := v.addr[l][o : o+m]
-			for j := 0; j < m; j++ {
+			mem := recs[1].Mem
+			if len(mem) != m {
+				return false
+			}
+			for j := range mem {
 				c := &cols[j]
-				if meta[j] != c.meta || addr[j] < c.prev {
+				if !c.sameSite(&mem[j]) || mem[j].Addr < c.prev {
 					return false
 				}
-				c.stride = addr[j] - c.prev
-				c.prev = addr[j]
+				c.stride = mem[j].Addr - c.prev
+				c.prev = mem[j].Addr
 			}
 		}
 		for li := 2; li < nl; li++ {
-			l := v.lanes[li]
-			o := int(v.off[l][int(v.idxs[li])+k])
-			meta := v.meta[l][o : o+m]
-			addr := v.addr[l][o : o+m]
-			for j := 0; j < m; j++ {
+			mem := recs[li].Mem
+			if len(mem) != m {
+				return false
+			}
+			for j := range mem {
 				c := &cols[j]
-				if meta[j] != c.meta || addr[j] != c.prev+c.stride {
+				if a := mem[j].Addr; !c.sameSite(&mem[j]) || a != c.prev+c.stride || a < c.prev {
 					return false
 				}
-				c.prev = addr[j]
+				c.prev = mem[j].Addr
 			}
 		}
 	}
+	// Check every column before charging any, so a bail leaves nothing
+	// charged.
 	for j := 0; j < m; j++ {
 		c := &cols[j]
-		z := uint64(trace.MetaSize(c.meta))
-		aN := c.prev
-		if aN+z-1 < aN || vm.SegmentOf(c.a0) != vm.SegmentOf(aN) {
+		if aN := c.prev; aN+uint64(c.first.Size)-1 < aN || vm.SegmentOf(c.first.Addr) != vm.SegmentOf(aN) {
 			// Wrapping span arithmetic, or a progression crossing a segment
 			// boundary (each access charges to its own segment there).
 			return false
 		}
-		first0 := c.a0 / coalesce.TransactionSize
-		last0 := (c.a0 + z - 1) / coalesce.TransactionSize
+	}
+	for j := 0; j < m; j++ {
+		c := &cols[j]
+		a0, z, aN := c.first.Addr, uint64(c.first.Size), c.prev
+		first0 := a0 / coalesce.TransactionSize
+		last0 := (a0 + z - 1) / coalesce.TransactionSize
 		var count int
 		switch s := c.stride; {
 		case s <= z:
@@ -294,7 +257,7 @@ func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, v *fusedVi
 			// arithmetically — no loads, the addresses are a_0 + i*s.
 			count = int(last0 - first0 + 1)
 			prevLast := last0
-			a := c.a0
+			a := a0
 			for i := 1; i < nl; i++ {
 				a += s
 				f, l := a/coalesce.TransactionSize, (a+z-1)/coalesce.TransactionSize
@@ -311,7 +274,7 @@ func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, v *fusedVi
 			count = coalesce.SectorCap
 		}
 		var st, ht int
-		if vm.SegmentOf(c.a0) == vm.SegStack {
+		if vm.SegmentOf(a0) == vm.SegStack {
 			st = count
 		} else {
 			ht = count
@@ -331,99 +294,8 @@ func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, v *fusedVi
 			fm.StackTx += uint64(st)
 		}
 		if mc.Site != nil {
-			mc.Site(trace.MetaInstr(c.meta), st, ht)
+			mc.Site(c.first.Instr, st, ht)
 		}
 	}
 	return true
-}
-
-// chargeGeneral is chargeFused's fallback for access lists that are not one
-// clean arithmetic progression per instruction (repeated or reordered
-// instruction indices, mixed sizes, scattered addresses): a
-// per-(instruction, load/store, segment) slot table of streaming walks, fed
-// in the same lane-major order Charge's gather produces.
-func (mc *MemCharger) chargeGeneral(wm *WarpMetrics, fm *FuncMetrics, v *fusedView, k, m, nl int) bool {
-	ns := 0
-	sites := &mc.sites
-	for li := 0; li < nl; li++ {
-		l := v.lanes[li]
-		o := int(v.off[l][int(v.idxs[li])+k])
-		meta := v.meta[l][o : o+m]
-		addr := v.addr[l][o : o+m]
-		for i := 0; i < m; i++ {
-			instr := trace.MetaInstr(meta[i])
-			var s *siteAcc
-			for i := 0; i < ns; i++ {
-				if sites[i].instr == instr {
-					s = &sites[i]
-					break
-				}
-			}
-			if s == nil {
-				if ns == len(sites) {
-					return false
-				}
-				s = &sites[ns]
-				*s = siteAcc{instr: instr}
-				ns++
-			}
-			var w *coalesce.Walk
-			if stack := vm.SegmentOf(addr[i]) == vm.SegStack; trace.MetaStore(meta[i]) {
-				if stack {
-					w = &s.storeStack
-				} else {
-					w = &s.storeHeap
-				}
-			} else if stack {
-				w = &s.loadStack
-			} else {
-				w = &s.loadHeap
-			}
-			if !w.Add(coalesce.Access{Addr: addr[i], Size: trace.MetaSize(meta[i])}) {
-				return false
-			}
-		}
-	}
-	if ns == 0 {
-		return true
-	}
-	// Charge slots in ascending instruction order, matching Charge's sorted
-	// index list (only the Site callback order is observable, but keeping the
-	// orders identical costs a couple of swaps on a tiny array).
-	for i := 1; i < ns; i++ {
-		for j := i; j > 0 && sites[j].instr < sites[j-1].instr; j-- {
-			sites[j], sites[j-1] = sites[j-1], sites[j]
-		}
-	}
-	for i := 0; i < ns; i++ {
-		s := &sites[i]
-		st := s.loadStack.Tx() + s.storeStack.Tx()
-		ht := s.loadHeap.Tx() + s.storeHeap.Tx()
-		wm.MemInstrs++
-		if st > 0 {
-			wm.StackMemInstrs++
-			wm.StackTx += uint64(st)
-		}
-		if ht > 0 {
-			wm.HeapMemInstrs++
-			wm.HeapTx += uint64(ht)
-		}
-		if fm != nil {
-			fm.MemInstrs++
-			fm.HeapTx += uint64(ht)
-			fm.StackTx += uint64(st)
-		}
-		if mc.Site != nil {
-			mc.Site(s.instr, st, ht)
-		}
-	}
-	return true
-}
-
-// ChargeMemory coalesces one lockstep block execution's memory accesses with
-// a throwaway MemCharger. Hot paths should hold a MemCharger and call Charge
-// instead.
-func ChargeMemory(wm *WarpMetrics, fm *FuncMetrics, recs []*trace.Record) {
-	var mc MemCharger
-	mc.Charge(wm, fm, recs)
 }

@@ -326,7 +326,7 @@ func Replay(t *trace.Trace, graphs map[uint32]*cfg.DCFG, pdoms map[uint32]*ipdom
 	lay := newBranchLayout(t)
 	nw := opts.workers(len(warps))
 
-	// The fusion fast path runs off the trace's packed SoA columns. Use the
+	// The fusion fast path runs off the trace's control-word column. Use the
 	// trace's cached view when a pipeline already built one (core's analyzer,
 	// the bench setup); otherwise derive it here — one streaming pass, shared
 	// read-only by all workers. A nil cols disables fusion outright.
@@ -457,13 +457,12 @@ type warpReplay struct {
 	laneBuf   []int
 	recBuf    []*trace.Record
 	threadBuf []int
-	// Lane-indexed full SoA columns of the warp's threads, set once per warp
-	// (replayWarp); fused windows index them as col[lane][cursorIdx+k], so
-	// per-window setup writes only the plain-integer idxBuf — no
+	// Lane-indexed control-word columns of the warp's threads, set once per
+	// warp (replayWarp); fused windows index them as warpCtl[lane][cursorIdx+k],
+	// so per-window setup writes only the plain-integer idxBuf — no
 	// pointer-bearing slice headers, no write barriers on the hot path.
 	warpCtl [][]uint64
 	idxBuf  []int32
-	fview   fusedView
 	cols    *trace.Cols
 	mem     MemCharger
 	exec    BlockExec
@@ -515,17 +514,10 @@ func (wr *warpReplay) replayWarp(t *trace.Trace, wi int, w warp.Warp, wm *WarpMe
 	}
 	if wr.fuse {
 		wctl := wr.warpCtl[:0]
-		woff := wr.fview.off[:0]
-		waddr := wr.fview.addr[:0]
-		wmeta := wr.fview.meta[:0]
 		for _, tid := range w {
 			wctl = append(wctl, wr.cols.Ctl[tid])
-			woff = append(woff, wr.cols.MemOff[tid])
-			waddr = append(waddr, wr.cols.MemAddr[tid])
-			wmeta = append(wmeta, wr.cols.MemMeta[tid])
 		}
 		wr.warpCtl = wctl
-		wr.fview.off, wr.fview.addr, wr.fview.meta = woff, waddr, wmeta
 	}
 	wr.done = 0
 	wr.stack = wr.stack[:0]
@@ -814,7 +806,7 @@ func (wr *warpReplay) execGroup(e *entry, pos position, mask uint64) error {
 const maxWindow = 8192
 
 // execRunFused executes the tail of a converged run as a fused window off
-// the trace's packed SoA columns, in three passes. Pass 1 scans lane 0's
+// the trace's control-word column, in three passes. Pass 1 scans lane 0's
 // control column for the longest window proposal the stepped loop would
 // provably run as single full-mask groups: KindBBL words at constant call
 // depth, no lock operations when locks are emulated, never the entry's
@@ -825,9 +817,10 @@ const maxWindow = 8192
 // access-list length at once — shrinking the window to the first
 // disagreement. Pass 3 charges the surviving elements, re-reading lane 0's
 // (now cache-hot) words: run-length-scaled instruction accounting (flushed
-// when the (func, block, size) run breaks) and closed-form memory
-// coalescing over the flat access columns. The stepped loop resumes at the
-// first rejected element.
+// when the (func, block, size) run breaks) and, for elements that touch
+// memory, the lanes' records gathered once and charged by chargeUniform's
+// closed form, or by Charge when the closed form does not apply. The stepped
+// loop resumes at the first rejected element.
 //
 // Exactness rests on verification, not on the proposal: an element executes
 // fused only after every active lane's control word was checked to be the same
@@ -865,7 +858,6 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 		}
 	}
 	wr.idxBuf = idxs
-	wr.fview.lanes, wr.fview.idxs = lanes, idxs
 	ctls := wr.warpCtl
 	ctl0 := ctls[lanes[0]][idxs[0]:]
 	// KindBBL packs to zero kind bits, so one mask test rejects every
@@ -937,19 +929,19 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 			wr.curFn, wr.curBlock = pos.fn, trace.CtlBlock(c0)
 		}
 		runCnt++
-		if m := int(c0 >> trace.CtlMemShift & 7); m != 0 {
+		if c0>>trace.CtlMemShift&7 != 0 {
 			if fm == nil {
 				fm = wr.acc.funcMetrics(pos.fn)
 			}
-			if m == trace.CtlMemOverflow || !wr.mem.chargeFused(wm, fm, &wr.fview, k, m, active) {
-				// Oversized or non-walkable access lists: gather the lanes'
-				// records and charge through the stepped engine's path.
-				recs := wr.recBuf[:0]
-				for _, l := range lanes {
-					c := &wr.cursors[l]
-					recs = append(recs, &c.recs[c.idx+k])
-				}
-				wr.recBuf = recs
+			recs := wr.recBuf[:0]
+			for _, l := range lanes {
+				c := &wr.cursors[l]
+				recs = append(recs, &c.recs[c.idx+k])
+			}
+			wr.recBuf = recs
+			// Shapes the closed form cannot express (oversized, irregular or
+			// scattered access lists) go through the stepped engine's path.
+			if !wr.mem.chargeUniform(wm, fm, recs) {
 				wr.mem.Charge(wm, fm, recs)
 			}
 		}
@@ -1016,19 +1008,10 @@ func (wr *warpReplay) execBlock(e *entry, pos position, mask uint64) error {
 		recs = append(recs, r)
 	}
 	wr.laneBuf, wr.recBuf = lanes, recs
-	fm := wr.acc.funcMetrics(pos.fn)
-	ChargeInstrs(wr.wm, fm, recs[0].N, len(lanes))
-	if g := wr.graphs[pos.fn]; g != nil && int32(pos.block) == g.Entry() {
-		fm.Invocations++
-	}
-	if e.hasBranch {
-		bs := wr.acc.branchStats(e.brFn, e.brBlock)
-		bs.RegionLockstep += recs[0].N
-		bs.RegionThreadInstrs += recs[0].N * uint64(len(lanes))
-	}
+	wr.flushRun(e, pos.fn, pos.block, recs[0].N, 1, len(lanes))
 
 	wr.curFn, wr.curBlock = pos.fn, pos.block
-	wr.mem.Charge(wr.wm, fm, recs)
+	wr.mem.Charge(wr.wm, wr.acc.funcMetrics(pos.fn), recs)
 
 	if wr.opts.Listener != nil {
 		threads := wr.threadBuf[:0]

@@ -1,18 +1,16 @@
 package trace
 
-import "math"
-
-// This file defines the replay-oriented SoA ("structure of arrays") view of
-// a trace. The SIMT replay engine's lockstep-fusion fast path verifies, for
-// every window element, that all active lanes carry the same upcoming block
-// execution — a comparison that only involves a record's control fields
-// (kind, function, block, instruction count, lock presence, access-list
-// length), never its slice contents. Packing exactly those fields into one
-// uint64 per record turns that per-lane check into a single 8-byte compare
-// and cuts the verification loop's memory traffic by an order of magnitude
-// versus touching ~72-byte Record structs. A parallel prefix-sum column over
-// each thread's flattened access list lets the fused memory-charge path
-// reach lane accesses without loading Record slice headers at all.
+// This file defines the replay-oriented control-word column of a trace. The
+// SIMT replay engine's lockstep-fusion fast path verifies, for every window
+// element, that all active lanes carry the same upcoming block execution — a
+// comparison that only involves a record's control fields (kind, function,
+// block, instruction count, lock presence, access-list length), never its
+// slice contents. Packing exactly those fields into one uint64 per record
+// turns that per-lane check into a single 8-byte compare and cuts the
+// verification loop's memory traffic by an order of magnitude versus
+// touching ~72-byte Record structs. The accesses themselves are read from
+// the records: the fused memory-charge path gathers the active lanes'
+// records only for elements whose control word says they touch memory.
 //
 // Control-word layout (low to high):
 //
@@ -83,42 +81,13 @@ func CtlBlock(ctl uint64) uint32 {
 	return uint32(ctl >> CtlBlockShift & (1<<ctlBlockBits - 1))
 }
 
-// PackMemMeta packs the non-address fields of one memory access into the
-// MemMeta column word: instruction index, size, and the store bit. Equality
-// of two meta words is exactly field-wise equality of everything but Addr,
-// which is the per-access check the fused charge path performs per lane.
-func PackMemMeta(a *MemAccess) uint32 {
-	w := uint32(a.Instr)<<16 | uint32(a.Size)<<8
-	if a.Store {
-		w |= 1
-	}
-	return w
-}
-
-// MetaInstr extracts the instruction index of a MemMeta word.
-func MetaInstr(meta uint32) uint16 { return uint16(meta >> 16) }
-
-// MetaSize extracts the access size of a MemMeta word.
-func MetaSize(meta uint32) uint8 { return uint8(meta >> 8) }
-
-// MetaStore extracts the store bit of a MemMeta word.
-func MetaStore(meta uint32) bool { return meta&1 != 0 }
-
-// Cols is the packed SoA view of a trace's threads: one control word per
-// record, plus each thread's memory accesses flattened into per-field
-// columns (addresses and packed meta words separately — the fused charge
-// path compares meta across lanes with one 4-byte load and never touches
-// padding) with a prefix-sum offset table. All outer slices are indexed by
-// the thread's position in Trace.Threads; Ctl[i] is parallel to
-// Threads[i].Records, MemOff[i] has one extra trailing entry so record j's
-// accesses are MemAddr[i][MemOff[i][j]:MemOff[i][j+1]] (and the same range
-// of MemMeta[i]). A Cols is a derived, read-only view: it must be rebuilt if
-// the underlying records change.
+// Cols is the packed control-word view of a trace's threads: one control
+// word per record. The outer slice is indexed by the thread's position in
+// Trace.Threads, and Ctl[i] is parallel to Threads[i].Records. A Cols is a
+// derived, read-only view: it must be rebuilt if the underlying records
+// change.
 type Cols struct {
-	Ctl     [][]uint64
-	MemOff  [][]uint32
-	MemAddr [][]uint64
-	MemMeta [][]uint32
+	Ctl [][]uint64
 }
 
 // BuildCols derives the packed column view of a trace. One streaming pass
@@ -136,45 +105,16 @@ func BuildCols(t *Trace) *Cols {
 // builds each thread's columns inside the worker that just validated it,
 // while the thread is still cache-hot.
 func NewCols(n int) *Cols {
-	return &Cols{
-		Ctl:     make([][]uint64, n),
-		MemOff:  make([][]uint32, n),
-		MemAddr: make([][]uint64, n),
-		MemMeta: make([][]uint32, n),
-	}
+	return &Cols{Ctl: make([][]uint64, n)}
 }
 
-// SetThread derives and installs thread i's packed columns. Distinct slots
+// SetThread derives and installs thread i's control words. Distinct slots
 // may be filled concurrently; the view is safe for readers once every slot a
 // reader touches has been set.
 func (c *Cols) SetThread(i int, th *ThreadTrace) {
-	c.Ctl[i], c.MemOff[i], c.MemAddr[i], c.MemMeta[i] = buildThreadCols(th)
-}
-
-func buildThreadCols(th *ThreadTrace) ([]uint64, []uint32, []uint64, []uint32) {
-	n := len(th.Records)
-	ctl := make([]uint64, n)
-	off := make([]uint32, n+1)
-	total := 0
-	for j := range th.Records {
-		total += len(th.Records[j].Mem)
-	}
-	if total > math.MaxUint32 {
-		// Offsets would not fit; leave the thread entirely unfusable.
-		for j := range ctl {
-			ctl[j] = CtlInvalid
-		}
-		return ctl, off, nil, nil
-	}
-	addr := make([]uint64, 0, total)
-	meta := make([]uint32, 0, total)
+	ctl := make([]uint64, len(th.Records))
 	for j := range th.Records {
 		r := &th.Records[j]
-		off[j] = uint32(len(addr))
-		for i := range r.Mem {
-			addr = append(addr, r.Mem[i].Addr)
-			meta = append(meta, PackMemMeta(&r.Mem[i]))
-		}
 		if r.N > CtlNMask || r.Block >= 1<<ctlBlockBits || r.Func >= 1<<ctlFuncBits || r.Kind > KindSkip {
 			ctl[j] = CtlInvalid
 			continue
@@ -190,6 +130,5 @@ func buildThreadCols(th *ThreadTrace) ([]uint64, []uint32, []uint64, []uint32) {
 		}
 		ctl[j] = w
 	}
-	off[n] = uint32(len(addr))
-	return ctl, off, addr, meta
+	c.Ctl[i] = ctl
 }

@@ -153,7 +153,7 @@ type Trace struct {
 	Funcs   []FuncInfo
 	Threads []*ThreadTrace
 
-	// Cols caches the packed SoA view replay's fusion fast path walks (see
+	// Cols caches the control-word column replay's fusion fast path walks (see
 	// cols.go). It is derived state — never serialized, never compared —
 	// populated by the analyzer's ingest and invalidated by mutating Records.
 	Cols *Cols `json:"-"`
