@@ -50,9 +50,13 @@ tfcheck:
 # Run the static SIMT oracle over the whole workload catalog, plus the
 # dynamic replay cross-check on two workloads (exits nonzero if a branch
 # classified uniform ever diverges). Also the CI smoke step for cmd/tfstatic.
+# The golden pin hashes every static oracle's result per workload and opt
+# level (regenerate intentionally changed results with
+# `go test ./internal/analysis -run TestStaticOracleGolden -update`).
 tfstatic:
 	$(GO) run ./cmd/tfstatic -all -q
 	$(GO) run ./cmd/tfstatic -workload vectoradd,seededrace -verify
+	$(GO) test ./internal/analysis -run TestStaticOracleGolden -count=1
 
 # Static concurrency oracle smoke: the lock/race projection over the whole
 # catalog, plus the dynamic cross-check on the seeded-defect workloads (exits
