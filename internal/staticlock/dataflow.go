@@ -29,207 +29,43 @@ func topState() state {
 	return s
 }
 
-// funcState is the per-function fixpoint state, mirroring the staticsimt
-// driver: entry/exit facts joined over call sites and returns, per-block
-// converged in-states, and seen flags that double as reachability.
-type funcState struct {
-	f         *ir.Function
-	entry     state // join over all call sites (seed for the entry function)
-	exit      state // join over all ret points
-	in        []state
-	entrySeen bool
-	exitSeen  bool
-	inSeen    []bool
-	phantom   bool // no call path from the entry; analyzed standalone
-}
-
-type analysis struct {
-	prog    *ir.Program
-	fns     []*funcState
-	changed bool
-}
-
-func newAnalysis(p *ir.Program) *analysis {
-	a := &analysis{prog: p, fns: make([]*funcState, len(p.Funcs))}
-	for i, f := range p.Funcs {
-		a.fns[i] = &funcState{
-			f:      f,
-			in:     make([]state, len(f.Blocks)),
-			inSeen: make([]bool, len(f.Blocks)),
-		}
+// solveSymbolic runs phase 1, the interprocedural fixpoint over symbolic
+// register values, from an entry whose registers are the arg, tid and sp
+// roots. Functions with no call path from the entry are solved under an
+// all-Top entry so their lock sites still get (worst-case) shapes.
+func solveSymbolic(p *ir.Program) *ir.Solver[state] {
+	s := &ir.Solver[state]{
+		Join:  joinInto,
+		Clone: func(st *state) state { return *st },
+		Transfer: func(_ int, b *ir.Block, st *state) {
+			for ii := 0; ii < len(b.Instrs)-1; ii++ {
+				transferInstr(st, &b.Instrs[ii])
+			}
+		},
 	}
-	return a
-}
-
-// run drives the interprocedural least fixpoint over symbolic register
-// values, then analyzes functions with no call path from the entry under an
-// all-unknown standalone entry.
-func (a *analysis) run() {
-	entry := a.fns[a.prog.Entry]
+	s.Call = awaitReturn(s, func(*state) state { return topState() })
 	var seed state
 	for r := range seed {
 		seed[r] = symRoot(root{kind: rootArg, reg: uint8(r)})
 	}
 	seed[ir.TID] = symRoot(root{kind: rootTID})
 	seed[ir.SP] = symRoot(root{kind: rootSP})
-	entry.entry = seed
-	entry.entrySeen = true
-
-	for {
-		a.changed = false
-		for _, fs := range a.fns {
-			if fs.entrySeen {
-				a.runFunc(fs)
-			}
-		}
-		if !a.changed {
-			break
-		}
-	}
-
-	// Phantom functions: no static call path reaches them, so they never
-	// execute — analyze them anyway under an all-Top entry so their lock
-	// sites still get (worst-case) shapes, without contributing back into
-	// the live program.
-	for _, fs := range a.fns {
-		if fs.entrySeen {
-			continue
-		}
-		fs.phantom = true
-		fs.entry = topState()
-		fs.entrySeen = true
-		for {
-			a.changed = false
-			a.runFunc(fs)
-			if !a.changed {
-				break
-			}
-		}
-	}
+	s.Run(p, seed, topState)
+	return s
 }
 
-// runFunc does one monotone sweep over a function: transfer every reached
-// block in order, propagating to successors, callees and the exit.
-func (a *analysis) runFunc(fs *funcState) {
-	if !fs.inSeen[0] {
-		fs.in[0] = fs.entry
-		fs.inSeen[0] = true
-		a.changed = true
-	} else if joinInto(&fs.in[0], &fs.entry) {
-		a.changed = true
-	}
-	for bi := range fs.f.Blocks {
-		if !fs.inSeen[bi] {
-			continue
+// awaitReturn is the call policy of both phases. The caller's state enters
+// the callees, and the continuation flows only once some callee's exit fact
+// exists: the fixpoint revisits when it materializes, and a callee that
+// never returns never reaches its continuation. A phantom's calls
+// contribute nothing; its continuations take the phantom fact of the state
+// at the call.
+func awaitReturn[S any](s *ir.Solver[S], phantom func(st *S) S) func(fn int, b *ir.Block, st *S) (S, bool) {
+	return func(fn int, b *ir.Block, st *S) (S, bool) {
+		if s.Fns[fn].Phantom {
+			return phantom(st), true
 		}
-		st := fs.in[bi]
-		a.transferBlock(fs, fs.f.Blocks[bi], &st)
-	}
-}
-
-// flow joins a state into a block's entry fact.
-func (a *analysis) flow(fs *funcState, st *state, target ir.BlockID) {
-	if int(target) >= len(fs.in) {
-		return
-	}
-	if !fs.inSeen[target] {
-		fs.in[target] = *st
-		fs.inSeen[target] = true
-		a.changed = true
-		return
-	}
-	if joinInto(&fs.in[target], st) {
-		a.changed = true
-	}
-}
-
-// contributeEntry joins a caller's registers into a callee's entry fact (the
-// VM has one register file, so the callee starts from the caller's state).
-func (a *analysis) contributeEntry(callee *funcState, st *state) {
-	if !callee.entrySeen {
-		callee.entry = *st
-		callee.entrySeen = true
-		a.changed = true
-		return
-	}
-	if joinInto(&callee.entry, st) {
-		a.changed = true
-	}
-}
-
-// joinExit joins a state into the function's exit fact.
-func (a *analysis) joinExit(fs *funcState, st *state) {
-	if !fs.exitSeen {
-		fs.exit = *st
-		fs.exitSeen = true
-		a.changed = true
-		return
-	}
-	if joinInto(&fs.exit, st) {
-		a.changed = true
-	}
-}
-
-// transferBlock interprets one block's instructions over st and propagates
-// the result to successors / callees / the exit. Call continuations only
-// flow once the callee's exit fact exists ("skip-if-unseen"): the fixpoint
-// revisits when it materializes, and a callee that never returns correctly
-// never reaches its continuation.
-func (a *analysis) transferBlock(fs *funcState, b *ir.Block, st *state) {
-	for ii := 0; ii < len(b.Instrs)-1; ii++ {
-		transferInstr(st, &b.Instrs[ii])
-	}
-
-	term := b.Terminator()
-	switch term.Op {
-	case ir.OpJmp:
-		a.flow(fs, st, term.Target)
-	case ir.OpJcc:
-		a.flow(fs, st, term.Target)
-		a.flow(fs, st, term.Fall)
-	case ir.OpSwitch:
-		for _, t := range term.Targets {
-			a.flow(fs, st, t)
-		}
-	case ir.OpRet:
-		a.joinExit(fs, st)
-	case ir.OpCall:
-		if int(term.Callee) >= len(a.fns) {
-			return
-		}
-		if fs.phantom {
-			cont := topState()
-			a.flow(fs, &cont, term.Fall)
-			return
-		}
-		callee := a.fns[term.Callee]
-		a.contributeEntry(callee, st)
-		if callee.exitSeen {
-			cont := callee.exit
-			a.flow(fs, &cont, term.Fall)
-		}
-	case ir.OpCallR:
-		if fs.phantom {
-			cont := topState()
-			a.flow(fs, &cont, term.Fall)
-			return
-		}
-		var cont state
-		seen := false
-		for _, callee := range a.fns {
-			a.contributeEntry(callee, st)
-			if callee.exitSeen {
-				if !seen {
-					cont = callee.exit
-					seen = true
-				} else {
-					joinInto(&cont, &callee.exit)
-				}
-			}
-		}
-		if seen {
-			a.flow(fs, &cont, term.Fall)
-		}
+		return s.Invoke(b.Terminator(), st)
 	}
 }
 

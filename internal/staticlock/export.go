@@ -17,7 +17,7 @@ import (
 // entry. Obtain one with AnalyzeSymbolic; the value is immutable and safe
 // for concurrent readers.
 type Symbolic struct {
-	a *analysis
+	s *ir.Solver[state]
 }
 
 // AnalyzeSymbolic runs the interprocedural symbolic dataflow (the phase-1
@@ -25,30 +25,28 @@ type Symbolic struct {
 // no static call path from the entry are analyzed standalone under an
 // all-unknown entry (see Phantom).
 func AnalyzeSymbolic(p *ir.Program) *Symbolic {
-	a := newAnalysis(p)
-	a.run()
-	return &Symbolic{a: a}
+	return &Symbolic{s: solveSymbolic(p)}
 }
 
 // Phantom reports whether the function has no static call path from the
 // program entry: it was analyzed under an all-unknown entry state, so every
 // shape inside it is worst-case.
 func (s *Symbolic) Phantom(fn int) bool {
-	return s.a.fns[fn].phantom
+	return s.s.Fns[fn].Phantom
 }
 
 // BlockReached reports whether the fixpoint reached the block. Unreached
 // blocks have no meaningful entry state (their addresses render as TopShape).
 func (s *Symbolic) BlockReached(fn, block int) bool {
-	fs := s.a.fns[fn]
-	return block < len(fs.inSeen) && fs.inSeen[block]
+	fx := &s.s.Fns[fn]
+	return block < len(fx.InSeen) && fx.InSeen[block]
 }
 
 // BlockState returns a copy of the converged register state at the block's
 // entry. The copy is the caller's to mutate: Step it across the block's
 // non-terminator instructions to obtain the state at each site.
 func (s *Symbolic) BlockState(fn, block int) SymState {
-	return SymState{st: s.a.fns[fn].in[block]}
+	return SymState{st: s.s.Fns[fn].In[block]}
 }
 
 // SymState is one mutable symbolic register state, stepped forward

@@ -149,10 +149,8 @@ type Result struct {
 // per reached block to assemble the report. The program must be valid
 // (ir.Validate); workloads only produce valid programs.
 func Analyze(p *ir.Program) *Result {
-	sym := newAnalysis(p)
-	sym.run()
-	la := newLockAnalysis(sym)
-	la.run()
+	sym := solveSymbolic(p)
+	la := solveLocks(p, sym)
 	ssr := staticsimt.Analyze(p, staticsimt.Options{})
 
 	// Divergence context per function/block from the SIMT oracle.
@@ -183,12 +181,12 @@ func Analyze(p *ir.Program) *Result {
 	lockShapes := map[string]symval{} // reached lock-site shapes
 	accShapes := map[string]symval{}
 
-	for fi, sfs := range sym.fns {
-		lfs := la.fns[fi]
-		fid := uint32(sfs.f.ID)
-		fname := sfs.f.Name
-		for bi, b := range sfs.f.Blocks {
-			reached := sfs.inSeen[bi] && lfs.inSeen[bi]
+	for fi, f := range p.Funcs {
+		sfx, lfx := &sym.Fns[fi], &la.Fns[fi]
+		fid := uint32(f.ID)
+		fname := f.Name
+		for bi, b := range f.Blocks {
+			reached := sfx.InSeen[bi] && lfx.InSeen[bi]
 			divB := divCtx[fi] || (influenced[fi] != nil && influenced[fi][uint32(b.ID)])
 			if !reached {
 				// Keep the Sites table aligned with the witness numbering:
@@ -205,8 +203,8 @@ func Analyze(p *ir.Program) *Result {
 				}
 				continue
 			}
-			symst := sfs.in[bi]
-			lst := lfs.in[bi].clone()
+			symst := sfx.In[bi]
+			lst := lfx.In[bi].clone()
 			for ii := range b.Instrs {
 				in := &b.Instrs[ii]
 				if o, rel, ok := in.LockOperand(); ok {
@@ -217,7 +215,7 @@ func Analyze(p *ir.Program) *Result {
 					r.siteIdx[key] = siteI
 					r.Sites = append(r.Sites, Site{
 						Func: fid, FuncName: fname, Block: uint32(b.ID), Instr: uint16(ii),
-						Release: rel, Shape: shape, Divergent: divB, Unreachable: sfs.phantom,
+						Release: rel, Shape: shape, Divergent: divB, Unreachable: sfx.Phantom,
 					})
 					lockShapes[shape] = v
 					if !rel {
@@ -254,7 +252,7 @@ func Analyze(p *ir.Program) *Result {
 						Func: fid, FuncName: fname, Block: uint32(b.ID), Instr: uint16(ii),
 						Store: store, Size: m.Size, Shape: shape, Class: -1,
 						MustLocks: sortedShapeKeys(lst.must),
-						Divergent: divB, Unreachable: sfs.phantom,
+						Divergent: divB, Unreachable: sfx.Phantom,
 					}
 					r.accIdx[siteKey{fid, uint32(b.ID), uint16(ii)}] = len(r.Accesses)
 					r.Accesses = append(r.Accesses, acc)

@@ -12,8 +12,9 @@ func (a *analysis) result() *Result {
 	r := &Result{Program: a.prog.Name, StackEscapes: a.stackEscapes}
 	a.meldsRejectedMem = 0
 	divCtx := a.divergentContexts()
-	for _, fs := range a.fns {
-		fr := FuncResult{ID: uint32(fs.f.ID), Name: fs.f.Name, Unreachable: fs.phantom}
+	for fi, fs := range a.fns {
+		fx := &a.Fns[fi]
+		fr := FuncResult{ID: uint32(fs.f.ID), Name: fs.f.Name, Unreachable: fx.Phantom}
 		g := a.graphs[fr.ID]
 		pd := a.pdoms[fr.ID]
 		for bi, b := range fs.f.Blocks {
@@ -32,7 +33,7 @@ func (a *analysis) result() *Result {
 			}
 			bid := uint32(b.ID)
 			br := Branch{Block: bid, Kind: kind, Reconverge: pd.IPDom(int32(bid))}
-			if !fs.inSeen[bi] {
+			if !fx.InSeen[bi] {
 				br.Uniform = true
 				br.Unreachable = true
 			} else {
@@ -63,7 +64,7 @@ func (a *analysis) result() *Result {
 			}
 		}
 		fr.DivergentContext = divCtx[fs.f.ID]
-		fr.MemUniform, fr.MemDivergent = a.memProfile(fs)
+		fr.MemUniform, fr.MemDivergent = a.memProfile(fi)
 		r.Meldable += len(fr.Melds)
 		r.Funcs = append(r.Funcs, fr)
 	}
@@ -92,9 +93,10 @@ func (a *analysis) divergentContexts() []bool {
 		}
 	}
 	// forEachCall visits the reached call terminators of one function.
-	forEachCall := func(fs *funcState, visit func(term *ir.Instr, influenced bool, selDivergent bool)) {
+	forEachCall := func(fi int, visit func(term *ir.Instr, influenced bool, selDivergent bool)) {
+		fs := a.fns[fi]
 		for bi, b := range fs.f.Blocks {
-			if !fs.inSeen[bi] {
+			if !a.Fns[fi].InSeen[bi] {
 				continue
 			}
 			term := b.Terminator()
@@ -105,11 +107,11 @@ func (a *analysis) divergentContexts() []bool {
 		}
 	}
 	// Seed: calls made under divergent control in any reached function.
-	for _, fs := range a.fns {
-		if fs.phantom {
+	for fi := range a.fns {
+		if a.Fns[fi].Phantom {
 			continue
 		}
-		forEachCall(fs, func(term *ir.Instr, influenced, selDivergent bool) {
+		forEachCall(fi, func(term *ir.Instr, influenced, selDivergent bool) {
 			switch term.Op {
 			case ir.OpCall:
 				if influenced {
@@ -126,11 +128,10 @@ func (a *analysis) divergentContexts() []bool {
 	for len(queue) > 0 {
 		fi := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		fs := a.fns[fi]
-		if fs.phantom {
+		if a.Fns[fi].Phantom {
 			continue
 		}
-		forEachCall(fs, func(term *ir.Instr, _, _ bool) {
+		forEachCall(fi, func(term *ir.Instr, _, _ bool) {
 			if term.Op == ir.OpCall {
 				mark(int(term.Callee))
 			} else {
@@ -144,16 +145,14 @@ func (a *analysis) divergentContexts() []bool {
 // memProfile counts the function's static memory operands by effective-
 // address uniformity, replaying each reached block over its converged entry
 // fact so address registers reflect the state at the access.
-func (a *analysis) memProfile(fs *funcState) (uniform, divergent int) {
+func (a *analysis) memProfile(fi int) (uniform, divergent int) {
+	fs, fx := a.fns[fi], &a.Fns[fi]
 	for bi, b := range fs.f.Blocks {
-		if !fs.inSeen[bi] {
+		if !fx.InSeen[bi] {
 			continue
 		}
-		st := fs.in[bi].clone()
-		var ctl Uniformity
-		if fs.influenced[b.ID] {
-			ctl = FromControl
-		}
+		st := fx.In[bi].clone()
+		ctl := fs.ctlTaint(b)
 		count := func(o ir.Operand) {
 			if !o.IsMem() {
 				return
@@ -181,7 +180,7 @@ func (a *analysis) memProfile(fs *funcState) (uniform, divergent int) {
 // meldAt runs the DARM-style matcher at one divergent jcc: isomorphic arms
 // first (meldable as one region with lane-select operands), then
 // opt.Examine for diamonds rejected purely on the if-conversion budget.
-func (a *analysis) meldAt(fs *funcState, b *ir.Block) (Meld, bool) {
+func (a *analysis) meldAt(fs *funcInfo, b *ir.Block) (Meld, bool) {
 	term := b.Terminator()
 	if term.Op != ir.OpJcc || term.Target == term.Fall {
 		return Meld{}, false
