@@ -164,14 +164,7 @@ func main() {
 	opts.EmulateLocks = *locks
 	opts.Parallelism = *parallel
 	opts.DisableLockstepFusion = *noFusion
-	switch *formation {
-	case "round-robin":
-		opts.Formation = warp.RoundRobin
-	case "strided":
-		opts.Formation = warp.Strided
-	case "greedy":
-		opts.Formation = warp.GreedyEntry
-	default:
+	if opts.Formation, err = warp.ParseFormation(*formation); err != nil {
 		fatal(fmt.Errorf("unknown formation %q", *formation))
 	}
 

@@ -86,16 +86,11 @@ func main() {
 		usageError("bad -parallel: %v", err)
 	}
 	for _, f := range strings.Split(*formations, ",") {
-		switch strings.TrimSpace(f) {
-		case "round-robin":
-			opts.Formations = append(opts.Formations, warp.RoundRobin)
-		case "strided":
-			opts.Formations = append(opts.Formations, warp.Strided)
-		case "greedy":
-			opts.Formations = append(opts.Formations, warp.GreedyEntry)
-		default:
+		form, err := warp.ParseFormation(strings.TrimSpace(f))
+		if err != nil {
 			usageError("unknown formation %q", f)
 		}
+		opts.Formations = append(opts.Formations, form)
 	}
 	if *propNames != "" {
 		opts.Props = strings.Split(*propNames, ",")

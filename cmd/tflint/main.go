@@ -81,14 +81,7 @@ func main() {
 		Parallelism: *parallel,
 		Cache:       core.OpenFlagCache(*useCache, *cacheDir),
 	}
-	switch *formation {
-	case "round-robin":
-		opts.Formation = warp.RoundRobin
-	case "strided":
-		opts.Formation = warp.Strided
-	case "greedy":
-		opts.Formation = warp.GreedyEntry
-	default:
+	if opts.Formation, err = warp.ParseFormation(*formation); err != nil {
 		fmt.Fprintf(os.Stderr, "tflint: unknown formation %q\n", *formation)
 		os.Exit(2)
 	}

@@ -47,8 +47,10 @@ type Options struct {
 	Parallelism []int
 	// Formations is the warp-batching axis (default {RoundRobin}).
 	Formations []warp.Formation
-	// Analyze overrides the analyzer under test (fault injection for the
-	// engine's own tests). Nil uses a memoized core.Session.
+	// Analyze overrides the analyzer under test: fault injection for the
+	// engine's own tests, or a caller's own session (the analysis service
+	// keys deduplication on that session's digest). Nil uses a memoized
+	// core.Session.
 	Analyze AnalyzeFunc
 	// Prog attaches the traced program's IR, enabling the static-oracle
 	// soundness properties, one per analysis.Oracles entry: "staticuniform",

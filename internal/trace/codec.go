@@ -258,8 +258,7 @@ func (d *decoder) thread(version int) *ThreadTrace {
 }
 
 // byteReader is what the stream decoder needs from its input: bulk reads for
-// strings plus single-byte reads for varints. bufio.Reader satisfies it; so
-// does the unbuffered one-byte wrapper ReadHeader uses to avoid overreading.
+// strings plus single-byte reads for varints; bufio.Reader satisfies it.
 type byteReader interface {
 	io.Reader
 	io.ByteReader

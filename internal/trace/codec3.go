@@ -49,7 +49,7 @@ const (
 var ErrNoIndex = errors.New("trace: no thread index")
 
 // Header is the metadata section of a .tft file: everything before the
-// per-thread event streams. ReadHeader returns it without decoding any
+// per-thread event streams. Reader.Header returns it without decoding any
 // thread data.
 type Header struct {
 	Version    int
@@ -58,46 +58,6 @@ type Header struct {
 	Funcs      []FuncInfo
 	NumThreads int
 }
-
-// ReadHeader decodes only the metadata section of a .tft stream (any
-// version): program name, entry function, function table, and thread count.
-// It consumes nothing past the header — varints are read byte by byte and
-// bulk reads ask for exactly the bytes they need — so on any version the
-// reader is left positioned at the first thread section. Callers reading
-// from a raw file may wrap r in a bufio.Reader if they do not care where the
-// underlying stream is left.
-func ReadHeader(r io.Reader) (*Header, error) {
-	d := &decoder{r: &oneByteReader{r: r}}
-	h := d.header()
-	if d.err != nil {
-		return nil, fmt.Errorf("trace: header: %w", d.err)
-	}
-	return h, nil
-}
-
-// oneByteReader adapts an io.Reader into a byteReader whose ReadByte pulls
-// exactly one byte from the underlying stream, so header decoding never
-// buffers past the header block the way a bufio wrapper would.
-type oneByteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (o *oneByteReader) ReadByte() (byte, error) {
-	for {
-		n, err := o.r.Read(o.one[:])
-		if n == 1 {
-			return o.one[0], nil
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-}
-
-// Read delegates: the decoder's bulk reads (magic, strings) already request
-// exactly the bytes they consume.
-func (o *oneByteReader) Read(p []byte) (int, error) { return o.r.Read(p) }
 
 // EncodeIndexed writes the trace to w in the indexed v3 format.
 func EncodeIndexed(w io.Writer, t *Trace) error {

@@ -81,31 +81,6 @@ func TestDecodeParallelFallsBackWithoutIndex(t *testing.T) {
 	}
 }
 
-// TestReadHeaderAllVersions: ReadHeader returns the same metadata from all
-// three encodings and never needs the thread data.
-func TestReadHeaderAllVersions(t *testing.T) {
-	tr := randomTrace(rand.New(rand.NewSource(3)))
-	for name, encode := range map[string]func(io.Writer, *Trace) error{
-		"v1": Encode, "v2": EncodeCompact, "v3": EncodeIndexed,
-	} {
-		var buf bytes.Buffer
-		if err := encode(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		h, err := ReadHeader(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if h.Program != tr.Program || h.Entry != tr.Entry || h.NumThreads != len(tr.Threads) {
-			t.Errorf("%s: header = %q/%d/%d threads, want %q/%d/%d",
-				name, h.Program, h.Entry, h.NumThreads, tr.Program, tr.Entry, len(tr.Threads))
-		}
-		if !reflect.DeepEqual(h.Funcs, tr.Funcs) {
-			t.Errorf("%s: function table mismatch", name)
-		}
-	}
-}
-
 // TestReaderThreads: per-thread random access reproduces the encoded
 // streams without a whole-trace decode.
 func TestReaderThreads(t *testing.T) {

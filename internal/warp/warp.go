@@ -46,6 +46,20 @@ func (f Formation) String() string {
 	return fmt.Sprintf("formation(%d)", uint8(f))
 }
 
+// ParseFormation returns the formation named name: any name String prints,
+// plus "greedy" for GreedyEntry.
+func ParseFormation(name string) (Formation, error) {
+	switch name {
+	case "round-robin":
+		return RoundRobin, nil
+	case "strided":
+		return Strided, nil
+	case "greedy", "greedy-entry":
+		return GreedyEntry, nil
+	}
+	return 0, fmt.Errorf("unknown formation %q (want round-robin, strided or greedy)", name)
+}
+
 // Warp is an ordered set of thread ids executed in lockstep. A trailing
 // partial warp (fewer than the warp size) is allowed, as on real hardware.
 type Warp []int

@@ -136,3 +136,30 @@ func TestEmptyTraceThreadSortsLast(t *testing.T) {
 		t.Errorf("empty-trace thread not last: %v", ws)
 	}
 }
+
+func TestParseFormation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Formation
+	}{
+		{"round-robin", RoundRobin},
+		{"strided", Strided},
+		{"greedy", GreedyEntry},
+		{"greedy-entry", GreedyEntry},
+	} {
+		got, err := ParseFormation(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseFormation(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, f := range []Formation{RoundRobin, Strided, GreedyEntry} {
+		if got, err := ParseFormation(f.String()); err != nil || got != f {
+			t.Errorf("ParseFormation(%q) = %v, %v; want %v", f.String(), got, err, f)
+		}
+	}
+	for _, bad := range []string{"", "Strided", "greedy_entry", "formation(3)"} {
+		if _, err := ParseFormation(bad); err == nil {
+			t.Errorf("ParseFormation(%q) accepted", bad)
+		}
+	}
+}
