@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"threadfuser/internal/ir"
+	"threadfuser/internal/opt"
 	"threadfuser/internal/workloads"
 )
 
@@ -330,6 +331,35 @@ func TestDeterminism(t *testing.T) {
 				t.Fatalf("%s: non-deterministic output across runs", w.Name)
 			}
 			prev = cur
+		}
+	}
+}
+
+// TestPhasesReachSameBlocks: phase 2 reads each block's converged phase-1
+// state, so it must never reach a block phase 1 did not. Both phases share
+// the successor dispatch and the awaitReturn call policy, so their reached
+// blocks and phantoms coincide on every workload at every opt level.
+func TestPhasesReachSameBlocks(t *testing.T) {
+	for _, w := range workloads.All() {
+		inst, err := w.Instantiate(workloads.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, lvl := range opt.Levels {
+			p := opt.Apply(inst.Prog, lvl)
+			sym := solveSymbolic(p)
+			la := solveLocks(p, sym)
+			for fi := range p.Funcs {
+				sfx, lfx := &sym.Fns[fi], &la.Fns[fi]
+				if sfx.Phantom != lfx.Phantom {
+					t.Errorf("%s/%s: func %d phantom %v in phase 1, %v in phase 2", w.Name, lvl, fi, sfx.Phantom, lfx.Phantom)
+				}
+				for bi := range sfx.InSeen {
+					if sfx.InSeen[bi] != lfx.InSeen[bi] {
+						t.Errorf("%s/%s: func %d block %d reached %v in phase 1, %v in phase 2", w.Name, lvl, fi, bi, sfx.InSeen[bi], lfx.InSeen[bi])
+					}
+				}
+			}
 		}
 	}
 }
