@@ -18,10 +18,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/url"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"threadfuser/internal/core"
@@ -81,6 +79,15 @@ func main() {
 	stopProfiles = stop
 	defer stop()
 
+	opts := core.Defaults()
+	opts.WarpSize = *warpSize
+	opts.EmulateLocks = *locks
+	opts.Parallelism = *parallel
+	opts.DisableLockstepFusion = *noFusion
+	if opts.Formation, err = warp.ParseFormation(*formation); err != nil {
+		fatal(fmt.Errorf("unknown formation %q", *formation))
+	}
+
 	if *server != "" {
 		// Server mode streams the file as-is: the service decodes, dedups
 		// against identical in-flight uploads, and replays. Local-only
@@ -93,24 +100,12 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		q := url.Values{"warp": {strconv.Itoa(*warpSize)}, "formation": {*formation}}
-		if *locks {
-			q.Set("locks", "true")
-		}
 		c := serve.Client{BaseURL: *server, Tenant: *tenant}
-		rep, err := c.Analyze(context.Background(), f, q)
+		rep, err := c.Analyze(context.Background(), f, opts)
 		if err != nil {
 			fatal(err)
 		}
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		printReport(rep, *nfuncs, *warps, *branches)
+		output(rep, *asJSON, *nfuncs, *warps, *branches)
 		return
 	}
 
@@ -159,14 +154,6 @@ func main() {
 		}
 		return
 	}
-	opts := core.Defaults()
-	opts.WarpSize = *warpSize
-	opts.EmulateLocks = *locks
-	opts.Parallelism = *parallel
-	opts.DisableLockstepFusion = *noFusion
-	if opts.Formation, err = warp.ParseFormation(*formation); err != nil {
-		fatal(fmt.Errorf("unknown formation %q", *formation))
-	}
 
 	// A session validates the trace and builds DCFG+IPDOM once, for one
 	// analysis or all five -sweep points; an indexed file streams into it.
@@ -194,15 +181,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
+	output(rep, *asJSON, *nfuncs, *warps, *branches)
+}
+
+// output writes the report as indented JSON or as the text summary.
+func output(rep *core.Report, asJSON bool, nfuncs int, perWarp bool, nbranches int) {
+	if !asJSON {
+		printReport(rep, nfuncs, perWarp, nbranches)
 		return
 	}
-	printReport(rep, *nfuncs, *warps, *branches)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fatal(err)
+	}
 }
 
 func printReport(rep *core.Report, nfuncs int, perWarp bool, nbranches int) {

@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -35,7 +34,6 @@ import (
 
 	"threadfuser/internal/check"
 	"threadfuser/internal/core"
-	"threadfuser/internal/ir"
 	"threadfuser/internal/serve"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
@@ -100,40 +98,9 @@ func main() {
 	// order. Workload loaders also hand back the program so the
 	// static-oracle invariants run; .tft files carry no IR and leave them
 	// vacuously true.
-	type input struct {
-		name string
-		load func() (*trace.Trace, *ir.Program, error)
-	}
-	var inputs []input
-	for _, path := range flag.Args() {
-		path := path
-		inputs = append(inputs, input{name: path, load: func() (*trace.Trace, *ir.Program, error) {
-			tr, err := trace.ReadFileParallel(path, 1)
-			return tr, nil, err
-		}})
-	}
-	addWorkload := func(w *workloads.Workload) {
-		inputs = append(inputs, input{name: w.Name, load: func() (*trace.Trace, *ir.Program, error) {
-			inst, err := w.Instantiate(workloads.Config{Threads: *threads, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			tr, err := inst.Trace()
-			return tr, inst.Prog, err
-		}})
-	}
-	if *all {
-		for _, w := range workloads.All() {
-			addWorkload(w)
-		}
-	} else if *wlNames != "" {
-		for _, name := range strings.Split(*wlNames, ",") {
-			w, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				usageError("%v", err)
-			}
-			addWorkload(w)
-		}
+	inputs, err := workloads.Inputs(flag.Args(), *wlNames, *all, workloads.Config{Threads: *threads, Seed: *seed})
+	if err != nil {
+		usageError("%v", err)
 	}
 	if len(inputs) == 0 && *runs == 0 {
 		flag.Usage()
@@ -146,46 +113,30 @@ func main() {
 
 	failed := false
 	var reports []*check.Report
+	client := serve.Client{BaseURL: *server, Tenant: *tenant}
 	for _, in := range inputs {
-		tr, prog, err := in.load()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tfcheck: %s: %v\n", in.name, err)
-			failed = true
-			continue
-		}
 		var rep *check.Report
-		if *server != "" {
+		tr, prog, err := in.Load()
+		switch {
+		case err != nil:
+		case *server != "":
 			// The static-oracle invariants skip server-side, exactly as for
 			// .tft file inputs locally (uploads carry no IR).
-			q := url.Values{
-				"warps":      {*warpsFlag},
-				"parallel":   {*parFlag},
-				"formations": {*formations},
-				"name":       {in.name},
-			}
-			if *propNames != "" {
-				q.Set("props", *propNames)
-			}
 			var buf bytes.Buffer
-			if err := trace.EncodeIndexed(&buf, tr); err != nil {
-				fmt.Fprintf(os.Stderr, "tfcheck: %s: %v\n", in.name, err)
-				failed = true
-				continue
+			if err = trace.EncodeIndexed(&buf, tr); err == nil {
+				rep, err = client.Check(context.Background(), &buf, in.Name, opts)
 			}
-			c := serve.Client{BaseURL: *server, Tenant: *tenant}
-			rep, err = c.Check(context.Background(), &buf, q)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tfcheck: %s: %v\n", in.name, err)
-				failed = true
-				continue
-			}
-		} else {
+		default:
 			inOpts := opts
 			inOpts.Prog = prog
-			rep, err = check.Run(in.name, tr, inOpts)
-			if err != nil {
+			if rep, err = check.Run(in.Name, tr, inOpts); err != nil {
 				usageError("%v", err)
 			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tfcheck: %s: %v\n", in.Name, err)
+			failed = true
+			continue
 		}
 		reports = append(reports, rep)
 	}

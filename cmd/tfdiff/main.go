@@ -22,10 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/url"
 	"os"
 	"sort"
-	"strconv"
 
 	"threadfuser/internal/core"
 	"threadfuser/internal/serve"
@@ -88,12 +86,8 @@ func analyzeFile(path string, opts core.Options, cache *core.Cache, server, tena
 			return nil, err
 		}
 		defer f.Close()
-		q := url.Values{"warp": {strconv.Itoa(opts.WarpSize)}, "formation": {opts.Formation.String()}}
-		if opts.EmulateLocks {
-			q.Set("locks", "true")
-		}
 		c := serve.Client{BaseURL: server, Tenant: tenant}
-		return c.Analyze(context.Background(), f, q)
+		return c.Analyze(context.Background(), f, opts)
 	}
 	tr, err := trace.ReadFileParallel(path, 1)
 	if err != nil {

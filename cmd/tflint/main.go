@@ -24,14 +24,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/url"
 	"os"
-	"strconv"
 	"strings"
 
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/core"
-	"threadfuser/internal/ir"
 	"threadfuser/internal/pool"
 	"threadfuser/internal/serve"
 	"threadfuser/internal/trace"
@@ -92,41 +89,10 @@ func main() {
 	// Assemble the input list: files first, then workloads, in argument
 	// order. Workload loaders also hand back the program so the static
 	// oracle passes can run; .tft files carry no IR and skip them.
-	type input struct {
-		name string
-		load func() (*trace.Trace, *ir.Program, error)
-	}
-	var inputs []input
-	for _, path := range flag.Args() {
-		path := path
-		inputs = append(inputs, input{name: path, load: func() (*trace.Trace, *ir.Program, error) {
-			tr, err := trace.ReadFileParallel(path, 1)
-			return tr, nil, err
-		}})
-	}
-	addWorkload := func(w *workloads.Workload) {
-		inputs = append(inputs, input{name: w.Name, load: func() (*trace.Trace, *ir.Program, error) {
-			inst, err := w.Instantiate(workloads.Config{Threads: *threads, Seed: *seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			tr, err := inst.Trace()
-			return tr, inst.Prog, err
-		}})
-	}
-	if *all {
-		for _, w := range workloads.All() {
-			addWorkload(w)
-		}
-	} else if *wlNames != "" {
-		for _, name := range strings.Split(*wlNames, ",") {
-			w, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tflint:", err)
-				os.Exit(2)
-			}
-			addWorkload(w)
-		}
+	inputs, err := workloads.Inputs(flag.Args(), *wlNames, *all, workloads.Config{Threads: *threads, Seed: *seed})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tflint:", err)
+		os.Exit(2)
 	}
 	if len(inputs) == 0 {
 		flag.Usage()
@@ -139,23 +105,18 @@ func main() {
 		// Server mode uploads each input's trace stream; the static oracle
 		// passes skip, exactly as for .tft file inputs locally (the server
 		// has no IR for an uploaded trace).
-		q := url.Values{"warp": {strconv.Itoa(*warpSize)}, "formation": {*formation}}
-		if *passNames != "" {
-			q.Set("passes", *passNames)
-		}
 		c := serve.Client{BaseURL: *server, Tenant: *tenant}
 		for i := range inputs {
-			tr, _, err := inputs[i].load()
+			var buf bytes.Buffer
+			tr, _, err := inputs[i].Load()
+			if err == nil {
+				err = trace.EncodeIndexed(&buf, tr)
+			}
 			if err != nil {
 				errs[i] = err
 				continue
 			}
-			var buf bytes.Buffer
-			if err := trace.EncodeIndexed(&buf, tr); err != nil {
-				errs[i] = err
-				continue
-			}
-			reports[i], errs[i] = c.Lint(context.Background(), &buf, q)
+			reports[i], errs[i] = c.Lint(context.Background(), &buf, opts)
 		}
 	} else {
 		// One session shares memoized trace preparation across inputs that
@@ -165,7 +126,7 @@ func main() {
 		for i := range inputs {
 			i := i
 			g.Go(func() error {
-				tr, prog, err := inputs[i].load()
+				tr, prog, err := inputs[i].Load()
 				if err != nil {
 					errs[i] = err
 					return nil
@@ -187,7 +148,7 @@ func main() {
 		out := make([]*analysis.Report, 0, len(reports))
 		for i, rep := range reports {
 			if errs[i] != nil {
-				fmt.Fprintf(os.Stderr, "tflint: %s: %v\n", inputs[i].name, errs[i])
+				fmt.Fprintf(os.Stderr, "tflint: %s: %v\n", inputs[i].Name, errs[i])
 				failed = true
 				continue
 			}
@@ -202,7 +163,7 @@ func main() {
 	} else {
 		for i, rep := range reports {
 			if errs[i] != nil {
-				fmt.Fprintf(os.Stderr, "tflint: %s: %v\n", inputs[i].name, errs[i])
+				fmt.Fprintf(os.Stderr, "tflint: %s: %v\n", inputs[i].Name, errs[i])
 				failed = true
 				continue
 			}

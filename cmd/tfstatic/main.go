@@ -44,17 +44,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/url"
 	"os"
-	"strconv"
 	"strings"
 
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/opt"
 	"threadfuser/internal/serve"
 	"threadfuser/internal/staticlock"
-	"threadfuser/internal/staticmem"
-	"threadfuser/internal/staticsimt"
 	"threadfuser/internal/workloads"
 )
 
@@ -107,11 +103,10 @@ func main() {
 	case *locks || *races:
 		mode = "locks"
 	}
-	var oracle analysis.Oracle
-	for _, o := range analysis.Oracles() {
-		if o.Mode == mode {
-			oracle = o
-		}
+	oracle, err := analysis.StaticOracle(mode, *budget)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tfstatic:", err)
+		os.Exit(2)
 	}
 	if *server != "" && *verify {
 		// The cross-check replays a freshly traced workload; the service only
@@ -126,18 +121,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var list []*workloads.Workload
-	if *all {
-		list = workloads.All()
-	} else if *wlNames != "" {
-		for _, name := range strings.Split(*wlNames, ",") {
-			w, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tfstatic:", err)
-				os.Exit(2)
-			}
-			list = append(list, w)
-		}
+	list, err := workloads.Select(*wlNames, *all)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tfstatic:", err)
+		os.Exit(2)
 	}
 	if len(list) == 0 {
 		flag.Usage()
@@ -146,61 +133,32 @@ func main() {
 
 	failed := false
 	var results []any
+	client := serve.Client{BaseURL: *server, Tenant: *tenant}
 	for _, w := range list {
 		var (
-			res     *staticsimt.Result
-			lockRes *staticlock.Result
-			memRes  *staticmem.Result
-			inst    *workloads.Instance
+			sr   *analysis.StaticResult
+			inst *workloads.Instance
+			err  error
 		)
 		if *server != "" {
 			// Server mode: the service instantiates and analyzes the bundled
-			// workload itself; only the parameters travel.
-			// seed and threads travel unconditionally: the service's own
-			// defaults differ from this CLI's.
-			q := url.Values{
-				"workload": {w.Name},
-				"opt":      {*level},
-				"threads":  {strconv.Itoa(*threads)},
-				"seed":     {strconv.FormatInt(*seed, 10)},
-				"mode":     {mode},
+			// workload itself; only the parameters travel, all of them, since
+			// the service's defaults differ from this CLI's.
+			var rep *serve.StaticReport
+			if rep, err = client.Static(context.Background(), serve.StaticRequest{
+				Workload: w.Name, Mode: mode, Opt: lvl, Threads: *threads, Seed: *seed, Budget: *budget,
+			}); err == nil {
+				sr = &rep.StaticResult
 			}
-			if *budget != 0 {
-				q.Set("budget", strconv.Itoa(*budget))
-			}
-			c := serve.Client{BaseURL: *server, Tenant: *tenant}
-			rep, err := c.Static(context.Background(), q)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tfstatic: %s: %v\n", w.Name, err)
-				failed = true
-				continue
-			}
-			res, lockRes, memRes = rep.SIMT, rep.Locks, rep.Mem
-			if (mode == "locks" && lockRes == nil) || (mode == "mem" && memRes == nil) || (mode == "simt" && res == nil) {
-				fmt.Fprintf(os.Stderr, "tfstatic: %s: server response missing the requested report\n", w.Name)
-				failed = true
-				continue
-			}
-		} else {
-			var err error
-			if inst, err = w.Instantiate(workloads.Config{Threads: *threads, Seed: *seed}); err != nil {
-				fmt.Fprintf(os.Stderr, "tfstatic: %s: %v\n", w.Name, err)
-				failed = true
-				continue
-			}
-			prog := inst.Prog
-			if lvl != opt.O1 {
-				prog = opt.Apply(prog, lvl)
-			}
-			switch mode {
-			case "mem":
-				memRes = staticmem.Analyze(prog)
-			case "locks":
-				lockRes = staticlock.Analyze(prog)
-			default:
-				res = staticsimt.Analyze(prog, staticsimt.Options{MeldBudget: *budget})
-			}
+		} else if inst, err = w.Instantiate(workloads.Config{Threads: *threads, Seed: *seed}); err == nil {
+			sr, err = analysis.RunStatic(inst.Prog, lvl, mode, *budget)
 		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tfstatic: %s: %v\n", w.Name, err)
+			failed = true
+			continue
+		}
+		res, lockRes, memRes := sr.SIMT, sr.Locks, sr.Mem
 
 		switch mode {
 		case "mem":
@@ -308,7 +266,7 @@ func renderConcurrency(w io.Writer, res *staticlock.Result, showLocks, showRaces
 // verifyWorkload traces one workload instance and runs the oracle's lint
 // pass over it; it reports the pass' findings and returns false when any
 // soundness-class (error-severity) finding survives.
-func verifyWorkload(inst *workloads.Instance, name string, o analysis.Oracle) bool {
+func verifyWorkload(inst *workloads.Instance, name string, o *analysis.Oracle) bool {
 	tr, err := inst.Trace()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tfstatic: %s: trace: %v\n", name, err)

@@ -8,6 +8,7 @@ import (
 	"threadfuser/internal/cfg"
 	"threadfuser/internal/core"
 	"threadfuser/internal/ir"
+	"threadfuser/internal/opt"
 	"threadfuser/internal/staticlock"
 	"threadfuser/internal/staticmem"
 	"threadfuser/internal/staticsimt"
@@ -34,6 +35,8 @@ type Oracle struct {
 	// divergent acquires SevWarning, precision gaps and the closing summary
 	// line SevInfo. Callers run MatchProgram first.
 	Verify func(in *VerifyInput) []Finding
+	// analyze runs the oracle alone over a program (see RunStatic).
+	analyze func(prog *ir.Program, budget int) StaticResult
 }
 
 // VerifyInput is what an oracle is verified against.
@@ -58,12 +61,18 @@ var oracles = []Oracle{
 		PropDesc: "no branch the static oracle classifies warp-uniform ever records a divergence",
 		Replays:  true,
 		Verify:   verifyUniform,
+		analyze: func(p *ir.Program, budget int) StaticResult {
+			return StaticResult{SIMT: staticsimt.Analyze(p, staticsimt.Options{MeldBudget: budget})}
+		},
 	},
 	{
 		Pass: "staticlock", Prop: "staticlockset", Mode: "locks",
 		PassDesc: "static concurrency oracle vs dynamic replay: lockset/lock-order soundness, precision gaps, divergent acquires",
 		PropDesc: "every dynamic lockset race and lock-order cycle has a covering static candidate",
 		Verify:   verifyLocks,
+		analyze: func(p *ir.Program, _ int) StaticResult {
+			return StaticResult{Locks: staticlock.Analyze(p)}
+		},
 	},
 	{
 		Pass: "staticmem", Prop: "staticcoalesce", Mode: "mem",
@@ -71,11 +80,68 @@ var oracles = []Oracle{
 		PropDesc: "no replayed memory site exceeds its static transactions-per-warp bound or contradicts its segment claim",
 		Replays:  true,
 		Verify:   verifyMem,
+		analyze: func(p *ir.Program, _ int) StaticResult {
+			return StaticResult{Mem: staticmem.Analyze(p)}
+		},
 	},
 }
 
 // Oracles returns the static oracle registry in lint pass order.
 func Oracles() []Oracle { return oracles }
+
+// StaticResult is one static oracle's result for a program: the field of
+// the oracle's mode is set and the others are nil.
+type StaticResult struct {
+	SIMT  *staticsimt.Result `json:"simt,omitempty"`
+	Locks *staticlock.Result `json:"locks,omitempty"`
+	Mem   *staticmem.Result  `json:"mem,omitempty"`
+}
+
+// Mode names the oracle whose result r holds, or "" when it holds none.
+func (r *StaticResult) Mode() string {
+	switch {
+	case r.SIMT != nil:
+		return "simt"
+	case r.Locks != nil:
+		return "locks"
+	case r.Mem != nil:
+		return "mem"
+	}
+	return ""
+}
+
+// StaticOracle returns the oracle registered under mode and checks budget,
+// the uniformity oracle's meld budget: 0 selects the O3 budget and a
+// negative budget is an error. tfstatic reports an error here as a usage
+// error and /v1/static as a 400, so both apply the same rules.
+func StaticOracle(mode string, budget int) (*Oracle, error) {
+	if budget < 0 {
+		return nil, fmt.Errorf("meld budget %d is negative (0 selects the O3 budget)", budget)
+	}
+	var modes []string
+	for i := range oracles {
+		if oracles[i].Mode == mode {
+			return &oracles[i], nil
+		}
+		modes = append(modes, oracles[i].Mode)
+	}
+	return nil, fmt.Errorf("unknown static mode %q (want one of %s)", mode, strings.Join(modes, ", "))
+}
+
+// RunStatic runs the static oracle registered under mode over prog, an
+// instantiated (O1) program, after optimizing it to level. It is the one
+// mode dispatch that tfstatic and /v1/static share.
+func RunStatic(prog *ir.Program, level opt.Level, mode string, budget int) (*StaticResult, error) {
+	o, err := StaticOracle(mode, budget)
+	if err != nil {
+		return nil, err
+	}
+	if level != opt.O1 {
+		prog = opt.Apply(prog, level)
+	}
+	res := o.analyze(prog, budget)
+	return &res, nil
+}
 
 // MatchProgram checks that prog describes the traced binary: the same
 // functions, blocks and per-block instruction counts. Every static-vs-dynamic

@@ -29,9 +29,38 @@ var staticOracles = []struct {
 	{"mem", func(p *ir.Program) any { return staticmem.Analyze(p) }},
 }
 
+// pinnedPrograms are hand-built inputs for paths no catalog workload takes.
+func pinnedPrograms() []*ir.Program {
+	// A phantom (a function the entry never reaches) calls a lock-taking
+	// callee that nothing else calls. The call must not enter the callee,
+	// which is a phantom of its own, solved under the phantom seed.
+	pb := ir.NewBuilder("phantomcaller")
+	mainF, phantom, taker := pb.NewFunc("main"), pb.NewFunc("phantom"), pb.NewFunc("taker")
+	mainF.NewBlock("entry").Lock(ir.Imm(0x100)).Unlock(ir.Imm(0x100)).Ret()
+	p0, p1 := phantom.NewBlock("entry"), phantom.NewBlock("cont")
+	p0.Lock(ir.Imm(0x200)).Call(taker, p1)
+	p1.Unlock(ir.Imm(0x200)).Ret()
+	taker.NewBlock("entry").Lock(ir.Imm(0x300)).Unlock(ir.Imm(0x300)).Ret()
+	phantomCaller := pb.MustBuild()
+
+	// Both arms of a divergent branch take 0x100 at different sites, then
+	// the join nests 0x108 inside it. The may-lockset join keeps the lower
+	// site as the witness of the 0x100 -> 0x108 edge.
+	pb = ir.NewBuilder("nestedwitness")
+	f := pb.NewFunc("main")
+	entry, left, right, join := f.NewBlock("entry"), f.NewBlock("left"), f.NewBlock("right"), f.NewBlock("join")
+	entry.Mov(ir.Rg(ir.R(2)), ir.Rg(ir.TID)).And(ir.Rg(ir.R(2)), ir.Imm(1)).Cmp(ir.Rg(ir.R(2)), ir.Imm(0))
+	entry.Jcc(ir.CondEQ, left, right)
+	left.Lock(ir.Imm(0x100)).Jmp(join)
+	right.Nop(1).Lock(ir.Imm(0x100)).Jmp(join)
+	join.Lock(ir.Imm(0x108)).Unlock(ir.Imm(0x108)).Unlock(ir.Imm(0x100)).Ret()
+	return []*ir.Program{phantomCaller, pb.MustBuild()}
+}
+
 // TestStaticOracleGolden pins the static oracles' precision across changes:
 // one SHA-256 of the JSON result per (workload, optimization level, oracle),
-// at the tfstatic defaults (seed 7, default threads). Soundness tests only
+// at the tfstatic defaults (seed 7, default threads), and per
+// (pinnedPrograms entry, optimization level, oracle). Soundness tests only
 // bound the facts from one side, so a change that loses precision would pass
 // them; this one fails on any drift. Run with -update after an intentional
 // behaviour change:
@@ -40,25 +69,31 @@ var staticOracles = []struct {
 func TestStaticOracleGolden(t *testing.T) {
 	path := filepath.Join("testdata", "golden_static.json")
 	got := make(map[string]string)
-	for _, w := range workloads.All() {
-		inst, err := w.Instantiate(workloads.Config{Seed: 7})
-		if err != nil {
-			t.Fatalf("%s: instantiate: %v", w.Name, err)
-		}
+	pin := func(name string, base *ir.Program) {
 		for _, lvl := range opt.Levels {
-			prog := inst.Prog
+			prog := base
 			if lvl != opt.O1 {
 				prog = opt.Apply(prog, lvl)
 			}
 			for _, o := range staticOracles {
 				data, err := json.Marshal(o.analyze(prog))
 				if err != nil {
-					t.Fatalf("%s/%s/%s: marshal: %v", w.Name, lvl, o.name, err)
+					t.Fatalf("%s/%s/%s: marshal: %v", name, lvl, o.name, err)
 				}
 				sum := sha256.Sum256(data)
-				got[w.Name+"/"+lvl.String()+"/"+o.name] = hex.EncodeToString(sum[:])
+				got[name+"/"+lvl.String()+"/"+o.name] = hex.EncodeToString(sum[:])
 			}
 		}
+	}
+	for _, w := range workloads.All() {
+		inst, err := w.Instantiate(workloads.Config{Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: instantiate: %v", w.Name, err)
+		}
+		pin(w.Name, inst.Prog)
+	}
+	for _, prog := range pinnedPrograms() {
+		pin("pinned."+prog.Name, prog)
 	}
 
 	if *update {

@@ -154,9 +154,9 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/lint", s.handleLint)
-	mux.HandleFunc("POST /v1/check", s.handleCheck)
+	mux.HandleFunc("POST /v1/analyze", s.serveUpload("analyze", s.analyzeJob))
+	mux.HandleFunc("POST /v1/lint", s.serveUpload("lint", s.lintJob))
+	mux.HandleFunc("POST /v1/check", s.serveUpload("check", s.checkJob))
 	mux.HandleFunc("GET /v1/static", s.handleStatic)
 	s.mux = mux
 	return s
@@ -361,13 +361,7 @@ func (s *Server) awaitFlight(ctx context.Context, w http.ResponseWriter, f *flig
 		} else {
 			h.Set("X-Tfserve-Cache", "miss")
 		}
-		if out.status >= 500 {
-			s.stats.serverErrors.Add(1)
-		} else if out.status >= 400 {
-			s.stats.clientErrors.Add(1)
-		} else {
-			s.stats.completed.Add(1)
-		}
+		s.countStatus(out.status)
 		w.WriteHeader(out.status)
 		w.Write(out.body)
 		return true
@@ -429,6 +423,26 @@ func (s *Server) runJob(jctx context.Context, job func(context.Context) (any, bo
 func errOutcome(status int, format string, args ...any) *outcome {
 	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
 	return &outcome{status: status, body: body}
+}
+
+// countStatus counts one answered request by its status class: a 5xx is
+// the server's fault, a 4xx the client's, anything else a completion.
+func (s *Server) countStatus(status int) {
+	switch {
+	case status >= 500:
+		s.stats.serverErrors.Add(1)
+	case status >= 400:
+		s.stats.clientErrors.Add(1)
+	default:
+		s.stats.completed.Add(1)
+	}
+}
+
+// failRequest counts a request that fails before reaching a flight and
+// writes its JSON error response.
+func (s *Server) failRequest(w http.ResponseWriter, status int, format string, args ...any) {
+	s.countStatus(status)
+	s.fail(w, status, format, args...)
 }
 
 // fail writes a JSON error response.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,25 @@ func TestUploadTooLarge(t *testing.T) {
 		t.Fatalf("oversized upload: status %d (%s), want 413", resp.StatusCode, body.String())
 	}
 	assertNoLeak(t, srv, "oversized upload")
+}
+
+// TestSpoolFailureIsServerError: an upload the server cannot spool fails
+// with 500 and counts as the server's error, not the client's.
+func TestSpoolFailureIsServerError(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 2, SpoolDir: filepath.Join(t.TempDir(), "missing")})
+	resp, err := ts.Client().Post(ts.URL+"/v1/analyze", "application/octet-stream",
+		bytes.NewReader(tftBytes(t, testTrace(), true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("upload with no spool directory: status %d, want 500", resp.StatusCode)
+	}
+	if st := srv.Snapshot(); st.ServerErrors != 1 || st.ClientErrors != 0 {
+		t.Fatalf("stats: %d server / %d client errors, want 1 / 0", st.ServerErrors, st.ClientErrors)
+	}
+	assertNoLeak(t, srv, "spool failure")
 }
 
 // FuzzUpload hammers the analyze upload handler with arbitrary bytes. The

@@ -71,10 +71,6 @@ type cursor struct {
 	skipSpin uint64
 }
 
-func newCursor(th *trace.ThreadTrace) *cursor {
-	return &cursor{recs: th.Records}
-}
-
 // reset points the cursor at a new thread's records, keeping the function
 // stack's backing array so replay workers reuse cursors across warps without
 // reallocating.

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"threadfuser/internal/cfg"
@@ -180,6 +181,47 @@ func TestReplayRejectsBadWarpSize(t *testing.T) {
 	}
 	if _, err := Replay(tr, nil, nil, nil, Options{WarpSize: 65}); err == nil {
 		t.Error("warp size 65 accepted")
+	}
+}
+
+// TestReplayReportsLowestFailingWarp pins the error contract of Replay at
+// every worker count: when several warps fail, the lowest-numbered warp's
+// failure comes back, as an error and not a panic. Warps 2 and 5 each hold
+// a lane whose record stream returns from a call before reaching its next
+// block, which Validate would reject and replay recovers from.
+func TestReplayReportsLowestFailingWarp(t *testing.T) {
+	const threads, width = 16, 2
+	p := vm.NewProcess(lockProgram(t, 2))
+	tr, err := vm.TraceAll(p, threads, vm.RunConfig{}, lockSetup(p, threads, threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs, err := cfg.Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdoms := ipdom.ComputeAll(graphs)
+	warps, err := warp.Form(tr, width, warp.RoundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wi := range []int{2, 5} {
+		th := tr.Threads[warps[wi][0]]
+		th.Records = append([]trace.Record{th.Records[0], {Kind: trace.KindCall}, {Kind: trace.KindRet}}, th.Records[1:]...)
+	}
+	for _, par := range []int{1, 4, 0} {
+		for _, c := range []struct {
+			warps []warp.Warp
+			want  string
+		}{
+			{warps, "warp 2:"},
+			{warps[3:], "warp 2:"}, // the original warp 5
+		} {
+			_, err := Replay(tr, graphs, pdoms, c.warps, Options{WarpSize: width, Parallelism: par})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("parallelism %d over %d warps: error %v, want the failure of %s", par, len(c.warps), err, c.want)
+			}
+		}
 	}
 }
 

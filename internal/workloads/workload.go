@@ -11,6 +11,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"threadfuser/internal/hwsim"
 	"threadfuser/internal/ir"
@@ -157,6 +158,63 @@ func ByName(name string) (*Workload, error) {
 		return w, nil
 	}
 	return nil, fmt.Errorf("workloads: unknown workload %q (have %d registered; see workloads.All)", name, len(registry))
+}
+
+// Select resolves a CLI's workload selection: every workload when all is
+// set, else the comma-separated names in list, in order. An empty list
+// selects none; an unknown name is an error.
+func Select(list string, all bool) ([]*Workload, error) {
+	if all {
+		return All(), nil
+	}
+	if list == "" {
+		return nil, nil
+	}
+	var out []*Workload
+	for _, name := range strings.Split(list, ",") {
+		w, err := ByName(strings.TrimSpace(name))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
+}
+
+// Input is one tflint or tfcheck input: a .tft trace file, or a workload
+// traced when loaded.
+type Input struct {
+	Name string
+	// Load reads or traces the input. A workload also yields its program,
+	// which a trace file does not carry.
+	Load func() (*trace.Trace, *ir.Program, error)
+}
+
+// Inputs lists the trace files at paths, then the workloads that Select
+// resolves from list and all, instantiated under cfg when loaded.
+func Inputs(paths []string, list string, all bool, cfg Config) ([]Input, error) {
+	ws, err := Select(list, all)
+	if err != nil {
+		return nil, err
+	}
+	var in []Input
+	for _, path := range paths {
+		in = append(in, Input{Name: path, Load: func() (*trace.Trace, *ir.Program, error) {
+			tr, err := trace.ReadFileParallel(path, 1)
+			return tr, nil, err
+		}})
+	}
+	for _, w := range ws {
+		in = append(in, Input{Name: w.Name, Load: func() (*trace.Trace, *ir.Program, error) {
+			inst, err := w.Instantiate(cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			tr, err := inst.Trace()
+			return tr, inst.Prog, err
+		}})
+	}
+	return in, nil
 }
 
 // All returns every registered workload ordered by suite then name, the

@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"threadfuser/internal/core"
@@ -311,5 +313,38 @@ func TestScaleKnob(t *testing.T) {
 	if tb.TotalInstructions() <= 2*ts.TotalInstructions() {
 		t.Errorf("Scale=2 trace (%d instrs) not > 2x Scale=0.5 trace (%d)",
 			tb.TotalInstructions(), ts.TotalInstructions())
+	}
+}
+
+// TestSelect: -all wins over a list, names resolve in order with spaces
+// trimmed, an empty list selects none, and an unknown name is an error.
+func TestSelect(t *testing.T) {
+	names := func(ws []*Workload) []string {
+		var out []string
+		for _, w := range ws {
+			out = append(out, w.Name)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		list string
+		all  bool
+		want []string
+	}{
+		{"", false, nil},
+		{"vectoradd", false, []string{"vectoradd"}},
+		{"uncoalesced, vectoradd", false, []string{"uncoalesced", "vectoradd"}},
+		{"vectoradd", true, names(All())},
+	} {
+		got, err := Select(c.list, c.all)
+		if err != nil {
+			t.Fatalf("Select(%q, %t): %v", c.list, c.all, err)
+		}
+		if g := names(got); !reflect.DeepEqual(g, c.want) {
+			t.Errorf("Select(%q, %t) = %v, want %v", c.list, c.all, g, c.want)
+		}
+	}
+	if _, err := Select("vectoradd,nosuch", false); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Errorf("unknown name: error %v, want one naming it", err)
 	}
 }

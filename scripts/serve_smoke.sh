@@ -6,8 +6,10 @@
 # `tfanalyze -server` must be byte-identical (as indented JSON) to the one
 # `tfanalyze -json` computes locally. When curl is available the raw HTTP
 # surface is exercised too: two identical POSTs must return byte-identical
-# bodies, with the second served from the report cache. Finishes with the
-# tfcheck/tfstatic -server modes and a SIGTERM graceful-shutdown check.
+# bodies, with the second served from the report cache. Then the
+# tflint/tfcheck/tfstatic -server modes, a leg of non-default options
+# whose remote output must match the local one, and a SIGTERM
+# graceful-shutdown check.
 #
 # Usage: scripts/serve_smoke.sh   (CI runs it as the "tfserve smoke" step)
 set -eu
@@ -101,6 +103,28 @@ if ! diff -u "$workdir/static-local.json" "$workdir/static-remote.json"; then
 	exit 1
 fi
 "$bin/tfstatic" -server "$base" -workload vectoradd -locks -q
+
+# The typed client encodes every option the local path reads: with
+# non-default options the remote output must still match the local one.
+same() {
+	if ! diff -u "$workdir/$1-local.json" "$workdir/$1-remote.json"; then
+		echo "serve_smoke: FAIL: remote $1 output differs from local" >&2
+		exit 1
+	fi
+}
+echo "serve_smoke: non-default options"
+set -- -json -trace "$workdir/pigz.tft" -warp 8 -formation strided -locks
+"$bin/tfanalyze" "$@" >"$workdir/analyze-nd-local.json"
+"$bin/tfanalyze" "$@" -server "$base" >"$workdir/analyze-nd-remote.json"
+same analyze-nd
+set -- -json -severity error -formation greedy -passes divergence
+"$bin/tflint" "$@" "$workdir/pigz.tft" >"$workdir/lint-nd-local.json"
+"$bin/tflint" "$@" -server "$base" "$workdir/pigz.tft" >"$workdir/lint-nd-remote.json"
+same lint-nd
+set -- -json -all -mem -opt O3
+"$bin/tfstatic" "$@" >"$workdir/static-nd-local.json"
+"$bin/tfstatic" "$@" -server "$base" >"$workdir/static-nd-remote.json"
+same static-nd
 
 echo "serve_smoke: graceful shutdown"
 kill -TERM "$server_pid"

@@ -53,9 +53,8 @@ type Options struct {
 	// EmulateLocks serializes contended intra-warp critical sections
 	// (figure 9); by default fine-grain locking is assumed.
 	EmulateLocks bool
-	// Strided / GreedyBatching select alternative warp formations.
-	Strided        bool
-	GreedyBatching bool
+	// Formation selects the warp batching (default RoundRobin).
+	Formation Formation
 	// Parallelism bounds the replay worker pool: 0 uses one worker per
 	// core, 1 forces serial replay. Parallel and serial replay produce
 	// bit-identical reports.
@@ -66,6 +65,17 @@ type Options struct {
 	// (serial and parallel replay are bit-identical).
 	Cache *Cache
 }
+
+// Formation selects how threads are batched into warps.
+type Formation = warp.Formation
+
+// Warp formations: consecutive thread ids (the paper's default), threads
+// dealt across warps like cards, or threads grouped by entry block.
+const (
+	RoundRobin  = warp.RoundRobin
+	Strided     = warp.Strided
+	GreedyEntry = warp.GreedyEntry
+)
 
 // Cache is a content-addressed on-disk report cache keyed by trace content
 // and analysis options (see internal/core). Corrupt or stale entries degrade
@@ -93,12 +103,7 @@ func (o Options) coreOptions() core.Options {
 		opts.WarpSize = o.WarpSize
 	}
 	opts.EmulateLocks = o.EmulateLocks
-	if o.Strided {
-		opts.Formation = warp.Strided
-	}
-	if o.GreedyBatching {
-		opts.Formation = warp.GreedyEntry
-	}
+	opts.Formation = o.Formation
 	opts.Parallelism = o.Parallelism
 	return opts
 }
@@ -179,14 +184,7 @@ const (
 )
 
 func (o Options) analysisOptions() analysis.Options {
-	opts := analysis.Options{WarpSize: o.WarpSize, Parallelism: o.Parallelism, Cache: o.Cache}
-	if o.Strided {
-		opts.Formation = warp.Strided
-	}
-	if o.GreedyBatching {
-		opts.Formation = warp.GreedyEntry
-	}
-	return opts
+	return analysis.Options{WarpSize: o.WarpSize, Formation: o.Formation, Parallelism: o.Parallelism, Cache: o.Cache}
 }
 
 // Lint runs the multi-pass analysis engine (trace sanitizer, lockset race
@@ -280,18 +278,12 @@ type CheckReport = check.Report
 type CheckViolation = check.Violation
 
 func (o Options) checkOptions() check.Options {
-	opts := check.Options{Cache: o.Cache}
+	opts := check.Options{Formations: []Formation{o.Formation}, Cache: o.Cache}
 	if o.WarpSize != 0 {
 		opts.WarpSizes = []int{o.WarpSize}
 	}
 	if o.Parallelism > 1 {
 		opts.Parallelism = []int{1, o.Parallelism}
-	}
-	if o.Strided {
-		opts.Formations = []warp.Formation{warp.Strided}
-	}
-	if o.GreedyBatching {
-		opts.Formations = []warp.Formation{warp.GreedyEntry}
 	}
 	return opts
 }

@@ -91,11 +91,11 @@ func TestFacadeBatchingOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strided, err := AnalyzeWorkload(w, Options{Seed: 3, Strided: true})
+	strided, err := AnalyzeWorkload(w, Options{Seed: 3, Formation: Strided})
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := AnalyzeWorkload(w, Options{Seed: 3, GreedyBatching: true})
+	greedy, err := AnalyzeWorkload(w, Options{Seed: 3, Formation: GreedyEntry})
 	if err != nil {
 		t.Fatal(err)
 	}
