@@ -499,22 +499,13 @@ func decodeBenchSetup(b *testing.B) {
 			decodeBench.err = err
 			return
 		}
-		var v1, v2, v3 bytes.Buffer
-		if err := trace.Encode(&v1, tr); err != nil {
-			decodeBench.err = err
-			return
+		for v, dst := range []*[]byte{&decodeBench.v1, &decodeBench.v2, &decodeBench.v3} {
+			var buf bytes.Buffer
+			if decodeBench.err = trace.Encode(&buf, tr, v+1); decodeBench.err != nil {
+				return
+			}
+			*dst = buf.Bytes()
 		}
-		if err := trace.EncodeCompact(&v2, tr); err != nil {
-			decodeBench.err = err
-			return
-		}
-		if err := trace.EncodeIndexed(&v3, tr); err != nil {
-			decodeBench.err = err
-			return
-		}
-		decodeBench.v1 = v1.Bytes()
-		decodeBench.v2 = v2.Bytes()
-		decodeBench.v3 = v3.Bytes()
 	})
 	if decodeBench.err != nil {
 		b.Fatal(decodeBench.err)
@@ -551,15 +542,16 @@ func BenchmarkDecodeV3Serial(b *testing.B) {
 }
 
 // BenchmarkDecodeV3Parallel fans per-thread section decoding over one worker
-// per core using the v3 index. The decoded trace is identical to the serial
-// path; only wall-clock differs.
+// per core using the v3 index (DecodeStrict runs the same decode as the
+// lenient readers on a valid v3 input). The decoded trace is identical to
+// the serial path; only wall-clock differs.
 func BenchmarkDecodeV3Parallel(b *testing.B) {
 	decodeBenchSetup(b)
 	data := decodeBench.v3
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.DecodeParallel(bytes.NewReader(data), int64(len(data)), 0); err != nil {
+		if _, err := trace.DecodeStrict(bytes.NewReader(data), int64(len(data)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}

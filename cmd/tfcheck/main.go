@@ -123,7 +123,7 @@ func main() {
 			// The static-oracle invariants skip server-side, exactly as for
 			// .tft file inputs locally (uploads carry no IR).
 			var buf bytes.Buffer
-			if err = trace.EncodeIndexed(&buf, tr); err == nil {
+			if err = trace.Encode(&buf, tr, 3); err == nil {
 				rep, err = client.Check(context.Background(), &buf, in.Name, opts)
 			}
 		default:

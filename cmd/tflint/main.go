@@ -110,7 +110,7 @@ func main() {
 			var buf bytes.Buffer
 			tr, _, err := inputs[i].Load()
 			if err == nil {
-				err = trace.EncodeIndexed(&buf, tr)
+				err = trace.Encode(&buf, tr, 3)
 			}
 			if err != nil {
 				errs[i] = err

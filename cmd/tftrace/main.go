@@ -48,6 +48,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tftrace: -workload is required (try -list)")
 		os.Exit(2)
 	}
+	version := 1
+	switch {
+	case *compact && *index:
+		fmt.Fprintln(os.Stderr, "tftrace: -compact and -index are exclusive (v3 already delta-encodes addresses)")
+		os.Exit(2)
+	case *compact:
+		version = 2
+	case *index:
+		version = 3
+	}
 	w, err := workloads.ByName(*name)
 	if err != nil {
 		fatal(err)
@@ -81,14 +91,14 @@ func main() {
 	if path == "" {
 		path = *name + ".tft"
 	}
-	write := trace.WriteFile
-	if *compact {
-		write = trace.WriteFileCompact
+	f, err := os.Create(path)
+	if err == nil {
+		err = trace.Encode(f, tr, version)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if *index {
-		write = trace.WriteFileIndexed
-	}
-	if err := write(path, tr); err != nil {
+	if err != nil {
 		fatal(err)
 	}
 	if !*quiet {

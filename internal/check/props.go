@@ -181,44 +181,36 @@ var properties = slices.Concat([]Property{
 		desc: "encode-decode-encode is a fixed point for every codec version",
 		check: func(c *ctx) {
 			cell := Cell{WarpSize: c.opts.WarpSizes[0], Parallelism: 1, Formation: c.opts.Formations[0]}
-			encoders := []struct {
-				name string
-				enc  func(*bytes.Buffer, *trace.Trace) error
-			}{
-				{"v1", func(b *bytes.Buffer, t *trace.Trace) error { return trace.Encode(b, t) }},
-				{"v2", func(b *bytes.Buffer, t *trace.Trace) error { return trace.EncodeCompact(b, t) }},
-				{"v3", func(b *bytes.Buffer, t *trace.Trace) error { return trace.EncodeIndexed(b, t) }},
-			}
 			var decoded []*trace.Trace
-			for _, e := range encoders {
+			for v := 1; v <= 3; v++ {
 				var first bytes.Buffer
-				if err := e.enc(&first, c.tr); err != nil {
+				if err := trace.Encode(&first, c.tr, v); err != nil {
 					c.check()
-					c.violatef(cell, "%s encode: %v", e.name, err)
+					c.violatef(cell, "v%d encode: %v", v, err)
 					continue
 				}
 				t2, err := trace.Decode(bytes.NewReader(first.Bytes()))
 				if err != nil {
 					c.check()
-					c.violatef(cell, "%s decode of own encoding: %v", e.name, err)
+					c.violatef(cell, "v%d decode of own encoding: %v", v, err)
 					continue
 				}
 				var second bytes.Buffer
-				if err := e.enc(&second, t2); err != nil {
+				if err := trace.Encode(&second, t2, v); err != nil {
 					c.check()
-					c.violatef(cell, "%s re-encode: %v", e.name, err)
+					c.violatef(cell, "v%d re-encode: %v", v, err)
 					continue
 				}
 				c.assert(cell, bytes.Equal(first.Bytes(), second.Bytes()),
-					"%s encode(decode(encode(t))) differs from encode(t): %d vs %d bytes",
-					e.name, second.Len(), first.Len())
+					"v%d encode(decode(encode(t))) differs from encode(t): %d vs %d bytes",
+					v, second.Len(), first.Len())
 				c.assert(cell, (c.tr.Validate() == nil) == (t2.Validate() == nil),
-					"%s round trip changed validity", e.name)
+					"v%d round trip changed validity", v)
 				decoded = append(decoded, t2)
 			}
 			for i := 1; i < len(decoded); i++ {
 				c.assert(cell, reflect.DeepEqual(decoded[0], decoded[i]),
-					"v1 and %s round trips decode to different traces", encoders[i].name)
+					"the v1 and v%d round trips decode to different traces", i+1)
 			}
 		},
 	},

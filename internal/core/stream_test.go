@@ -15,7 +15,7 @@ import (
 func indexedReader(t *testing.T, tr *trace.Trace) *trace.Reader {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.EncodeIndexed(&buf, tr); err != nil {
+	if err := trace.Encode(&buf, tr, 3); err != nil {
 		t.Fatalf("encode indexed: %v", err)
 	}
 	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
@@ -62,7 +62,7 @@ func TestAnalyzeStreamMatchesBatch(t *testing.T) {
 // bit.
 func TestSessionIngestCacheHit(t *testing.T) {
 	var buf bytes.Buffer
-	if err := trace.EncodeIndexed(&buf, traceWorkload(t, "rodinia.bfs", 64)); err != nil {
+	if err := trace.Encode(&buf, traceWorkload(t, "rodinia.bfs", 64), 3); err != nil {
 		t.Fatal(err)
 	}
 	c := NewCache(t.TempDir())

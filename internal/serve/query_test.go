@@ -140,7 +140,7 @@ func TestClientMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.EncodeIndexed(&buf, tr); err != nil {
+	if err := trace.Encode(&buf, tr, 3); err != nil {
 		t.Fatal(err)
 	}
 	tft := buf.Bytes()

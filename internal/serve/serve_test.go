@@ -53,13 +53,11 @@ func testTrace() *trace.Trace {
 func tftBytes(t testing.TB, tr *trace.Trace, indexed bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
+	version := 1
 	if indexed {
-		err = trace.EncodeIndexed(&buf, tr)
-	} else {
-		err = trace.Encode(&buf, tr)
+		version = 3
 	}
-	if err != nil {
+	if err := trace.Encode(&buf, tr, version); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -30,7 +30,8 @@ import (
 // Record.Mem/Record.Locks is a sub-slice of the shared access/lock tables.
 // Nothing a consumer can observe distinguishes an arena-backed trace from
 // one built record by record (reflect.DeepEqual included), which is what the
-// differential tests against the legacy streaming decoder assert.
+// differential tests against the reference stream decoder (a test file's
+// decodeStream) assert.
 
 // Arena is the columnar backing store of a decoded trace. All threads'
 // records live contiguously in Records (thread sections in file order), all
@@ -68,9 +69,9 @@ func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	return t
 }
 
-// bdec decodes .tft structures from an in-memory byte slice. Unlike the
-// stream decoder it makes no reader interface calls: the single-byte varint
-// fast path is a bounds check and an increment.
+// bdec decodes .tft structures from an in-memory byte slice; it is the only
+// production parser of .tft bytes. It makes no reader interface calls: the
+// single-byte varint fast path is a bounds check and an increment.
 type bdec struct {
 	data []byte
 	off  int
@@ -157,7 +158,7 @@ func (d *bdec) str() string {
 	if d.err != nil {
 		return ""
 	}
-	if n > 1<<20 {
+	if n > maxString {
 		d.err = fmt.Errorf("implausible string length %d", n)
 		return ""
 	}
@@ -165,16 +166,13 @@ func (d *bdec) str() string {
 		d.err = io.ErrUnexpectedEOF
 		return ""
 	}
-	s := string(d.data[d.off : d.off+uint64asInt(n)])
-	d.off += uint64asInt(n)
+	s := string(d.data[d.off : d.off+int(n)])
+	d.off += int(n)
 	return s
 }
 
-// uint64asInt converts a value already validated to fit.
-func uint64asInt(v uint64) int { return int(v) }
-
-// count mirrors decoder.count: declared element counts are
-// attacker-controlled, so implausible ones are rejected outright.
+// count rejects implausible declared element counts outright: they are
+// attacker-controlled.
 func (d *bdec) count(what string, n uint64) uint64 {
 	if d.err == nil && n > maxCount {
 		d.err = fmt.Errorf("implausible %s count %d", what, n)
@@ -182,9 +180,9 @@ func (d *bdec) count(what string, n uint64) uint64 {
 	return n
 }
 
-// header decodes the version-independent metadata section, mirroring
-// decoder.header byte for byte (including prealloc clamps), so decode and
-// the legacy stream decoder accept and reject exactly the same inputs.
+// header decodes the version-independent metadata section. The reference
+// stream decoder mirrors it byte for byte (including prealloc clamps), so
+// the two accept and reject exactly the same inputs.
 func (d *bdec) header() *Header {
 	if len(d.data)-d.off < len(magic) {
 		d.err = io.ErrUnexpectedEOF
@@ -197,7 +195,7 @@ func (d *bdec) header() *Header {
 		return nil
 	}
 	v := d.uvarint()
-	if d.err == nil && v != version && v != version2 && v != version3 {
+	if d.err == nil && v != version1 && v != version2 && v != version3 {
 		d.err = fmt.Errorf("unsupported version %d", v)
 		return nil
 	}
@@ -224,7 +222,7 @@ func (d *bdec) header() *Header {
 	return h
 }
 
-// decode is the one decoder behind Decode, DecodeParallel, DecodeStrict and
+// decode is the one decoder behind Decode, DecodeStrict and
 // ReadFileParallel: it picks an index of the thread sections, then fills
 // every section through fillSection, up to workers at a time. A v3 index
 // footer that NewReader validates is used as is; anything else — a v1/v2
@@ -255,7 +253,7 @@ func decode(data []byte, workers int, strict bool) (*Trace, error) {
 	if strict && rerr != nil && end != len(data) {
 		return nil, fmt.Errorf("trace: decode: %d trailing bytes after the last thread section (truncated or damaged index?)", len(data)-end)
 	}
-	a, err := fill(data, index, h.Version == version, workers)
+	a, err := fill(data, index, h.Version == version1, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +262,7 @@ func decode(data []byte, workers int, strict bool) (*Trace, error) {
 
 // DecodeStrict decodes an untrusted upload, refusing inputs the lenient
 // readers would quietly truncate. A v3 container whose footer or trailer
-// was cut off still decodes under Decode/DecodeParallel — every record
+// was cut off still decodes under Decode/ReadFileParallel — every record
 // precedes the index, so the lenient path sees a complete stream and
 // ignores the damaged tail. For ingestion that leniency masks data loss:
 // the uploader meant to send an index, so unaccounted-for trailing bytes
@@ -272,8 +270,11 @@ func decode(data []byte, workers int, strict bool) (*Trace, error) {
 // given parallelism; bare v1/v2 streams must end exactly at the last thread
 // section.
 func DecodeStrict(ra io.ReaderAt, size int64, parallelism int) (*Trace, error) {
-	data, err := readAllAt(ra, size)
-	if err != nil {
+	if size < 0 || int64(int(size)) != size {
+		return nil, fmt.Errorf("trace: decode: implausible input size %d", size)
+	}
+	data := make([]byte, size)
+	if n, err := ra.ReadAt(data, 0); n < len(data) && err != nil {
 		return nil, fmt.Errorf("trace: decode: %w", err)
 	}
 	return decode(data, parallelism, true)
@@ -338,7 +339,7 @@ func measureStream(data []byte, off, nthreads int) ([]indexEntry, int, error) {
 
 // measureSection walks the thread section at off without decoding values
 // and returns its index entry: tid, byte range, and exact table sizes. It
-// rejects what the legacy stream decoder rejects — truncation, implausible
+// rejects what the reference stream decoder rejects — truncation, implausible
 // counts, unknown record kinds — except overflowing varints, which the fill
 // over the measured entry rejects. Every counted entry has consumed input
 // bytes, so hostile counts cannot inflate the allocation sized from it. The

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
-	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -39,54 +37,6 @@ func arenaEdgeTraces() map[string]*Trace {
 	}
 }
 
-// TestArenaDecodeMatchesLegacy differentially tests the arena decoder
-// against the retained streaming decoder: for random and edge-case traces in
-// every container version, both must produce deeply-equal results, as must
-// the parallel fill path.
-func TestArenaDecodeMatchesLegacy(t *testing.T) {
-	encoders := []struct {
-		name string
-		enc  func(io.Writer, *Trace) error
-	}{
-		{"v1", Encode},
-		{"v2", EncodeCompact},
-		{"v3", EncodeIndexed},
-	}
-	traces := arenaEdgeTraces()
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 12; i++ {
-		traces[string(rune('a'+i))+"-random"] = randomTrace(r)
-	}
-	for name, tr := range traces {
-		for _, e := range encoders {
-			var buf bytes.Buffer
-			if err := e.enc(&buf, tr); err != nil {
-				t.Fatalf("%s/%s: encode: %v", name, e.name, err)
-			}
-			legacy, err := decodeStream(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s/%s: legacy decode: %v", name, e.name, err)
-			}
-			arena, err := Decode(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s/%s: arena decode: %v", name, e.name, err)
-			}
-			if !reflect.DeepEqual(legacy, arena) {
-				t.Fatalf("%s/%s: arena decode differs from legacy decode", name, e.name)
-			}
-			for _, par := range []int{1, 4, 0} {
-				got, err := DecodeParallel(bytes.NewReader(buf.Bytes()), int64(buf.Len()), par)
-				if err != nil {
-					t.Fatalf("%s/%s: parallel decode (par=%d): %v", name, e.name, par, err)
-				}
-				if !reflect.DeepEqual(legacy, got) {
-					t.Fatalf("%s/%s: parallel decode (par=%d) differs from legacy decode", name, e.name, par)
-				}
-			}
-		}
-	}
-}
-
 // TestArenaInvariants checks the columnar layout contract over both index
 // sources (the v3 footer, and the measuring walk over a v1 stream): spans
 // partition the record table in file order, and the Trace view's slices are
@@ -95,10 +45,10 @@ func TestArenaDecodeMatchesLegacy(t *testing.T) {
 func TestArenaInvariants(t *testing.T) {
 	for name, tr := range arenaEdgeTraces() {
 		var v1, v3 bytes.Buffer
-		if err := Encode(&v1, tr); err != nil {
+		if err := Encode(&v1, tr, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := EncodeIndexed(&v3, tr); err != nil {
+		if err := Encode(&v3, tr, 3); err != nil {
 			t.Fatal(err)
 		}
 		r, err := NewReader(bytes.NewReader(v3.Bytes()), int64(v3.Len()))

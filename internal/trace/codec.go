@@ -8,11 +8,15 @@ import (
 	"os"
 )
 
-// File format (".tft", ThreadFuser trace):
+// File format (".tft", ThreadFuser trace). Encode writes all three container
+// versions; they share the header and the record layout, and differ only in
+// how addresses are stored and in whether an index follows the threads:
 //
-//	magic "TFTR" | version uvarint | program string | entry uvarint
-//	nfuncs uvarint { name string, nblocks uvarint { ninstr uvarint } }
-//	nthreads uvarint { tid uvarint, nrecords uvarint { record } }
+//	header   magic "TFTR" | version uvarint | program string | entry uvarint
+//	         nfuncs uvarint { name string, nblocks uvarint { ninstr uvarint } }
+//	         nthreads uvarint
+//	threads  nthreads × { tid uvarint, nrecords uvarint { record } }
+//	footer   v3 only: the thread index and trailer (see codec3.go)
 //
 // record:
 //
@@ -24,21 +28,45 @@ import (
 //	  RET : -
 //	  SKIP: skipkind byte, n uvarint
 //
-// Strings are uvarint length + bytes. All integers are unsigned varints;
-// addresses are stored raw (they are large but compress well as deltas are
-// not needed for the reduced-scale workloads this reproduction runs).
+// Strings are uvarint length + bytes. All integers are unsigned varints.
+// Version 1 stores addresses raw. Versions 2 and 3 store each address as the
+// zig-zag varint of its delta from the thread's previous address (0 at each
+// thread start, so sections decode independently). Real traces are dominated
+// by address bytes and consecutive accesses are near each other, so deltas
+// shrink files severalfold, which matters at the paper's 42K-thread scale.
+// The one production parser of these bytes is bdec (arena.go).
 
 const (
-	magic   = "TFTR"
-	version = 1
+	magic    = "TFTR"
+	version1 = 1
+	version2 = 2
+	version3 = 3
 )
 
-// Encode writes the trace to w in the .tft binary format.
-func Encode(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	e := &encoder{w: bw}
+// maxCount bounds the element counts a .tft stream may declare. Counts are
+// attacker-controlled on untrusted input (the fuzz target feeds arbitrary
+// bytes), so the decoder both rejects absurd declarations and caps slice
+// preallocation, growing by append so memory tracks bytes actually read.
+const maxCount = 1 << 20
+
+// maxString bounds the byte length of a string in a .tft stream.
+const maxString = 1 << 20
+
+// Encode writes the trace to w in the given .tft container version: 1 (raw
+// addresses), 2 (delta-encoded addresses) or 3 (v2 plus the thread index
+// footer that Reader and the parallel decoders seek by). It is the one
+// writer of .tft headers, thread sections and footers.
+func Encode(w io.Writer, t *Trace, version int) error {
+	if version < version1 || version > version3 {
+		return fmt.Errorf("trace: encode: unsupported version %d", version)
+	}
+	index, err := sizeTrace(t)
+	if err != nil {
+		return err
+	}
+	e := &encoder{w: bufio.NewWriterSize(w, 1<<16), delta: version != version1}
 	e.bytes([]byte(magic))
-	e.uvarint(version)
+	e.uvarint(uint64(version))
 	e.str(t.Program)
 	e.uvarint(uint64(t.Entry))
 	e.uvarint(uint64(len(t.Funcs)))
@@ -50,51 +78,125 @@ func Encode(w io.Writer, t *Trace) error {
 		}
 	}
 	e.uvarint(uint64(len(t.Threads)))
-	for _, th := range t.Threads {
+	headerLen := e.n
+	for i, th := range t.Threads {
+		index[i].off = e.n
 		e.uvarint(uint64(th.TID))
 		e.uvarint(uint64(len(th.Records)))
-		for i := range th.Records {
-			e.record(&th.Records[i])
+		e.prev = 0
+		for j := range th.Records {
+			e.record(&th.Records[j])
 		}
+		index[i].len = e.n - index[i].off
 	}
-	if e.err != nil {
-		return e.err
+	if version == version3 {
+		footerOff := e.n
+		e.uvarint(uint64(headerLen))
+		e.uvarint(uint64(len(index)))
+		for _, en := range index {
+			for _, v := range [...]int64{int64(en.tid), en.off, en.len, en.nrec, en.nmem, en.nlock} {
+				e.uvarint(uint64(v))
+			}
+		}
+		var trailer [trailerSize]byte
+		binary.LittleEndian.PutUint64(trailer[:8], uint64(e.n-footerOff))
+		copy(trailer[8:], indexMagic)
+		e.bytes(trailer[:])
 	}
-	return bw.Flush()
+	return e.w.Flush()
 }
 
-// WriteFile encodes the trace to the named file.
-func WriteFile(path string, t *Trace) error {
+// sizeTrace returns each thread's index entry with its tid and table sizes.
+// It refuses, with an error naming the field, what the decoder would reject:
+// a count over maxCount, a string over maxString bytes, an unknown kind.
+func sizeTrace(t *Trace) ([]indexEntry, error) {
+	if len(t.Program) > maxString {
+		return nil, tooLarge("program name length", len(t.Program), maxString)
+	}
+	if len(t.Funcs) > maxCount {
+		return nil, tooLarge("function count", len(t.Funcs), maxCount)
+	}
+	for i, f := range t.Funcs {
+		if len(f.Name) > maxString {
+			return nil, tooLarge(fmt.Sprintf("function %d name length", i), len(f.Name), maxString)
+		}
+		if len(f.Blocks) > maxCount {
+			return nil, tooLarge(fmt.Sprintf("function %d block count", i), len(f.Blocks), maxCount)
+		}
+	}
+	if len(t.Threads) > maxCount {
+		return nil, tooLarge("thread count", len(t.Threads), maxCount)
+	}
+	index := make([]indexEntry, len(t.Threads))
+	for i, th := range t.Threads {
+		if len(th.Records) > maxCount {
+			return nil, tooLarge(fmt.Sprintf("thread %d record count", th.TID), len(th.Records), maxCount)
+		}
+		en := indexEntry{tid: th.TID, nrec: int64(len(th.Records))}
+		for j := range th.Records {
+			r := &th.Records[j]
+			switch r.Kind {
+			case KindBBL:
+				if len(r.Mem) > maxCount {
+					return nil, tooLarge(fmt.Sprintf("thread %d record %d mem access count", th.TID, j), len(r.Mem), maxCount)
+				}
+				if len(r.Locks) > maxCount {
+					return nil, tooLarge(fmt.Sprintf("thread %d record %d lock op count", th.TID, j), len(r.Locks), maxCount)
+				}
+				en.nmem += int64(len(r.Mem))
+				en.nlock += int64(len(r.Locks))
+			case KindCall, KindRet, KindSkip:
+			default:
+				return nil, fmt.Errorf("trace: encode: unknown record kind %d", r.Kind)
+			}
+		}
+		index[i] = en
+	}
+	return index, nil
+}
+
+func tooLarge(field string, n, limit int) error {
+	return fmt.Errorf("trace: encode: %s %d exceeds the decoder's limit of %d", field, n, limit)
+}
+
+// WriteFile encodes the trace to the named file in the v1 format.
+func WriteFile(path string, t *Trace) error { return writeFile(path, t, version1) }
+
+// WriteFileIndexed encodes the trace to the named file in the indexed v3
+// format.
+func WriteFileIndexed(path string, t *Trace) error { return writeFile(path, t, version3) }
+
+func writeFile(path string, t *Trace, version int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := Encode(f, t); err != nil {
+	if err := Encode(f, t, version); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
+// encoder writes .tft fields through a bufio.Writer, whose errors are
+// sticky: after a failed write every later one is a no-op and Flush reports
+// the error, so the field writers need not check.
 type encoder struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	n   int64 // bytes written so far (byte offsets for the v3 index)
-	err error
+	w     *bufio.Writer
+	buf   [binary.MaxVarintLen64]byte
+	n     int64  // bytes written so far (byte offsets for the v3 index)
+	delta bool   // addresses as zig-zag deltas (v2, v3) instead of raw (v1)
+	prev  uint64 // the thread's previous address, for delta encoding
 }
 
 func (e *encoder) bytes(b []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(b)
-		e.n += int64(len(b))
-	}
+	e.w.Write(b)
+	e.n += int64(len(b))
 }
 
 func (e *encoder) byte(b byte) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(b)
-		e.n++
-	}
+	e.w.WriteByte(b)
+	e.n++
 }
 
 func (e *encoder) uvarint(v uint64) {
@@ -107,6 +209,25 @@ func (e *encoder) str(s string) {
 	e.bytes([]byte(s))
 }
 
+func (e *encoder) bool(b bool) {
+	if b {
+		e.byte(1)
+	} else {
+		e.byte(0)
+	}
+}
+
+// addr writes a memory or lock address in the container's address mode.
+func (e *encoder) addr(a uint64) {
+	if e.delta {
+		e.uvarint(zigzag(int64(a - e.prev)))
+		e.prev = a
+		return
+	}
+	e.uvarint(a)
+}
+
+// record writes one record; sizeTrace has already rejected unknown kinds.
 func (e *encoder) record(r *Record) {
 	e.byte(byte(r.Kind))
 	switch r.Kind {
@@ -117,45 +238,35 @@ func (e *encoder) record(r *Record) {
 		e.uvarint(uint64(len(r.Mem)))
 		for _, m := range r.Mem {
 			e.uvarint(uint64(m.Instr))
-			e.uvarint(m.Addr)
+			e.addr(m.Addr)
 			e.byte(m.Size)
 			e.bool(m.Store)
 		}
 		e.uvarint(uint64(len(r.Locks)))
 		for _, l := range r.Locks {
 			e.uvarint(uint64(l.Instr))
-			e.uvarint(l.Addr)
+			e.addr(l.Addr)
 			e.bool(l.Release)
 		}
 	case KindCall:
 		e.uvarint(uint64(r.Callee))
-	case KindRet:
 	case KindSkip:
 		e.byte(byte(r.SkipKind))
 		e.uvarint(r.N)
-	default:
-		if e.err == nil {
-			e.err = fmt.Errorf("trace: encode: unknown record kind %d", r.Kind)
-		}
 	}
 }
 
-func (e *encoder) bool(b bool) {
-	if b {
-		e.byte(1)
-	} else {
-		e.byte(0)
-	}
-}
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(v uint64) int64 { return int64(v>>1) ^ -int64(v&1) }
 
 // Decode reads a trace in the .tft binary format. All format versions are
 // accepted transparently: v1 (raw addresses), v2 (delta-encoded addresses),
-// and v3 (delta-encoded with an index footer, which a pure stream decode
-// simply never reads). The input is slurped and decoded serially in memory
-// by the columnar arena decoder (see arena.go); a decoded trace occupies
-// several times its encoding anyway, so the extra resident bytes are bounded
-// while the byte-slice hot path runs several times faster than stream
-// decoding.
+// and v3 (delta-encoded with an index footer, whose table sizes the decoder
+// uses when the footer validates). The input is slurped and decoded serially
+// in memory by the columnar arena decoder (see arena.go); a decoded trace
+// occupies several times its encoding anyway, so the extra resident bytes
+// are bounded while the byte-slice hot path runs several times faster than
+// stream decoding.
 func Decode(r io.Reader) (*Trace, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -177,112 +288,6 @@ func readAll(r io.Reader) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// decodeStream is the legacy record-at-a-time streaming decoder. It is kept
-// as the reference implementation the arena decoder is differentially tested
-// against: both must accept and reject exactly the same inputs and produce
-// deeply-equal traces.
-func decodeStream(r io.Reader) (*Trace, error) {
-	d := &decoder{r: bufio.NewReaderSize(r, 1<<16)}
-	h := d.header()
-	if d.err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", d.err)
-	}
-	t := &Trace{Program: h.Program, Entry: h.Entry, Funcs: h.Funcs}
-	for i := 0; i < h.NumThreads && d.err == nil; i++ {
-		t.Threads = append(t.Threads, d.thread(h.Version))
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", d.err)
-	}
-	return t, nil
-}
-
-// header decodes the version-independent header section: magic, version,
-// program name, entry function, the function table, and the thread count.
-func (d *decoder) header() *Header {
-	var m [4]byte
-	if d.err == nil {
-		_, d.err = io.ReadFull(d.r, m[:])
-	}
-	if d.err != nil {
-		return nil
-	}
-	if string(m[:]) != magic {
-		d.err = fmt.Errorf("bad magic %q", m[:])
-		return nil
-	}
-	v := d.uvarint()
-	if d.err == nil && v != version && v != version2 && v != version3 {
-		d.err = fmt.Errorf("unsupported version %d", v)
-		return nil
-	}
-	h := &Header{Version: int(v), Program: d.str()}
-	h.Entry = uint32(d.uvarint())
-	nf := d.count("function", d.uvarint())
-	h.Funcs = make([]FuncInfo, 0, preallocCap(nf))
-	for i := uint64(0); i < nf && d.err == nil; i++ {
-		fi := FuncInfo{Name: d.str()}
-		nb := d.count("block", d.uvarint())
-		fi.Blocks = make([]BlockInfo, 0, preallocCap(nb))
-		for j := uint64(0); j < nb && d.err == nil; j++ {
-			fi.Blocks = append(fi.Blocks, BlockInfo{NInstr: uint32(d.uvarint())})
-		}
-		h.Funcs = append(h.Funcs, fi)
-	}
-	h.NumThreads = int(d.count("thread", d.uvarint()))
-	if d.err != nil {
-		return nil
-	}
-	return h
-}
-
-// thread decodes one thread section. Counts are attacker-controlled like any
-// other declared count, so the record count goes through the same cap the
-// function/block/access counts use. Address deltas reset at the start of each
-// thread in every versioned encoding, so sections decode independently.
-func (d *decoder) thread(version int) *ThreadTrace {
-	th := &ThreadTrace{TID: int(d.uvarint())}
-	nr := d.count("record", d.uvarint())
-	th.Records = make([]Record, 0, preallocCap(nr))
-	var prevAddr uint64
-	for j := uint64(0); j < nr && d.err == nil; j++ {
-		if version >= version2 {
-			var r Record
-			r, prevAddr = d.record2(prevAddr)
-			th.Records = append(th.Records, r)
-		} else {
-			th.Records = append(th.Records, d.record())
-		}
-	}
-	return th
-}
-
-// byteReader is what the stream decoder needs from its input: bulk reads for
-// strings plus single-byte reads for varints; bufio.Reader satisfies it.
-type byteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-type decoder struct {
-	r   byteReader
-	err error
-}
-
-// maxCount bounds the element counts a .tft stream may declare. Counts are
-// attacker-controlled on untrusted input (the fuzz target feeds arbitrary
-// bytes), so the decoder both rejects absurd declarations and caps slice
-// preallocation, growing by append so memory tracks bytes actually read.
-const maxCount = 1 << 20
-
-// count passes n through, recording an error if it exceeds maxCount.
-func (d *decoder) count(what string, n uint64) uint64 {
-	if d.err == nil && n > maxCount {
-		d.err = fmt.Errorf("implausible %s count %d", what, n)
-	}
-	return n
-}
-
 // preallocCap clamps a declared count to a safe initial slice capacity.
 func preallocCap(n uint64) int {
 	const lim = 1 << 12
@@ -290,89 +295,4 @@ func preallocCap(n uint64) int {
 		return lim
 	}
 	return int(n)
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		d.err = err
-	}
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.r.ReadByte()
-	if err != nil {
-		d.err = err
-	}
-	return b
-}
-
-func (d *decoder) bool() bool { return d.byte() != 0 }
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		d.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) record() Record {
-	r := Record{Kind: Kind(d.byte())}
-	switch r.Kind {
-	case KindBBL:
-		r.Func = uint32(d.uvarint())
-		r.Block = uint32(d.uvarint())
-		r.N = d.uvarint()
-		nm := d.count("mem access", d.uvarint())
-		if nm > 0 && d.err == nil {
-			r.Mem = make([]MemAccess, 0, preallocCap(nm))
-			for i := uint64(0); i < nm && d.err == nil; i++ {
-				r.Mem = append(r.Mem, MemAccess{
-					Instr: uint16(d.uvarint()),
-					Addr:  d.uvarint(),
-					Size:  d.byte(),
-					Store: d.bool(),
-				})
-			}
-		}
-		nl := d.count("lock op", d.uvarint())
-		if nl > 0 && d.err == nil {
-			r.Locks = make([]LockOp, 0, preallocCap(nl))
-			for i := uint64(0); i < nl && d.err == nil; i++ {
-				r.Locks = append(r.Locks, LockOp{
-					Instr:   uint16(d.uvarint()),
-					Addr:    d.uvarint(),
-					Release: d.bool(),
-				})
-			}
-		}
-	case KindCall:
-		r.Callee = uint32(d.uvarint())
-	case KindRet:
-	case KindSkip:
-		r.SkipKind = SkipKind(d.byte())
-		r.N = d.uvarint()
-	default:
-		if d.err == nil {
-			d.err = fmt.Errorf("unknown record kind %d", r.Kind)
-		}
-	}
-	return r
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,11 +31,10 @@ import (
 //
 // The trailer is fixed-size so a reader finds the footer by reading the last
 // 12 bytes and seeking back footerlen more. A v3 stream read front to back is
-// a valid v2-style stream followed by bytes Decode never consumes, which is
-// how Decode handles v3 transparently.
+// a valid v2-style stream followed by the footer, so a decode whose footer
+// fails validation still reads every thread.
 
 const (
-	version3     = 3
 	indexMagic   = "TFXI"
 	trailerSize  = 12 // uint64 footer length + 4-byte index magic
 	minIndexSize = trailerSize + 3
@@ -59,75 +57,6 @@ type Header struct {
 	NumThreads int
 }
 
-// EncodeIndexed writes the trace to w in the indexed v3 format.
-func EncodeIndexed(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	e := &encoder{w: bw}
-	e.bytes([]byte(magic))
-	e.uvarint(version3)
-	e.str(t.Program)
-	e.uvarint(uint64(t.Entry))
-	e.uvarint(uint64(len(t.Funcs)))
-	for _, f := range t.Funcs {
-		e.str(f.Name)
-		e.uvarint(uint64(len(f.Blocks)))
-		for _, b := range f.Blocks {
-			e.uvarint(uint64(b.NInstr))
-		}
-	}
-	e.uvarint(uint64(len(t.Threads)))
-	headerLen := e.n
-	index := make([]indexEntry, len(t.Threads))
-	for i, th := range t.Threads {
-		off := e.n
-		e.uvarint(uint64(th.TID))
-		e.uvarint(uint64(len(th.Records)))
-		var prevAddr uint64
-		var nmem, nlock int64
-		for j := range th.Records {
-			prevAddr = e.record2(&th.Records[j], prevAddr)
-			nmem += int64(len(th.Records[j].Mem))
-			nlock += int64(len(th.Records[j].Locks))
-		}
-		index[i] = indexEntry{
-			tid: th.TID, off: off, len: e.n - off,
-			nrec: int64(len(th.Records)), nmem: nmem, nlock: nlock,
-		}
-	}
-	footerOff := e.n
-	e.uvarint(uint64(headerLen))
-	e.uvarint(uint64(len(index)))
-	for _, en := range index {
-		e.uvarint(uint64(en.tid))
-		e.uvarint(uint64(en.off))
-		e.uvarint(uint64(en.len))
-		e.uvarint(uint64(en.nrec))
-		e.uvarint(uint64(en.nmem))
-		e.uvarint(uint64(en.nlock))
-	}
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(e.n-footerOff))
-	copy(trailer[8:], indexMagic)
-	e.bytes(trailer[:])
-	if e.err != nil {
-		return e.err
-	}
-	return bw.Flush()
-}
-
-// WriteFileIndexed encodes the trace to the named file in v3 format.
-func WriteFileIndexed(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := EncodeIndexed(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 type indexEntry struct {
 	tid      int
 	off, len int64
@@ -142,7 +71,6 @@ type indexEntry struct {
 // for concurrent use by multiple goroutines.
 type Reader struct {
 	ra     io.ReaderAt
-	size   int64
 	hdr    *Header
 	index  []indexEntry
 	closer io.Closer
@@ -169,7 +97,11 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		return nil, fmt.Errorf("%w: implausible footer length %d in a %d-byte file", ErrNoIndex, footerLen, size)
 	}
 	footerOff := size - trailerSize - footerLen
-	d := &decoder{r: bufio.NewReaderSize(io.NewSectionReader(ra, footerOff, footerLen), 1<<12)}
+	footer := make([]byte, footerLen)
+	if _, err := ra.ReadAt(footer, footerOff); err != nil {
+		return nil, fmt.Errorf("%w: reading footer: %v", ErrNoIndex, err)
+	}
+	d := &bdec{data: footer}
 	headerLen := int64(d.uvarint())
 	n := d.count("thread", d.uvarint())
 	if d.err != nil {
@@ -235,18 +167,16 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if hdr.NumThreads != len(index) {
 		return nil, fmt.Errorf("%w: header declares %d threads, index has %d", ErrNoIndex, hdr.NumThreads, len(index))
 	}
-	return &Reader{ra: ra, size: size, hdr: hdr, index: index}, nil
+	return &Reader{ra: ra, hdr: hdr, index: index}, nil
 }
 
 // OpenFile opens the named .tft file as an indexed Reader. The caller must
 // Close it. A file without a usable index fails with ErrNoIndex.
 //
-// Every error return closes the file: long-running servers call this once
-// per request on untrusted uploads, so an early return that held the handle
-// would leak a descriptor per malformed input. The single deferred cleanup
-// (instead of per-return Close calls) makes that invariant structural —
-// any future early return is covered automatically; the leak-check test
-// pins it.
+// Every error return closes the file, through one deferred cleanup that
+// covers any future early return too: servers open untrusted uploads, and a
+// held handle would leak a descriptor per malformed input
+// (TestOpenFileNoFDLeak pins it).
 func OpenFile(path string) (r *Reader, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -330,41 +260,9 @@ func fillThread(data []byte, en indexEntry, span int) ([]Record, error) {
 	return a.Records, a.fillSection(data, en, false, span, 0, 0, 0)
 }
 
-// DecodeParallel decodes a trace from ra, filling its thread sections over a
-// bounded worker pool (parallelism 0 = one worker per core, 1 = serial). The
-// input is read into memory once; every section's table sizes come from the
-// index footer (or, without a usable one, from a measuring walk over the
-// stream), so each column is one exactly sized allocation and each worker
-// fills its sections' disjoint sub-ranges of it — parallel decode allocates
-// the same bytes as serial. Threads land at their index position, so the
-// result is identical to Decode at every parallelism. pool.Workers — the
-// same resolver the SIMT replay pool uses per warp — keeps small traces
-// (fewer sections than pool.MinParallelItems) on one worker. Inputs without
-// a usable index (v1/v2 files, corrupt footers) and indexes whose counts
-// disagree with the stream decode from the measured index rather than
-// erroring — only the stream is trusted.
-func DecodeParallel(ra io.ReaderAt, size int64, parallelism int) (*Trace, error) {
-	data, err := readAllAt(ra, size)
-	if err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	return decode(data, parallelism, false)
-}
-
-// readAllAt reads the whole [0,size) range of ra into one exactly-sized
-// allocation.
-func readAllAt(ra io.ReaderAt, size int64) ([]byte, error) {
-	if size < 0 || int64(int(size)) != size {
-		return nil, fmt.Errorf("implausible input size %d", size)
-	}
-	data := make([]byte, size)
-	if n, err := ra.ReadAt(data, 0); n < len(data) && err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// ReadFileParallel decodes the named .tft file like DecodeParallel.
+// ReadFileParallel decodes the named .tft file like Decode, filling its
+// thread sections over up to parallelism workers (0 = one per core, 1 =
+// serial; see decode). The result is identical at every parallelism.
 func ReadFileParallel(path string, parallelism int) (*Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -4,89 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
-
-// TestIndexedCodecRoundTrip: Decode(EncodeIndexed(t)) == t for arbitrary
-// valid traces — the v3 stream is readable front to back without the index.
-func TestIndexedCodecRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		tr := randomTrace(rand.New(rand.NewSource(seed)))
-		var buf bytes.Buffer
-		if err := EncodeIndexed(&buf, tr); err != nil {
-			t.Logf("encode: %v", err)
-			return false
-		}
-		got, err := Decode(&buf)
-		if err != nil {
-			t.Logf("decode v3: %v", err)
-			return false
-		}
-		return reflect.DeepEqual(tr, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestDecodeParallelMatchesDecode: indexed parallel decode assembles the
-// exact same trace as the sequential stream decode, at several worker counts.
-func TestDecodeParallelMatchesDecode(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		tr := randomTrace(rand.New(rand.NewSource(seed)))
-		var buf bytes.Buffer
-		if err := EncodeIndexed(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		for _, par := range []int{1, 4, 0} {
-			got, err := DecodeParallel(bytes.NewReader(data), int64(len(data)), par)
-			if err != nil {
-				t.Fatalf("seed %d par %d: %v", seed, par, err)
-			}
-			if !reflect.DeepEqual(tr, got) {
-				t.Fatalf("seed %d par %d: parallel decode mismatch", seed, par)
-			}
-		}
-	}
-}
-
-// TestDecodeParallelFallsBackWithoutIndex: v1 and v2 inputs have no index
-// and must degrade to the sequential path, never to an error.
-func TestDecodeParallelFallsBackWithoutIndex(t *testing.T) {
-	tr := randomTrace(rand.New(rand.NewSource(7)))
-	for name, encode := range map[string]func(io.Writer, *Trace) error{
-		"v1": Encode, "v2": EncodeCompact,
-	} {
-		var buf bytes.Buffer
-		if err := encode(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		if _, err := NewReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
-			t.Errorf("%s: NewReader error = %v, want ErrNoIndex", name, err)
-		}
-		got, err := DecodeParallel(bytes.NewReader(data), int64(len(data)), 4)
-		if err != nil {
-			t.Fatalf("%s: fallback decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(tr, got) {
-			t.Errorf("%s: fallback decode mismatch", name)
-		}
-	}
-}
 
 // TestReaderThreads: per-thread random access reproduces the encoded
 // streams without a whole-trace decode.
 func TestReaderThreads(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(11)))
 	var buf bytes.Buffer
-	if err := EncodeIndexed(&buf, tr); err != nil {
+	if err := Encode(&buf, tr, 3); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
@@ -144,7 +73,7 @@ func TestOpenFileAndReadFileParallel(t *testing.T) {
 	}
 	// Unindexed files take the fallback path.
 	plain := filepath.Join(dir, "plain.tft")
-	if err := WriteFileCompact(plain, tr); err != nil {
+	if err := writeFile(plain, tr, 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenFile(plain); !errors.Is(err, ErrNoIndex) {
@@ -164,7 +93,7 @@ func TestOpenFileAndReadFileParallel(t *testing.T) {
 func indexedParts(t *testing.T, tr *Trace) (body, footer, trailer []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeIndexed(&buf, tr); err != nil {
+	if err := Encode(&buf, tr, 3); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -178,8 +107,8 @@ func indexedParts(t *testing.T, tr *Trace) (body, footer, trailer []byte) {
 }
 
 // TestTruncatedFooterDegrades: cutting anywhere inside the footer/trailer
-// yields ErrNoIndex from NewReader, and DecodeParallel still succeeds via
-// the sequential path (the thread data is intact).
+// yields ErrNoIndex from NewReader, and the lenient parallel decode still
+// succeeds via the sequential path (the thread data is intact).
 func TestTruncatedFooterDegrades(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(13)))
 	body, footer, trailer := indexedParts(t, tr)
@@ -189,9 +118,9 @@ func TestTruncatedFooterDegrades(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("cut %d: NewReader error = %v, want ErrNoIndex", cut, err)
 		}
-		got, err := DecodeParallel(bytes.NewReader(data), int64(len(data)), 2)
+		got, err := decode(data, 2, false)
 		if err != nil {
-			t.Errorf("cut %d: DecodeParallel: %v", cut, err)
+			t.Errorf("cut %d: decode: %v", cut, err)
 			continue
 		}
 		if !reflect.DeepEqual(tr, got) {
@@ -229,12 +158,12 @@ func rewriteIndex(data []byte, edit func(headerLen *int64, index []indexEntry)) 
 
 // TestIndexOffsetsPastEOFDegrade: a footer whose sections do not tile the
 // data region, or whose header length disagrees with the header, is rejected
-// as ErrNoIndex, and DecodeParallel falls back to the stream decode rather
-// than erroring.
+// as ErrNoIndex, and the lenient parallel decode falls back to the stream
+// decode rather than erroring.
 func TestIndexOffsetsPastEOFDegrade(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(17)))
 	var buf bytes.Buffer
-	if err := EncodeIndexed(&buf, tr); err != nil {
+	if err := Encode(&buf, tr, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -253,9 +182,9 @@ func TestIndexOffsetsPastEOFDegrade(t *testing.T) {
 		if _, err := NewReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
 			t.Errorf("%s: NewReader error = %v, want ErrNoIndex", c.name, err)
 		}
-		got, err := DecodeParallel(bytes.NewReader(data), int64(len(data)), 2)
+		got, err := decode(data, 2, false)
 		if err != nil {
-			t.Errorf("%s: DecodeParallel: %v", c.name, err)
+			t.Errorf("%s: decode: %v", c.name, err)
 			continue
 		}
 		if !reflect.DeepEqual(tr, got) {

@@ -16,35 +16,12 @@ import "fmt"
 // entry function) empties that thread's trace, which Analyze tolerates (the
 // thread contributes nothing).
 func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
-	excluded := make(map[uint32]bool, len(names))
-	for _, name := range names {
-		found := false
-		for id, fi := range t.Funcs {
-			if fi.Name == name {
-				excluded[uint32(id)] = true
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("trace: exclude: no function named %q", name)
-		}
+	excluded, err := funcIDs(t, "exclude", names)
+	if err != nil {
+		return nil, err
 	}
-
-	out := &Trace{
-		Program: t.Program,
-		Entry:   t.Entry,
-		Funcs:   t.Funcs,
-	}
-	for _, th := range t.Threads {
-		nt := &ThreadTrace{TID: th.TID}
+	return filter(t, func(th *ThreadTrace, s *stream) {
 		depth := 0 // >0 while inside an excluded subtree
-		var dropped uint64
-		flush := func() {
-			if dropped > 0 {
-				nt.Records = append(nt.Records, Record{Kind: KindSkip, SkipKind: SkipIO, N: dropped})
-				dropped = 0
-			}
-		}
 		for i := range th.Records {
 			r := &th.Records[i]
 			switch r.Kind {
@@ -53,35 +30,26 @@ func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
 					depth++
 					continue
 				}
-				flush()
-				nt.Records = append(nt.Records, *r)
+				s.flush()
+				s.recs = append(s.recs, *r)
 			case KindRet:
 				if depth > 0 {
 					depth--
 					if depth == 0 {
-						flush()
+						s.flush()
 					}
 					continue
 				}
-				nt.Records = append(nt.Records, *r)
-			case KindBBL:
+				s.recs = append(s.recs, *r)
+			case KindBBL, KindSkip:
 				if depth > 0 {
-					dropped += r.N
+					s.dropped += r.N
 					continue
 				}
-				nt.Records = append(nt.Records, *r)
-			case KindSkip:
-				if depth > 0 {
-					dropped += r.N
-					continue
-				}
-				nt.Records = append(nt.Records, *r)
+				s.recs = append(s.recs, *r)
 			}
 		}
-		flush()
-		out.Threads = append(out.Threads, nt)
-	}
-	return out, nil
+	}), nil
 }
 
 // OnlyFunctions keeps the named functions (and their callees) and excludes
@@ -90,47 +58,26 @@ func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
 // kept function's invocation. This is the "focused analysis … of particular
 // regions" mode of the paper's tracer.
 func OnlyFunctions(t *Trace, names ...string) (*Trace, error) {
-	keep := make(map[uint32]bool, len(names))
-	for _, name := range names {
-		found := false
-		for id, fi := range t.Funcs {
-			if fi.Name == name {
-				keep[uint32(id)] = true
-				found = true
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("trace: only: no function named %q", name)
-		}
+	keep, err := funcIDs(t, "only", names)
+	if err != nil {
+		return nil, err
 	}
-
-	out := &Trace{Program: t.Program, Entry: t.Entry, Funcs: t.Funcs}
-	for _, th := range t.Threads {
-		nt := &ThreadTrace{TID: th.TID}
+	return filter(t, func(th *ThreadTrace, s *stream) {
 		// keptDepth > 0 while inside an invocation of a kept function;
-		// callStack tracks whether each open frame was emitted.
+		// emitted tracks whether each open frame was emitted.
 		var emitted []bool
 		keptDepth := 0
-		var dropped uint64
-		flush := func() {
-			if dropped > 0 {
-				nt.Records = append(nt.Records, Record{Kind: KindSkip, SkipKind: SkipIO, N: dropped})
-				dropped = 0
-			}
-		}
 		for i := range th.Records {
 			r := &th.Records[i]
 			switch r.Kind {
 			case KindCall:
 				emit := keptDepth > 0 || keep[r.Callee]
-				if keep[r.Callee] || keptDepth > 0 {
+				if emit {
 					keptDepth++
+					s.flush()
+					s.recs = append(s.recs, *r)
 				}
 				emitted = append(emitted, emit)
-				if emit {
-					flush()
-					nt.Records = append(nt.Records, *r)
-				}
 			case KindRet:
 				if len(emitted) == 0 {
 					continue
@@ -140,22 +87,66 @@ func OnlyFunctions(t *Trace, names ...string) (*Trace, error) {
 				if keptDepth > 0 {
 					keptDepth--
 					if keptDepth == 0 {
-						flush()
+						s.flush()
 					}
 				}
 				if emit {
-					nt.Records = append(nt.Records, *r)
+					s.recs = append(s.recs, *r)
 				}
 			case KindBBL, KindSkip:
 				if keptDepth > 0 {
-					nt.Records = append(nt.Records, *r)
+					s.recs = append(s.recs, *r)
 				} else {
-					dropped += r.N
+					s.dropped += r.N
 				}
 			}
 		}
-		flush()
-		out.Threads = append(out.Threads, nt)
+	}), nil
+}
+
+// funcIDs resolves function names to the set of their ids. Every name must
+// name at least one function; op labels the unknown-name error.
+func funcIDs(t *Trace, op string, names []string) (map[uint32]bool, error) {
+	ids := make(map[uint32]bool, len(names))
+	for _, name := range names {
+		found := false
+		for id, fi := range t.Funcs {
+			if fi.Name == name {
+				ids[uint32(id)] = true
+				found = true
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("trace: %s: no function named %q", op, name)
+		}
 	}
-	return out, nil
+	return ids, nil
+}
+
+// stream collects one filtered thread's records. Instructions of dropped
+// records accumulate in dropped until flush writes them as one skipped-I/O
+// record, exactly how the paper's tracer accounts untraced regions.
+type stream struct {
+	recs    []Record
+	dropped uint64
+}
+
+func (s *stream) flush() {
+	if s.dropped > 0 {
+		s.recs = append(s.recs, Record{Kind: KindSkip, SkipKind: SkipIO, N: s.dropped})
+		s.dropped = 0
+	}
+}
+
+// filter returns a trace with t's header whose threads are rebuilt by
+// thread, which applies one filter's keep/drop policy to a thread's records.
+func filter(t *Trace, thread func(th *ThreadTrace, s *stream)) *Trace {
+	out := &Trace{Program: t.Program, Entry: t.Entry, Funcs: t.Funcs}
+	for _, th := range t.Threads {
+		s := &stream{}
+		thread(th, s)
+		s.flush()
+		out.Threads = append(out.Threads, &ThreadTrace{TID: th.TID, Records: s.recs})
+	}
+	return out
 }

@@ -40,7 +40,7 @@ func TestOpenFileNoFDLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := EncodeIndexed(&buf, tr); err != nil {
+	if err := Encode(&buf, tr, 3); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

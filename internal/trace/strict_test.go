@@ -13,11 +13,11 @@ import (
 // lenient decoders deliberately tolerate.
 func TestDecodeStrict(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(7)))
-	var v2, v3 bytes.Buffer
-	if err := Encode(&v2, tr); err != nil {
+	var v1, v3 bytes.Buffer
+	if err := Encode(&v1, tr, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeIndexed(&v3, tr); err != nil {
+	if err := Encode(&v3, tr, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -25,7 +25,7 @@ func TestDecodeStrict(t *testing.T) {
 		return DecodeStrict(bytes.NewReader(data), int64(len(data)), 1)
 	}
 
-	for name, data := range map[string][]byte{"bare stream": v2.Bytes(), "indexed": v3.Bytes()} {
+	for name, data := range map[string][]byte{"bare stream": v1.Bytes(), "indexed": v3.Bytes()} {
 		got, err := decode(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -43,8 +43,8 @@ func TestDecodeStrict(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"cut mid-trailer":     full[:len(full)-trailerSize/2],
 		"cut mid-footer":      full[:len(full)-trailerSize-4],
-		"trailing junk":       append(append([]byte(nil), v2.Bytes()...), 0xde, 0xad),
-		"one extra zero byte": append(append([]byte(nil), v2.Bytes()...), 0),
+		"trailing junk":       append(append([]byte(nil), v1.Bytes()...), 0xde, 0xad),
+		"one extra zero byte": append(append([]byte(nil), v1.Bytes()...), 0),
 	} {
 		// The lenient decoder accepts all of these (the stream itself is
 		// intact); strict ingestion must not.
