@@ -556,3 +556,54 @@ func BenchmarkDecodeV3Parallel(b *testing.B) {
 		}
 	}
 }
+
+// ------------------------------------------------------- digest benchmark
+
+// digestBench caches a Table-I-scale microservice trace (dsb.post at its
+// paper thread count) and the size of its v1 file.
+var digestBench struct {
+	once   sync.Once
+	tr     *trace.Trace
+	v1Size int
+	err    error
+}
+
+// digestSink keeps the compiler from discarding the measured digest.
+var digestSink string
+
+// BenchmarkTraceDigest measures the report-cache key's trace digest, the
+// hash tfserve pays on every upload, hit or miss. Its MB/s are v1 file
+// bytes per second, the same unit as the decode rows.
+func BenchmarkTraceDigest(b *testing.B) {
+	digestBench.once.Do(func() {
+		w, err := workloads.ByName("dsb.post")
+		if err != nil {
+			digestBench.err = err
+			return
+		}
+		inst, err := w.Instantiate(workloads.Config{Seed: 1, Threads: w.PaperThreads})
+		if err != nil {
+			digestBench.err = err
+			return
+		}
+		if digestBench.tr, err = inst.Trace(); err != nil {
+			digestBench.err = err
+			return
+		}
+		var buf bytes.Buffer
+		digestBench.err = trace.Encode(&buf, digestBench.tr, 1)
+		digestBench.v1Size = buf.Len()
+	})
+	if digestBench.err != nil {
+		b.Fatal(digestBench.err)
+	}
+	b.SetBytes(int64(digestBench.v1Size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := core.TraceDigest(digestBench.tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		digestSink = d
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -50,7 +49,7 @@ type Cache struct {
 // cacheSchema versions the on-disk entry layout AND the semantics of the
 // cached computation. Bump it whenever Report gains fields or replay
 // semantics change, so stale entries self-invalidate.
-const cacheSchema = 3 // 3: Report gained per-site memory histograms (MemSites)
+const cacheSchema = 4 // 4: trace digest rows packed at field widths
 
 // cacheEntry is the stored JSON envelope.
 type cacheEntry struct {
@@ -101,101 +100,95 @@ func OpenFlagCache(enabled bool, dir string) *Cache {
 	return NewCache(dir)
 }
 
-// traceDigest hashes the trace content by streaming its flat rows —
-// fixed-width little-endian record, access, and lock tuples plus
-// length-prefixed metadata — through SHA-256. Hashing decoded rows instead
-// of re-encoding to the canonical v2 container skips all the varint and
-// address-delta work (the digest used to cost about as much as a decode),
-// and stays construction-independent: an arena-backed decode and a
-// record-by-record build of the same trace digest identically, because only
-// field values are hashed, never layout. Counts prefix every variable-length
-// sequence, so distinct traces cannot collide by reframing.
-func traceDigest(t *trace.Trace) ([sha256.Size]byte, error) {
-	w := rowHasher{h: sha256.New(), buf: make([]byte, 0, 4096)}
-	w.str("threadfuser trace rows v1")
-	w.str(t.Program)
-	w.u64(uint64(t.Entry))
-	w.u64(uint64(len(t.Funcs)))
+// traceDigest hashes the trace content by streaming its rows through
+// SHA-256, every field packed at its Go type's own width: Kind, SkipKind,
+// Size and the Store/Release flags one byte, Instr two, Func, Block,
+// Callee, Entry and NInstr four, N, Addr and TID eight, all little-endian.
+// A u64 count prefixes every sequence and a u64 length every string, so the
+// stream parses only one way and distinct traces cannot collide by
+// reframing. Only field values are hashed, never container bytes or memory
+// layout, so the same trace digests identically whichever .tft version it
+// was decoded from, arena-backed or built record by record. Changing this
+// row format must bump cacheSchema and regenerate the golden digests.
+func traceDigest(t *trace.Trace) [sha256.Size]byte {
+	le := binary.LittleEndian
+	h := sha256.New()
+	b := make([]byte, 0, 64<<10)
+	b = appendString(b, "threadfuser trace rows v2")
+	b = appendString(b, t.Program)
+	b = le.AppendUint32(b, t.Entry)
+	b = le.AppendUint64(b, uint64(len(t.Funcs)))
 	for _, f := range t.Funcs {
-		w.str(f.Name)
-		w.u64(uint64(len(f.Blocks)))
-		for _, b := range f.Blocks {
-			w.u64(uint64(b.NInstr))
+		b = reserve(h, b, 16+len(f.Name)+4*len(f.Blocks))
+		b = appendString(b, f.Name)
+		b = le.AppendUint64(b, uint64(len(f.Blocks)))
+		for _, blk := range f.Blocks {
+			b = le.AppendUint32(b, blk.NInstr)
 		}
 	}
-	w.u64(uint64(len(t.Threads)))
+	b = le.AppendUint64(b, uint64(len(t.Threads)))
 	for _, th := range t.Threads {
-		w.u64(uint64(th.TID))
-		w.u64(uint64(len(th.Records)))
+		b = reserve(h, b, 16)
+		b = le.AppendUint64(b, uint64(th.TID))
+		b = le.AppendUint64(b, uint64(len(th.Records)))
 		for i := range th.Records {
 			r := &th.Records[i]
-			w.u64(uint64(r.Kind))
+			// The largest header is a BBL's: kind, func, block, N and two
+			// counts, 33 bytes.
+			b = reserve(h, b, 33+12*len(r.Mem)+11*len(r.Locks))
+			b = append(b, byte(r.Kind))
 			switch r.Kind {
 			case trace.KindBBL:
-				w.u64(uint64(r.Func))
-				w.u64(uint64(r.Block))
-				w.u64(r.N)
-				w.u64(uint64(len(r.Mem)))
+				b = le.AppendUint32(b, r.Func)
+				b = le.AppendUint32(b, r.Block)
+				b = le.AppendUint64(b, r.N)
+				b = le.AppendUint64(b, uint64(len(r.Mem)))
 				for _, m := range r.Mem {
-					w.u64(uint64(m.Instr))
-					w.u64(m.Addr)
-					w.u64(uint64(m.Size))
-					w.bool(m.Store)
+					b = le.AppendUint16(b, m.Instr)
+					b = le.AppendUint64(b, m.Addr)
+					b = append(b, m.Size, boolByte(m.Store))
 				}
-				w.u64(uint64(len(r.Locks)))
+				b = le.AppendUint64(b, uint64(len(r.Locks)))
 				for _, l := range r.Locks {
-					w.u64(uint64(l.Instr))
-					w.u64(l.Addr)
-					w.bool(l.Release)
+					b = le.AppendUint16(b, l.Instr)
+					b = le.AppendUint64(b, l.Addr)
+					b = append(b, boolByte(l.Release))
 				}
 			case trace.KindCall:
-				w.u64(uint64(r.Callee))
+				b = le.AppendUint32(b, r.Callee)
 			case trace.KindSkip:
-				w.u64(uint64(r.SkipKind))
-				w.u64(r.N)
+				b = append(b, byte(r.SkipKind))
+				b = le.AppendUint64(b, r.N)
 			}
 		}
 	}
-	w.flush()
+	h.Write(b)
 	var sum [sha256.Size]byte
-	copy(sum[:], w.h.Sum(nil))
-	return sum, nil
+	h.Sum(sum[:0])
+	return sum
 }
 
-// rowHasher batches fixed-width writes into one buffer between hash calls;
-// feeding SHA-256 eight bytes at a time would spend more in call overhead
-// than in compression.
-type rowHasher struct {
-	h   hash.Hash
-	buf []byte
-}
-
-func (w *rowHasher) flush() {
-	if len(w.buf) > 0 {
-		w.h.Write(w.buf)
-		w.buf = w.buf[:0]
+// reserve makes room for an n-byte row behind b, handing the buffered rows
+// to h when they would not fit; feeding SHA-256 one field at a time would
+// spend more in call overhead than in compression.
+func reserve(h hash.Hash, b []byte, n int) []byte {
+	if len(b)+n > cap(b) {
+		h.Write(b)
+		b = b[:0]
 	}
+	return b
 }
 
-func (w *rowHasher) u64(v uint64) {
-	if len(w.buf)+8 > cap(w.buf) {
-		w.flush()
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
 	}
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
-}
-
-func (w *rowHasher) bool(b bool) {
-	if b {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
-}
-
-func (w *rowHasher) str(s string) {
-	w.u64(uint64(len(s)))
-	w.flush()
-	io.WriteString(w.h, s)
+	return 0
 }
 
 // cacheKeyFromDigest mixes the canonicalized options into the trace digest.

@@ -21,13 +21,11 @@ func SetReplayTestHook(f func()) (restore func()) {
 // TraceDigest returns the hex-encoded content digest of a trace — the trace
 // half of the report-cache key. It hashes decoded rows, not container bytes,
 // so the same trace digests identically whichever .tft version (or in-memory
-// construction) it arrived through. The analysis service keys singleflight
-// deduplication of in-flight work on it.
+// construction) it arrived through. The analysis service does not call it:
+// its singleflight dedup key is Session.CacheKey, whose digest the
+// request's analysis then reuses. The error is always nil.
 func TraceDigest(t *trace.Trace) (string, error) {
-	sum, err := traceDigest(t)
-	if err != nil {
-		return "", err
-	}
+	sum := traceDigest(t)
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -41,7 +41,6 @@ type prepEntry struct {
 type digestEntry struct {
 	once sync.Once
 	sum  [sha256.Size]byte
-	err  error
 }
 
 type warpKey struct {
@@ -102,11 +101,9 @@ func (s *Session) AnalyzeCached(t *trace.Trace, opts Options) (*Report, bool, er
 	s.mu.Unlock()
 	key := ""
 	if c != nil && opts.Listener == nil {
-		if k, err := s.CacheKey(t, opts); err == nil {
-			if r, ok := c.get(k); ok {
-				return r, true, nil
-			}
-			key = k
+		key = cacheKeyFromDigest(s.digest(t), opts)
+		if r, ok := c.get(key); ok {
+			return r, true, nil
 		}
 	}
 	p, err := s.prep(t, opts.Parallelism)
@@ -130,13 +127,9 @@ func (s *Session) AnalyzeCached(t *trace.Trace, opts Options) (*Report, bool, er
 // CacheKey returns the report-cache key of one (trace, options) analysis,
 // hashing the trace through the session's digest memo, so a caller that
 // needs the key before analyzing (the service's in-flight deduplication)
-// and the analysis itself share one digest.
+// and the analysis itself share one digest. The error is always nil.
 func (s *Session) CacheKey(t *trace.Trace, opts Options) (string, error) {
-	sum, err := s.digest(t)
-	if err != nil {
-		return "", err
-	}
-	return cacheKeyFromDigest(sum, opts), nil
+	return cacheKeyFromDigest(s.digest(t), opts), nil
 }
 
 // Ingest decodes an indexed trace through prepare, the analyzer's one
@@ -173,7 +166,7 @@ func (s *Session) Ingest(r *trace.Reader, parallelism int) (*trace.Trace, error)
 }
 
 // digest returns the trace's memoized content digest.
-func (s *Session) digest(t *trace.Trace) ([sha256.Size]byte, error) {
+func (s *Session) digest(t *trace.Trace) [sha256.Size]byte {
 	s.mu.Lock()
 	e := s.digests[t]
 	if e == nil {
@@ -181,8 +174,8 @@ func (s *Session) digest(t *trace.Trace) ([sha256.Size]byte, error) {
 		s.digests[t] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.sum, e.err = traceDigest(t) })
-	return e.sum, e.err
+	e.once.Do(func() { e.sum = traceDigest(t) })
+	return e.sum
 }
 
 // Prepared returns the trace's memoized DCFGs and post-dominator trees,

@@ -17,6 +17,8 @@
 # a one-core "speedup" only measures the sequential fallthrough's overhead
 # and has been misread as the scaling claim before. Scaling lives solely on
 # the _maxprocs rows, which exist whenever the machine has >1 core.
+# trace_digest is the report-cache key's trace hash over a Table-I-scale
+# dsb.post trace, in v1 file bytes/s like the decode rows.
 # Decode rows also carry prev_bytes_per_op/prev_allocs_per_op deltas against
 # the BENCH_analyzer.json being replaced, so an allocation regression is
 # visible in the diff of the file itself.
@@ -43,7 +45,7 @@ cp "$out" "$prev" 2>/dev/null || : >"$prev"
 cores=$(nproc 2>/dev/null || echo 1)
 
 raw=$(GOMAXPROCS=1 go test -run '^$' \
-	-bench 'BenchmarkReplay(Serial|Parallel|Allocs)$|BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$' \
+	-bench 'BenchmarkReplay(Serial|Parallel|Allocs)$|BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$' \
 	-benchmem -benchtime "${BENCHTIME:-1s}" -count=1 .)
 echo "$raw"
 
@@ -127,7 +129,7 @@ function row(name, extra,    s, k) {
 }
 END {
 	n = split("ReplaySerial ReplayParallel ReplayAllocs " \
-		"DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel", want, " ")
+		"DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest", want, " ")
 	# At >1 cores the second sweep must have produced the _maxprocs rows.
 	if (cores > 1) {
 		want[++n] = "ReplayParallelMaxProcs"
@@ -149,6 +151,7 @@ END {
 	print row("DecodeV1Serial") ","
 	print row("DecodeV2Serial") ","
 	print row("DecodeV3Serial") ","
+	print row("TraceDigest") ","
 	tail = ""
 	if (cores > 1) tail = ","
 	print row("DecodeV3Parallel", \

@@ -1,6 +1,7 @@
 #!/bin/sh
-# bench_guard: run the decode and replay benchmarks and fail loudly if any
-# row regresses past the committed limits in scripts/bench_baseline.json:
+# bench_guard: run the decode, replay and trace-digest benchmarks and fail
+# loudly if any row regresses past the committed limits in
+# scripts/bench_baseline.json:
 #   max_allocs_per_op  allocation ceiling. allocs/op is exact at any
 #                      benchtime, which is what makes it guardable in CI: the
 #                      arena decoder does a fixed handful of allocations per
@@ -14,8 +15,8 @@
 #                      (e.g. the pre-fusion per-record replay at ~145 MB/s
 #                      against replay_serial's 250 MB/s floor).
 #
-# Decode rows run at one iteration (allocs-focused; a single iteration says
-# nothing about MB/s, so decode rows carry no floors). Replay rows run a few
+# Decode and trace-digest rows run at one iteration (allocs-focused; a
+# single iteration says nothing about MB/s, so they carry no floors). Replay rows run a few
 # dozen iterations so their MB/s is past cold-cache warmup and meaningfully
 # comparable against the floors.
 #
@@ -28,7 +29,7 @@ cd "$(dirname "$0")/.."
 baseline=scripts/bench_baseline.json
 
 raw=$(go test -run '^$' \
-	-bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$' \
+	-bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$' \
 	-benchmem -benchtime "${BENCHTIME:-1x}" -count=1 .)
 echo "$raw"
 rawr=$(go test -run '^$' \
@@ -40,7 +41,7 @@ raw=$(printf '%s\n%s' "$raw" "$rawr")
 printf '%s\n' "$raw" | awk -v baseline="$baseline" '
 BEGIN {
 	while ((getline line < baseline) > 0) {
-		if (match(line, /"(decode|replay)_[a-z0-9_]+"/)) {
+		if (match(line, /"(decode|replay|trace)_[a-z0-9_]+"/)) {
 			name = substr(line, RSTART + 1, RLENGTH - 2)
 			if (match(line, /"max_allocs_per_op": [0-9]+/))
 				ceil[name] = substr(line, RSTART + 21, RLENGTH - 21)
@@ -55,7 +56,7 @@ BEGIN {
 		exit 1
 	}
 }
-/^Benchmark(Decode|Replay)/ {
+/^Benchmark(Decode|Replay|TraceDigest)/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
