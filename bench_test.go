@@ -14,6 +14,7 @@ package threadfuser
 
 import (
 	"bytes"
+	"io"
 	"sync"
 	"testing"
 
@@ -571,10 +572,9 @@ var digestBench struct {
 // digestSink keeps the compiler from discarding the measured digest.
 var digestSink string
 
-// BenchmarkTraceDigest measures the report-cache key's trace digest, the
-// hash tfserve pays on every upload, hit or miss. Its MB/s are v1 file
-// bytes per second, the same unit as the decode rows.
-func BenchmarkTraceDigest(b *testing.B) {
+// digestTrace returns digestBench's trace and its v1 size, building them
+// on first use.
+func digestTrace(b *testing.B) (*trace.Trace, int) {
 	digestBench.once.Do(func() {
 		w, err := workloads.ByName("dsb.post")
 		if err != nil {
@@ -597,13 +597,35 @@ func BenchmarkTraceDigest(b *testing.B) {
 	if digestBench.err != nil {
 		b.Fatal(digestBench.err)
 	}
-	b.SetBytes(int64(digestBench.v1Size))
+	return digestBench.tr, digestBench.v1Size
+}
+
+// BenchmarkTraceDigest measures the report-cache key's trace digest, the
+// hash tfserve pays on every upload, hit or miss. Its MB/s are v1 file
+// bytes per second, the same unit as the decode rows.
+func BenchmarkTraceDigest(b *testing.B) {
+	tr, v1Size := digestTrace(b)
+	b.SetBytes(int64(v1Size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := core.TraceDigest(digestBench.tr)
+		d, err := core.TraceDigest(tr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		digestSink = d
+	}
+}
+
+// BenchmarkEncodeV3 measures writing digestBench's trace as an indexed v3
+// file, the work behind WriteFileIndexed and tftrace -index. Its MB/s are v1
+// file bytes per second, the same unit as trace_digest.
+func BenchmarkEncodeV3(b *testing.B) {
+	tr, v1Size := digestTrace(b)
+	b.SetBytes(int64(v1Size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.Encode(io.Discard, tr, 3); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,10 +19,11 @@ import (
 // Cache is a content-addressed on-disk report cache: every tfreport, tflint,
 // and tfcheck invocation re-pays full replay even for a trace it analyzed
 // seconds ago, and on paper-scale traces that preparation dominates. Entries
-// are keyed by a SHA-256 over the trace content (its decoded rows, so the
-// same trace hits regardless of which container version it travelled
-// through) combined with the canonicalized analysis options and a schema
-// tag that self-invalidates every entry when the Report format changes.
+// are keyed by a SHA-256 over the trace content (trace.Digest, a hash of its
+// canonical v2 encoding, so the same trace hits regardless of which
+// container version it travelled through) combined with the canonicalized
+// analysis options and a schema tag that self-invalidates every entry when
+// the Report format or the digest changes.
 //
 // The cache is strictly best-effort: writes are atomic (temp file + rename)
 // so readers never see a torn entry, and any unreadable, corrupt, or
@@ -49,7 +48,7 @@ type Cache struct {
 // cacheSchema versions the on-disk entry layout AND the semantics of the
 // cached computation. Bump it whenever Report gains fields or replay
 // semantics change, so stale entries self-invalidate.
-const cacheSchema = 4 // 4: trace digest rows packed at field widths
+const cacheSchema = 5 // 5: trace digest over the canonical v2 encoding
 
 // cacheEntry is the stored JSON envelope.
 type cacheEntry struct {
@@ -98,97 +97,6 @@ func OpenFlagCache(enabled bool, dir string) *Cache {
 		dir = DefaultCacheDir()
 	}
 	return NewCache(dir)
-}
-
-// traceDigest hashes the trace content by streaming its rows through
-// SHA-256, every field packed at its Go type's own width: Kind, SkipKind,
-// Size and the Store/Release flags one byte, Instr two, Func, Block,
-// Callee, Entry and NInstr four, N, Addr and TID eight, all little-endian.
-// A u64 count prefixes every sequence and a u64 length every string, so the
-// stream parses only one way and distinct traces cannot collide by
-// reframing. Only field values are hashed, never container bytes or memory
-// layout, so the same trace digests identically whichever .tft version it
-// was decoded from, arena-backed or built record by record. Changing this
-// row format must bump cacheSchema and regenerate the golden digests.
-func traceDigest(t *trace.Trace) [sha256.Size]byte {
-	le := binary.LittleEndian
-	h := sha256.New()
-	b := make([]byte, 0, 64<<10)
-	b = appendString(b, "threadfuser trace rows v2")
-	b = appendString(b, t.Program)
-	b = le.AppendUint32(b, t.Entry)
-	b = le.AppendUint64(b, uint64(len(t.Funcs)))
-	for _, f := range t.Funcs {
-		b = reserve(h, b, 16+len(f.Name)+4*len(f.Blocks))
-		b = appendString(b, f.Name)
-		b = le.AppendUint64(b, uint64(len(f.Blocks)))
-		for _, blk := range f.Blocks {
-			b = le.AppendUint32(b, blk.NInstr)
-		}
-	}
-	b = le.AppendUint64(b, uint64(len(t.Threads)))
-	for _, th := range t.Threads {
-		b = reserve(h, b, 16)
-		b = le.AppendUint64(b, uint64(th.TID))
-		b = le.AppendUint64(b, uint64(len(th.Records)))
-		for i := range th.Records {
-			r := &th.Records[i]
-			// The largest header is a BBL's: kind, func, block, N and two
-			// counts, 33 bytes.
-			b = reserve(h, b, 33+12*len(r.Mem)+11*len(r.Locks))
-			b = append(b, byte(r.Kind))
-			switch r.Kind {
-			case trace.KindBBL:
-				b = le.AppendUint32(b, r.Func)
-				b = le.AppendUint32(b, r.Block)
-				b = le.AppendUint64(b, r.N)
-				b = le.AppendUint64(b, uint64(len(r.Mem)))
-				for _, m := range r.Mem {
-					b = le.AppendUint16(b, m.Instr)
-					b = le.AppendUint64(b, m.Addr)
-					b = append(b, m.Size, boolByte(m.Store))
-				}
-				b = le.AppendUint64(b, uint64(len(r.Locks)))
-				for _, l := range r.Locks {
-					b = le.AppendUint16(b, l.Instr)
-					b = le.AppendUint64(b, l.Addr)
-					b = append(b, boolByte(l.Release))
-				}
-			case trace.KindCall:
-				b = le.AppendUint32(b, r.Callee)
-			case trace.KindSkip:
-				b = append(b, byte(r.SkipKind))
-				b = le.AppendUint64(b, r.N)
-			}
-		}
-	}
-	h.Write(b)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
-}
-
-// reserve makes room for an n-byte row behind b, handing the buffered rows
-// to h when they would not fit; feeding SHA-256 one field at a time would
-// spend more in call overhead than in compression.
-func reserve(h hash.Hash, b []byte, n int) []byte {
-	if len(b)+n > cap(b) {
-		h.Write(b)
-		b = b[:0]
-	}
-	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // cacheKeyFromDigest mixes the canonicalized options into the trace digest.

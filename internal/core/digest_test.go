@@ -2,13 +2,16 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"threadfuser/internal/check"
@@ -222,14 +225,28 @@ func flipFirst(s string) string {
 
 // TestTraceDigestSensitivity: the digest changes under every single-field
 // mutation, thread swap, and re-split of the access and lock stream, on
-// random gen.go traces and the cache tests' hand-built trace. A packing
-// slip that drops or narrows a field passes every key test keyed on
-// options or pointer identity; this one catches it.
+// random gen.go traces, the cache tests' hand-built trace, and that trace
+// with a program name too long for Encode. A packing slip that drops or
+// narrows a field passes every key test keyed on options or pointer
+// identity; this one catches it.
 func TestTraceDigestSensitivity(t *testing.T) {
 	traces := map[string]*trace.Trace{"cachetest": core.CacheTestTrace()}
 	for seed := int64(1); seed <= 40; seed++ {
 		traces[fmt.Sprintf("gen-%d", seed)] = check.Generate(seed)
 	}
+	// A program name past the codec's string limit: Encode refuses the
+	// trace, but the digest skips Encode's caps and still keys it.
+	over := cloneTrace(core.CacheTestTrace())
+	over.Program = strings.Repeat("p", maxString+1)
+	if err := trace.Encode(io.Discard, over, 2); err == nil {
+		t.Fatal("Encode accepted a program name over the string limit")
+	}
+	lastByte := cloneTrace(over)
+	lastByte.Program = over.Program[:maxString] + "q"
+	if digest(t, lastByte) == digest(t, over) {
+		t.Error("over-caps: changing the program name's last byte does not change the digest")
+	}
+	traces["over-caps"] = over
 	classes := make(map[string]int)
 	for name, tr := range traces {
 		base := digest(t, tr)
@@ -263,9 +280,12 @@ func TestTraceDigestSensitivity(t *testing.T) {
 
 // TestTraceDigestAcrossDecoders: every workload digests identically from
 // the tracer's in-memory trace and from every decoder of every container
-// version, so a cache entry stored from one path hits from any other.
+// version, so a cache entry stored from one path hits from any other. The
+// strict decoder's rows include v2 and v3 files hand-edited into each
+// non-canonical form it accepts.
 func TestTraceDigestAcrossDecoders(t *testing.T) {
 	dir := t.TempDir()
+	edits := 0
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			tr := traceWorkload(t, w, 8)
@@ -291,6 +311,14 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 						return trace.ReadFileParallel(path, p)
 					}
 				}
+				if v >= 2 {
+					for form, edited := range nonCanonical(t, tr, v, data) {
+						decoders["DecodeStrict/"+form] = func() (*trace.Trace, error) {
+							return trace.DecodeStrict(bytes.NewReader(edited), int64(len(edited)), 0)
+						}
+						edits++
+					}
+				}
 				if v == 3 {
 					decoders["OpenFile+Ingest"] = func() (*trace.Trace, error) {
 						r, err := trace.OpenFile(path)
@@ -313,6 +341,96 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 			}
 		})
 	}
+	if edits == 0 {
+		t.Error("no workload has a stored access to write non-canonically")
+	}
+}
+
+// maxString is the codec's limit on the byte length of a .tft string.
+const maxString = 1 << 20
+
+// nonCanonical returns three hand edits of data, tr's encoding in version
+// 2 or 3, that the strict decoder still reads back as tr: the instr varint
+// of tr's first stored access written overlong, its store byte written 2
+// instead of 1, and its instr written 0x10000 too high, which the decoder's
+// uint16 narrows away. Each must key like the canonical bytes. It returns
+// nil if tr stores nothing.
+func nonCanonical(tb testing.TB, tr *trace.Trace, v int, data []byte) map[string][]byte {
+	tb.Helper()
+	for i, th := range tr.Threads {
+		for j, r := range th.Records {
+			for k, m := range r.Mem {
+				if !m.Store {
+					continue
+				}
+				// Locate the fields by changing each in a copy and finding
+				// the first byte where the encodings differ.
+				at := func(change func(*trace.MemAccess)) int {
+					c := cloneTrace(tr)
+					change(&c.Threads[i].Records[j].Mem[k])
+					var buf bytes.Buffer
+					if err := trace.Encode(&buf, c, v); err != nil {
+						tb.Fatal(err)
+					}
+					n := 0
+					for buf.Bytes()[n] == data[n] {
+						n++
+					}
+					return n
+				}
+				instrAt := at(func(m *trace.MemAccess) { m.Instr ^= 1 })
+				storeAt := at(func(m *trace.MemAccess) { m.Store = false })
+				instr := binary.AppendUvarint(nil, uint64(m.Instr))
+				overlong := append(bytes.Clone(instr), 0)
+				overlong[len(instr)-1] |= 0x80
+				return map[string][]byte{
+					"overlong-varint": splice(data, instrAt, len(instr), overlong),
+					"store-byte-2":    splice(data, storeAt, 1, []byte{2}),
+					"instr-over-16":   splice(data, instrAt, len(instr), binary.AppendUvarint(nil, uint64(m.Instr)+1<<16)),
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// splice returns a copy of the .tft bytes data with data[at:at+n]
+// replaced by repl, where at lies in a thread section and repl is at least
+// n bytes. In a v3 file it also rewrites the index footer, whose layout is
+// headerlen, nthreads, then {tid, offset, length, nrecords, nmem, nlocks}
+// per thread, all uvarints, and the trailer (footer length as a
+// little-endian uint64, then "TFXI"): the section holding at grows by the
+// edit and every later section moves with it.
+func splice(data []byte, at, n int, repl []byte) []byte {
+	out := append(append(append([]byte(nil), data[:at]...), repl...), data[at+n:]...)
+	if data[4] != 3 {
+		return out
+	}
+	grow := uint64(len(repl) - n)
+	footerLen := int(binary.LittleEndian.Uint64(data[len(data)-12:]))
+	footer := data[len(data)-12-footerLen : len(data)-12]
+	var vals []uint64
+	for len(footer) > 0 {
+		v, m := binary.Uvarint(footer)
+		vals = append(vals, v)
+		footer = footer[m:]
+	}
+	for e := 2; e+6 <= len(vals); e += 6 {
+		off, length := &vals[e+1], &vals[e+2]
+		if *off > uint64(at) {
+			*off += grow
+		} else if uint64(at) < *off+*length {
+			*length += grow
+		}
+	}
+	out = out[:len(out)-12-footerLen]
+	var f []byte
+	for _, v := range vals {
+		f = binary.AppendUvarint(f, v)
+	}
+	out = append(out, f...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(f)))
+	return append(out, "TFXI"...)
 }
 
 // digestGolden is testdata/digest_golden.json.
@@ -323,12 +441,12 @@ type digestGolden struct {
 }
 
 const digestGoldenComment = "TraceDigest of every workload (8 threads, seed 1) and the cacheSchema " +
-	"they were written under. Changing the digest's row format orphans every cached report, " +
+	"they were written under. Changing the bytes the digest hashes orphans every cached report, " +
 	"so it must bump cacheSchema in internal/core/cache.go and regenerate this file on purpose: " +
 	"go test ./internal/core -run TestTraceDigestGolden -update"
 
 // TestTraceDigestGolden pins every workload's digest and the cache schema.
-// A change to the row format that forgets the schema bump would serve
+// A change to the hashed bytes that forgets the schema bump would serve
 // reports cached under the old keys' meaning; this test refuses it.
 func TestTraceDigestGolden(t *testing.T) {
 	path := filepath.Join("testdata", "digest_golden.json")
@@ -366,7 +484,7 @@ func TestTraceDigestGolden(t *testing.T) {
 		if g, ok := got.Digests[name]; !ok {
 			t.Errorf("%s: in snapshot but not in workloads.All(); run -update if removed intentionally", name)
 		} else if g != d {
-			t.Errorf("%s: digest %s, snapshot %s: a row-format change needs a cacheSchema bump and -update", name, g, d)
+			t.Errorf("%s: digest %s, snapshot %s: a change to the hashed bytes needs a cacheSchema bump and -update", name, g, d)
 		}
 	}
 	for name := range got.Digests {

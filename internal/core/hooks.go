@@ -19,13 +19,14 @@ func SetReplayTestHook(f func()) (restore func()) {
 }
 
 // TraceDigest returns the hex-encoded content digest of a trace — the trace
-// half of the report-cache key. It hashes decoded rows, not container bytes,
-// so the same trace digests identically whichever .tft version (or in-memory
-// construction) it arrived through. The analysis service does not call it:
-// its singleflight dedup key is Session.CacheKey, whose digest the
-// request's analysis then reuses. The error is always nil.
+// half of the report-cache key. It is trace.Digest, the SHA-256 of the
+// trace's canonical v2 encoding, so the same trace digests identically
+// whichever .tft version (or in-memory construction) it arrived through,
+// and a trace over Encode's size caps still gets one. The analysis service
+// does not call it: its singleflight dedup key is Session.CacheKey, whose
+// digest the request's analysis then reuses. The error is always nil.
 func TraceDigest(t *trace.Trace) (string, error) {
-	sum := traceDigest(t)
+	sum := trace.Digest(t)
 	return hex.EncodeToString(sum[:]), nil
 }
 

@@ -174,7 +174,7 @@ func (s *Session) digest(t *trace.Trace) [sha256.Size]byte {
 		s.digests[t] = e
 	}
 	s.mu.Unlock()
-	e.once.Do(func() { e.sum = traceDigest(t) })
+	e.once.Do(func() { e.sum = trace.Digest(t) })
 	return e.sum
 }
 

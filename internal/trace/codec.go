@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -34,7 +34,12 @@ import (
 // thread start, so sections decode independently). Real traces are dominated
 // by address bytes and consecutive accesses are near each other, so deltas
 // shrink files severalfold, which matters at the paper's 42K-thread scale.
-// The one production parser of these bytes is bdec (arena.go).
+//
+// The one writer of these bytes is encoder, run by Encode and by Digest;
+// the one production parser is bdec (arena.go). The v2 header and thread
+// sections are a trace's canonical encoding: Digest hashes them, and since
+// decoding inverts them, the report cache keys a trace by its content
+// whichever container version it arrived in.
 
 const (
 	magic    = "TFTR"
@@ -54,8 +59,8 @@ const maxString = 1 << 20
 
 // Encode writes the trace to w in the given .tft container version: 1 (raw
 // addresses), 2 (delta-encoded addresses) or 3 (v2 plus the thread index
-// footer that Reader and the parallel decoders seek by). It is the one
-// writer of .tft headers, thread sections and footers.
+// footer that Reader and the parallel decoders seek by). It returns the
+// first error w reports and writes nothing after it.
 func Encode(w io.Writer, t *Trace, version int) error {
 	if version < version1 || version > version3 {
 		return fmt.Errorf("trace: encode: unsupported version %d", version)
@@ -64,46 +69,49 @@ func Encode(w io.Writer, t *Trace, version int) error {
 	if err != nil {
 		return err
 	}
-	e := &encoder{w: bufio.NewWriterSize(w, 1<<16), delta: version != version1}
-	e.bytes([]byte(magic))
-	e.uvarint(uint64(version))
-	e.str(t.Program)
-	e.uvarint(uint64(t.Entry))
-	e.uvarint(uint64(len(t.Funcs)))
-	for _, f := range t.Funcs {
-		e.str(f.Name)
-		e.uvarint(uint64(len(f.Blocks)))
-		for _, b := range f.Blocks {
-			e.uvarint(uint64(b.NInstr))
-		}
-	}
-	e.uvarint(uint64(len(t.Threads)))
-	headerLen := e.n
+	e := newEncoder(w)
+	e.buf = appendHeader(e.buf, t, version)
+	headerLen := e.pos()
 	for i, th := range t.Threads {
-		index[i].off = e.n
-		e.uvarint(uint64(th.TID))
-		e.uvarint(uint64(len(th.Records)))
-		e.prev = 0
-		for j := range th.Records {
-			e.record(&th.Records[j])
+		index[i].off = e.pos()
+		e.section(th, version != version1)
+		index[i].len = e.pos() - index[i].off
+		if e.err != nil {
+			return e.err
 		}
-		index[i].len = e.n - index[i].off
 	}
 	if version == version3 {
-		footerOff := e.n
-		e.uvarint(uint64(headerLen))
-		e.uvarint(uint64(len(index)))
+		b, footerAt := e.buf, len(e.buf)
+		b = binary.AppendUvarint(b, uint64(headerLen))
+		b = binary.AppendUvarint(b, uint64(len(index)))
 		for _, en := range index {
 			for _, v := range [...]int64{int64(en.tid), en.off, en.len, en.nrec, en.nmem, en.nlock} {
-				e.uvarint(uint64(v))
+				b = binary.AppendUvarint(b, uint64(v))
 			}
 		}
-		var trailer [trailerSize]byte
-		binary.LittleEndian.PutUint64(trailer[:8], uint64(e.n-footerOff))
-		copy(trailer[8:], indexMagic)
-		e.bytes(trailer[:])
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(b)-footerAt))
+		e.buf = append(b, indexMagic...)
 	}
-	return e.w.Flush()
+	e.flush()
+	return e.err
+}
+
+// Digest returns the SHA-256 of the trace's canonical encoding: its v2
+// header and thread sections, without a footer. The codec round-trips, so
+// equal digests mean equal traces whichever container version (or
+// in-memory construction) they came from. Unlike Encode it applies no size
+// caps, so a trace too large to encode still gets a digest.
+func Digest(t *Trace) [sha256.Size]byte {
+	h := sha256.New()
+	e := newEncoder(h)
+	e.buf = appendHeader(e.buf, t, version2)
+	for _, th := range t.Threads {
+		e.section(th, true)
+	}
+	e.flush()
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // sizeTrace returns each thread's index entry with its tid and table sizes.
@@ -178,82 +186,123 @@ func writeFile(path string, t *Trace, version int) error {
 	return f.Close()
 }
 
-// encoder writes .tft fields through a bufio.Writer, whose errors are
-// sticky: after a failed write every later one is a no-op and Flush reports
-// the error, so the field writers need not check.
+// flushAt is the buffered byte count past which an encoder hands its
+// buffer to w.
+const flushAt = 64 << 10
+
+// encoder appends .tft bytes into one reused buffer and hands the buffer to
+// w each time it passes flushAt. It is the one writer of trace fields as
+// bytes: Encode and Digest both run it.
 type encoder struct {
-	w     *bufio.Writer
-	buf   [binary.MaxVarintLen64]byte
-	n     int64  // bytes written so far (byte offsets for the v3 index)
-	delta bool   // addresses as zig-zag deltas (v2, v3) instead of raw (v1)
-	prev  uint64 // the thread's previous address, for delta encoding
+	w   io.Writer
+	buf []byte
+	off int64 // bytes handed to w so far
+	err error // the first error w reported; nothing is written after it
 }
 
-func (e *encoder) bytes(b []byte) {
-	e.w.Write(b)
-	e.n += int64(len(b))
+func newEncoder(w io.Writer) *encoder {
+	return &encoder{w: w, buf: make([]byte, 0, flushAt+flushAt/8)}
 }
 
-func (e *encoder) byte(b byte) {
-	e.w.WriteByte(b)
-	e.n++
-}
+// pos returns the byte offset of the next appended byte.
+func (e *encoder) pos() int64 { return e.off + int64(len(e.buf)) }
 
-func (e *encoder) uvarint(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.bytes(e.buf[:n])
-}
-
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.bytes([]byte(s))
-}
-
-func (e *encoder) bool(b bool) {
-	if b {
-		e.byte(1)
-	} else {
-		e.byte(0)
-	}
-}
-
-// addr writes a memory or lock address in the container's address mode.
-func (e *encoder) addr(a uint64) {
-	if e.delta {
-		e.uvarint(zigzag(int64(a - e.prev)))
-		e.prev = a
-		return
-	}
-	e.uvarint(a)
-}
-
-// record writes one record; sizeTrace has already rejected unknown kinds.
-func (e *encoder) record(r *Record) {
-	e.byte(byte(r.Kind))
-	switch r.Kind {
-	case KindBBL:
-		e.uvarint(uint64(r.Func))
-		e.uvarint(uint64(r.Block))
-		e.uvarint(r.N)
-		e.uvarint(uint64(len(r.Mem)))
-		for _, m := range r.Mem {
-			e.uvarint(uint64(m.Instr))
-			e.addr(m.Addr)
-			e.byte(m.Size)
-			e.bool(m.Store)
+// flush hands the buffer to w unless an earlier write failed.
+func (e *encoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		n, err := e.w.Write(e.buf)
+		if err == nil && n < len(e.buf) {
+			err = io.ErrShortWrite
 		}
-		e.uvarint(uint64(len(r.Locks)))
-		for _, l := range r.Locks {
-			e.uvarint(uint64(l.Instr))
-			e.addr(l.Addr)
-			e.bool(l.Release)
-		}
-	case KindCall:
-		e.uvarint(uint64(r.Callee))
-	case KindSkip:
-		e.byte(byte(r.SkipKind))
-		e.uvarint(r.N)
+		e.off += int64(n)
+		e.err = err
 	}
+	e.buf = e.buf[:0]
+}
+
+// appendHeader appends t's .tft header in the given version.
+func appendHeader(b []byte, t *Trace, version int) []byte {
+	b = append(b, magic...)
+	b = binary.AppendUvarint(b, uint64(version))
+	b = appendString(b, t.Program)
+	b = binary.AppendUvarint(b, uint64(t.Entry))
+	b = binary.AppendUvarint(b, uint64(len(t.Funcs)))
+	for _, f := range t.Funcs {
+		b = appendString(b, f.Name)
+		b = binary.AppendUvarint(b, uint64(len(f.Blocks)))
+		for _, blk := range f.Blocks {
+			b = binary.AppendUvarint(b, uint64(blk.NInstr))
+		}
+	}
+	return binary.AppendUvarint(b, uint64(len(t.Threads)))
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// section appends thread th's section: its tid, record count and records,
+// with addresses raw or, when delta is set, as the zig-zag varint of their
+// delta from the thread's previous address (0 at the thread's start). It
+// flushes between records, so the buffer stays near flushAt however long
+// the thread is. Unknown record kinds are written as their kind byte alone;
+// Encode's sizeTrace has refused them already.
+func (e *encoder) section(th *ThreadTrace, delta bool) {
+	b := binary.AppendUvarint(e.buf, uint64(th.TID))
+	b = binary.AppendUvarint(b, uint64(len(th.Records)))
+	var prev uint64
+	addr := func(b []byte, a uint64) []byte {
+		if !delta {
+			return binary.AppendUvarint(b, a)
+		}
+		d := zigzag(int64(a - prev))
+		prev = a
+		return binary.AppendUvarint(b, d)
+	}
+	for i := range th.Records {
+		if len(b) >= flushAt {
+			e.buf = b
+			e.flush()
+			b = e.buf
+		}
+		r := &th.Records[i]
+		b = append(b, byte(r.Kind))
+		switch r.Kind {
+		case KindBBL:
+			b = binary.AppendUvarint(b, uint64(r.Func))
+			b = binary.AppendUvarint(b, uint64(r.Block))
+			b = binary.AppendUvarint(b, r.N)
+			b = binary.AppendUvarint(b, uint64(len(r.Mem)))
+			for _, m := range r.Mem {
+				b = binary.AppendUvarint(b, uint64(m.Instr))
+				b = addr(b, m.Addr)
+				b = append(b, m.Size, boolByte(m.Store))
+			}
+			b = binary.AppendUvarint(b, uint64(len(r.Locks)))
+			for _, l := range r.Locks {
+				b = binary.AppendUvarint(b, uint64(l.Instr))
+				b = addr(b, l.Addr)
+				b = append(b, boolByte(l.Release))
+			}
+		case KindCall:
+			b = binary.AppendUvarint(b, uint64(r.Callee))
+		case KindSkip:
+			b = append(b, byte(r.SkipKind))
+			b = binary.AppendUvarint(b, r.N)
+		}
+	}
+	e.buf = b
+	if len(b) >= flushAt {
+		e.flush()
+	}
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

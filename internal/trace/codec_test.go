@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -352,6 +354,91 @@ func TestEncodeRejectsWhatDecodeRejects(t *testing.T) {
 	for _, v := range []int{0, 4} {
 		if err := trace.Encode(&buf, &trace.Trace{}, v); err == nil || buf.Len() != 0 {
 			t.Errorf("Encode accepted version %d", v)
+		}
+	}
+}
+
+// failWriter accepts limit bytes, then fails every write with errFull, or,
+// when silent, reports a short write with no error. It records what it
+// accepted and any write attempted after the first failure.
+type failWriter struct {
+	limit  int
+	silent bool
+	got    []byte
+	failed bool
+	after  int
+}
+
+var errFull = errors.New("device full")
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.after++
+	}
+	n := min(len(p), w.limit-len(w.got))
+	w.got = append(w.got, p[:n]...)
+	if n == len(p) {
+		return n, nil
+	}
+	w.failed = true
+	if w.silent {
+		return n, nil
+	}
+	return n, errFull
+}
+
+// TestEncodeReturnsWriteErrors: when w fails partway, Encode returns w's
+// first error, having written exactly the prefix w accepted and attempted
+// nothing after the failure. The failure lands in the header, in a thread
+// section, at the last section byte, and (v3) in the footer and trailer.
+// The trace's last thread is long enough to need several writes of its own,
+// so a failure inside it is followed by more of the same section.
+func TestEncodeReturnsWriteErrors(t *testing.T) {
+	w, err := workloads.ByName("dsb.post")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := traceWorkload(t, w, 4)
+	long := &trace.ThreadTrace{TID: 4}
+	for len(long.Records) < 1<<16 {
+		long.Records = append(long.Records, tr.Threads[0].Records...)
+	}
+	tr.Threads = append(tr.Threads, long)
+	for _, v := range []int{1, 3} {
+		var full bytes.Buffer
+		if err := trace.Encode(&full, tr, v); err != nil {
+			t.Fatal(err)
+		}
+		data := full.Bytes()
+		if len(data) < 4<<16 {
+			t.Fatalf("v%d: %d bytes fit in too few writes", v, len(data))
+		}
+		at := map[string]int{"header": 2, "long section": len(data) / 2}
+		if v == 1 {
+			at["last section byte"] = len(data) - 1
+		} else {
+			footerLen := int(binary.LittleEndian.Uint64(data[len(data)-12:]))
+			at["last section byte"] = len(data) - 12 - footerLen - 1
+			at["footer"] = len(data) - 12 - footerLen + 1
+			at["trailer"] = len(data) - 1
+		}
+		for where, k := range at {
+			for _, silent := range []bool{false, true} {
+				want := errFull
+				if silent {
+					want = io.ErrShortWrite
+				}
+				fw := &failWriter{limit: k, silent: silent}
+				if err := trace.Encode(fw, tr, v); !errors.Is(err, want) {
+					t.Errorf("v%d, fail in %s (silent %t): Encode error = %v, want %v", v, where, silent, err, want)
+				}
+				if !bytes.Equal(fw.got, data[:k]) {
+					t.Errorf("v%d, fail in %s: w accepted %d bytes that are not the encoding's first %d", v, where, len(fw.got), k)
+				}
+				if fw.after != 0 {
+					t.Errorf("v%d, fail in %s: Encode wrote %d more times after the failure", v, where, fw.after)
+				}
+			}
 		}
 	}
 }
