@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"threadfuser/internal/analysis"
 	"threadfuser/internal/ir"
 	"threadfuser/internal/opt"
 	"threadfuser/internal/staticlock"
@@ -96,6 +97,37 @@ func TestStaticOracleGolden(t *testing.T) {
 		pin("pinned."+prog.Name, prog)
 	}
 
+	checkGolden(t, path, got, "static oracle result")
+}
+
+// TestLintGolden pins the lint engine's findings across changes: one SHA-256
+// of the JSON report per workload, linted with every pass and the program
+// attached, at the tflint defaults (seed 7, default threads, warp 32). Run
+// with -update after an intentional behaviour change:
+//
+//	go test ./internal/analysis -run TestLintGolden -update
+func TestLintGolden(t *testing.T) {
+	got := make(map[string]string)
+	for _, w := range workloads.All() {
+		inst, tr := instanceFor(t, w.Name)
+		rep, err := analysis.Run(tr, analysis.Options{WarpSize: 32, Prog: inst.Prog})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", w.Name, err)
+		}
+		sum := sha256.Sum256(data)
+		got[w.Name] = hex.EncodeToString(sum[:])
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_lint.json"), got, "lint report")
+}
+
+// checkGolden compares got against the snapshot at path, or rewrites the
+// snapshot under -update. what names the pinned value in failure messages.
+func checkGolden(t *testing.T, path string, got map[string]string, what string) {
+	t.Helper()
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -125,7 +157,7 @@ func TestStaticOracleGolden(t *testing.T) {
 			continue
 		}
 		if g != w {
-			t.Errorf("%s: static oracle result drifted from the golden snapshot; run with -update if this change is intentional", key)
+			t.Errorf("%s: %s drifted from the golden snapshot; run with -update if this change is intentional", key, what)
 		}
 	}
 	for key := range got {
