@@ -43,14 +43,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/opt"
 	"threadfuser/internal/serve"
-	"threadfuser/internal/staticlock"
 	"threadfuser/internal/workloads"
 )
 
@@ -179,7 +176,7 @@ func main() {
 				fmt.Printf("%-28s %3d acquire(s) (%d divergent), %d cycle candidate(s), %d race candidate(s)\n",
 					w.Name, lockRes.Acquires, lockRes.DivergentAcquires, lockRes.CycleCandidates, lockRes.RaceCandidates)
 			default:
-				renderConcurrency(os.Stdout, lockRes, *locks || *verify, *races || *verify, *verbose)
+				lockRes.Render(os.Stdout, *locks || *verify, *races || *verify, *verbose)
 			}
 		default:
 			switch {
@@ -206,60 +203,6 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
-	}
-}
-
-// renderConcurrency writes the lock- and/or race-oriented sections of one
-// static concurrency report. Output order is fixed (sites, then classes,
-// sorted by function/block/instruction), so repeated runs are byte-identical.
-func renderConcurrency(w io.Writer, res *staticlock.Result, showLocks, showRaces, verbose bool) {
-	fmt.Fprintf(w, "%s: %d acquire(s) (%d divergent), %d lock class(es), %d order edge(s), %d cycle candidate(s), %d race-candidate class(es)\n",
-		res.Program, res.Acquires, res.DivergentAcquires, len(res.LockClasses), len(res.Edges), res.CycleCandidates, res.RaceCandidates)
-	if showLocks {
-		for i := range res.Sites {
-			s := &res.Sites[i]
-			if s.Release || s.Unreachable {
-				continue
-			}
-			if s.Divergent {
-				fmt.Fprintf(w, "  divergent acquire: %s b%d i%d lock %s — serialized under SIMT; livelock hazard if the critical section spins\n",
-					s.FuncName, s.Block, s.Instr, s.Shape)
-			} else if verbose {
-				fmt.Fprintf(w, "  acquire: %s b%d i%d lock %s\n", s.FuncName, s.Block, s.Instr, s.Shape)
-			}
-		}
-		for _, idx := range res.Recursions {
-			s := &res.Sites[idx]
-			fmt.Fprintf(w, "  recursive acquire: %s b%d i%d lock %s may already be held\n", s.FuncName, s.Block, s.Instr, s.Shape)
-		}
-		for _, idx := range res.BareReleases {
-			s := &res.Sites[idx]
-			fmt.Fprintf(w, "  release without acquire: %s b%d i%d lock %s\n", s.FuncName, s.Block, s.Instr, s.Shape)
-		}
-		for ci := range res.Cycles {
-			c := &res.Cycles[ci]
-			fmt.Fprintf(w, "  cycle candidate: classes %v over {%s}\n", c.Classes, strings.Join(c.Shapes, ", "))
-		}
-		if verbose {
-			for i := range res.Edges {
-				e := &res.Edges[i]
-				fmt.Fprintf(w, "  order edge: %s -> %s\n", e.From, e.To)
-			}
-		}
-	}
-	if showRaces {
-		for ci := range res.AccessClasses {
-			ac := &res.AccessClasses[ci]
-			if ac.Candidate {
-				fmt.Fprintf(w, "  race candidate: class %d {%s} written with no common named lock\n", ci, strings.Join(ac.Shapes, ", "))
-			} else if verbose {
-				note := ac.Kind
-				if len(ac.CommonLocks) > 0 {
-					note = "protected by " + strings.Join(ac.CommonLocks, ", ")
-				}
-				fmt.Fprintf(w, "  class %d {%s}: %s\n", ci, strings.Join(ac.Shapes, ", "), note)
-			}
-		}
 	}
 }
 

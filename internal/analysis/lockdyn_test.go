@@ -220,3 +220,66 @@ func TestDynamicRaceAccessesSites(t *testing.T) {
 		t.Errorf("site 1 = %+v, want unlocked load at i1", accs[1])
 	}
 }
+
+// TestLockLintShapes pins the locks pass's runtime findings on the shapes no
+// catalog workload takes: a stray release, a recursive acquire, a leak
+// left by unwinding a recursive hold only once (attributed to the depth-1
+// acquire), and a two-thread inversion reported once per lock pair.
+func TestLockLintShapes(t *testing.T) {
+	pb := ir.NewBuilder("shapes")
+	f := pb.NewFunc("main")
+	pb.SetEntry(f)
+	a, b, c := ir.Mem(ir.R(0), 0, 8), ir.Mem(ir.R(0), 8, 8), ir.Mem(ir.R(0), 16, 8)
+	f.NewBlock("entry").
+		Unlock(c). // i0: release without acquire
+		Lock(a).   // i1: depth-1 acquire, leaked
+		Lock(a).   // i2: recursive
+		Lock(b).   // i3
+		Unlock(b).Unlock(a).
+		Ret()
+	rep, err := analysis.Run(runProg(t, pb.MustBuild(), 2, 24, nil), analysis.Options{Passes: []string{"locks"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"release at instruction 0 without a matching acquire: 2 occurrence(s)",
+		"recursive acquisition at instruction 2 of a lock already held: 2 occurrence(s)",
+		"lock acquired at instruction 1 is never released: 2 leaked acquisition(s)",
+	} {
+		if !hasMessage(rep, "locks", want) {
+			rep.Render(testWriter{t})
+			t.Errorf("missing locks finding %q", want)
+		}
+	}
+	if n := countPass(rep, "locks", analysis.SevWarning); n != 3 {
+		rep.Render(testWriter{t})
+		t.Errorf("locks warnings and errors = %d, want 3", n)
+	}
+
+	// Thread t takes lock[t] then lock[1-t], twice from two different
+	// sites: four site-attributed edges, one inversion.
+	pb = ir.NewBuilder("inversion")
+	f = pb.NewFunc("main")
+	pb.SetEntry(f)
+	blk := f.NewBlock("entry").
+		Mov(ir.Rg(ir.R(2)), ir.Imm(1)).
+		Sub(ir.Rg(ir.R(2)), ir.Rg(ir.TID)).
+		Lea(ir.R(1), ir.MemIdx(ir.R(0), ir.TID, 8, 0, 8)).
+		Lea(ir.R(3), ir.MemIdx(ir.R(0), ir.R(2), 8, 0, 8))
+	for i := 0; i < 2; i++ {
+		blk.Lock(ir.Rg(ir.R(1))).Lock(ir.Rg(ir.R(3))).Unlock(ir.Rg(ir.R(3))).Unlock(ir.Rg(ir.R(1)))
+	}
+	blk.Ret()
+	tr := runProg(t, pb.MustBuild(), 2, 16, nil)
+	if lo := analysis.DynamicLockOrder(tr); len(lo.Edges) != 4 {
+		t.Fatalf("edges = %+v, want 4", lo.Edges)
+	}
+	rep, err = analysis.Run(tr, analysis.Options{Passes: []string{"locks"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := countPass(rep, "locks", analysis.SevWarning); n != 1 || !hasMessage(rep, "locks", "lock-order inversion") {
+		rep.Render(testWriter{t})
+		t.Errorf("want exactly one inversion warning, got %d locks warning(s)", n)
+	}
+}

@@ -32,20 +32,13 @@ const (
 	maxLeakReports = 20
 )
 
-// lockSite is a static lock-operation location.
-type lockSite struct {
-	fn    uint32
-	block uint32
-	instr uint16
-}
-
 type lockAgg struct {
 	count   int
 	minAddr uint64
 	threads map[int]bool
 }
 
-func aggAt(m map[lockSite]*lockAgg, site lockSite, addr uint64, tid int) {
+func aggAt(m map[LockSite]*lockAgg, site LockSite, addr uint64, tid int) {
 	a := m[site]
 	if a == nil {
 		a = &lockAgg{minAddr: addr, threads: make(map[int]bool)}
@@ -66,87 +59,57 @@ func (lockLintPass) Run(ctx *Context) error {
 		block uint32
 	}
 	var (
-		leaks      = map[lockSite]*lockAgg{} // held at end of thread
-		recursive  = map[lockSite]*lockAgg{} // acquire of an already-held lock
-		orphanRels = map[lockSite]*lockAgg{} // release without acquire
-		orderPairs = map[[2]uint64]bool{}    // (held, then-acquired) lock pairs
+		leaks      = map[LockSite]*lockAgg{} // held at end of thread
+		recursive  = map[LockSite]*lockAgg{} // acquire of an already-held lock
+		orphanRels = map[LockSite]*lockAgg{} // release without acquire
 		openAcq    = map[blockKey]uint16{}   // blocks acquiring without an in-block release
 		hasRelease = map[blockKey]bool{}     // blocks containing any release
 	)
-
-	type heldAt struct {
-		site  lockSite
-		depth int
-	}
-	for _, th := range t.Threads {
-		held := map[uint64]*heldAt{}
-		for ri := range th.Records {
-			r := &th.Records[ri]
-			if r.Kind != trace.KindBBL {
-				continue
-			}
+	lockWalk(t, lockHooks{
+		lock: func(tid int, r *trace.Record, li int, held heldSet) {
+			l := &r.Locks[li]
+			site := LockSite{Func: r.Func, Block: r.Block, Instr: l.Instr}
 			bk := blockKey{r.Func, r.Block}
-			for li := range r.Locks {
-				l := &r.Locks[li]
-				site := lockSite{r.Func, r.Block, l.Instr}
-				if l.Release {
-					hasRelease[bk] = true
-					h := held[l.Addr]
-					if h == nil {
-						aggAt(orphanRels, site, l.Addr, th.TID)
-						continue
-					}
-					h.depth--
-					if h.depth == 0 {
-						delete(held, l.Addr)
-					}
-					continue
+			_, isHeld := held[l.Addr]
+			if l.Release {
+				hasRelease[bk] = true
+				if !isHeld {
+					aggAt(orphanRels, site, l.Addr, tid)
 				}
-				if h := held[l.Addr]; h != nil {
-					aggAt(recursive, site, l.Addr, th.TID)
-					h.depth++
-					continue
-				}
-				for other := range held {
-					orderPairs[[2]uint64{other, l.Addr}] = true
-				}
-				held[l.Addr] = &heldAt{site: site, depth: 1}
-				// Static view: an acquire with no release of the same lock
-				// later in this block leaves the block holding it.
-				released := false
-				for lj := li + 1; lj < len(r.Locks); lj++ {
-					if r.Locks[lj].Release && r.Locks[lj].Addr == l.Addr {
-						released = true
-						break
-					}
-				}
-				if !released {
-					if _, seen := openAcq[bk]; !seen {
-						openAcq[bk] = l.Instr
-					}
+				return
+			}
+			if isHeld {
+				aggAt(recursive, site, l.Addr, tid)
+				return
+			}
+			// Static view: an acquire with no release of the same lock
+			// later in this block leaves the block holding it.
+			released := false
+			for lj := li + 1; lj < len(r.Locks); lj++ {
+				if r.Locks[lj].Release && r.Locks[lj].Addr == l.Addr {
+					released = true
+					break
 				}
 			}
-		}
-		for addr, h := range held {
-			aggAt(leaks, h.site, addr, th.TID)
-		}
-	}
+			if !released {
+				if _, seen := openAcq[bk]; !seen {
+					openAcq[bk] = l.Instr
+				}
+			}
+		},
+		end: func(tid int, held heldSet) {
+			for addr, h := range held {
+				aggAt(leaks, h.site, addr, tid)
+			}
+		},
+	})
 
-	emit := func(m map[lockSite]*lockAgg, sev Severity, format string) {
-		sites := make([]lockSite, 0, len(m))
+	emit := func(m map[LockSite]*lockAgg, sev Severity, format string) {
+		sites := make([]LockSite, 0, len(m))
 		for s := range m {
 			sites = append(sites, s)
 		}
-		sort.Slice(sites, func(i, j int) bool {
-			a, b := sites[i], sites[j]
-			if a.fn != b.fn {
-				return a.fn < b.fn
-			}
-			if a.block != b.block {
-				return a.block < b.block
-			}
-			return a.instr < b.instr
-		})
+		sort.Slice(sites, func(i, j int) bool { return sites[i].less(sites[j]) })
 		for i, s := range sites {
 			if i >= maxLeakReports {
 				f := finding("locks", sev)
@@ -156,11 +119,11 @@ func (lockLintPass) Run(ctx *Context) error {
 			}
 			a := m[s]
 			f := finding("locks", sev)
-			f.Function = t.FuncName(s.fn)
-			f.Block = int32(s.block)
+			f.Function = t.FuncName(s.Func)
+			f.Block = int32(s.Block)
 			f.Addr = a.minAddr
 			f.Threads = sortedInts(a.threads)
-			f.Message = fmt.Sprintf(format, s.instr, a.count, a.minAddr, intsCSV(f.Threads))
+			f.Message = fmt.Sprintf(format, s.Instr, a.count, a.minAddr, intsCSV(f.Threads))
 			ctx.add(f)
 		}
 	}
@@ -170,23 +133,22 @@ func (lockLintPass) Run(ctx *Context) error {
 
 	// Lock-order inversions: the same two locks acquired in both orders by
 	// some pair of threads is the classic deadlock recipe (the trace's
-	// non-blocking locks hide it; real mutexes would not).
-	var inversions [][2]uint64
-	for p := range orderPairs {
-		if p[0] < p[1] && orderPairs[[2]uint64{p[1], p[0]}] {
-			inversions = append(inversions, p)
-		}
+	// non-blocking locks hide it; real mutexes would not). The lock-order
+	// graph's edges are sorted by (From, To) and repeat a pair once per
+	// site pair, so each inversion is reported at its first edge.
+	edges := DynamicLockOrder(t).Edges
+	ordered := make(map[[2]uint64]bool, len(edges))
+	for _, e := range edges {
+		ordered[[2]uint64{e.From, e.To}] = true
 	}
-	sort.Slice(inversions, func(i, j int) bool {
-		if inversions[i][0] != inversions[j][0] {
-			return inversions[i][0] < inversions[j][0]
+	for i, e := range edges {
+		if e.From >= e.To || !ordered[[2]uint64{e.To, e.From}] ||
+			(i > 0 && edges[i-1].From == e.From && edges[i-1].To == e.To) {
+			continue
 		}
-		return inversions[i][1] < inversions[j][1]
-	})
-	for _, p := range inversions {
 		f := finding("locks", SevWarning)
-		f.Addr = p[0]
-		f.Message = fmt.Sprintf("lock-order inversion: locks 0x%x and 0x%x are acquired in both orders (potential deadlock under blocking mutexes)", p[0], p[1])
+		f.Addr = e.From
+		f.Message = fmt.Sprintf("lock-order inversion: locks 0x%x and 0x%x are acquired in both orders (potential deadlock under blocking mutexes)", e.From, e.To)
 		ctx.add(f)
 	}
 

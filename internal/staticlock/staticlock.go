@@ -676,51 +676,57 @@ func (r *Result) CycleCovering(classes []int) bool {
 	return false
 }
 
-// Render writes the human-readable report. Verbose additionally lists every
-// site and access class.
-func (r *Result) Render(w io.Writer, verbose bool) {
+// Render writes the lock- and/or race-oriented sections of the
+// human-readable report; verbose additionally lists every acquire site,
+// order edge and access class. Output order is fixed (sites, then classes,
+// sorted by function/block/instruction), so repeated runs are byte-identical.
+func (r *Result) Render(w io.Writer, showLocks, showRaces, verbose bool) {
 	fmt.Fprintf(w, "%s: %d acquire(s) (%d divergent), %d lock class(es), %d order edge(s), %d cycle candidate(s), %d race-candidate class(es)\n",
-		r.Program, r.Acquires, r.DivergentAcquires, len(r.LockClasses), len(r.Edges), len(r.Cycles), r.RaceCandidates)
-	for i := range r.Sites {
-		s := &r.Sites[i]
-		if s.Release || s.Unreachable {
-			continue
-		}
-		if s.Divergent {
-			fmt.Fprintf(w, "  divergent acquire: %s b%d i%d lock %s — serialized under SIMT; livelock hazard if the critical section spins\n",
-				s.FuncName, s.Block, s.Instr, s.Shape)
-		} else if verbose {
-			fmt.Fprintf(w, "  acquire: %s b%d i%d lock %s\n", s.FuncName, s.Block, s.Instr, s.Shape)
-		}
-	}
-	for _, idx := range r.Recursions {
-		s := &r.Sites[idx]
-		fmt.Fprintf(w, "  recursive acquire: %s b%d i%d lock %s may already be held\n", s.FuncName, s.Block, s.Instr, s.Shape)
-	}
-	for _, idx := range r.BareReleases {
-		s := &r.Sites[idx]
-		fmt.Fprintf(w, "  release without acquire: %s b%d i%d lock %s\n", s.FuncName, s.Block, s.Instr, s.Shape)
-	}
-	for ci := range r.Cycles {
-		c := &r.Cycles[ci]
-		fmt.Fprintf(w, "  cycle candidate: classes %v over {%s}\n", c.Classes, strings.Join(c.Shapes, ", "))
-	}
-	for ci := range r.AccessClasses {
-		ac := &r.AccessClasses[ci]
-		if ac.Candidate {
-			fmt.Fprintf(w, "  race candidate: class %d {%s} written with no common named lock\n", ci, strings.Join(ac.Shapes, ", "))
-		} else if verbose {
-			note := ac.Kind
-			if len(ac.CommonLocks) > 0 {
-				note = "protected by " + strings.Join(ac.CommonLocks, ", ")
+		r.Program, r.Acquires, r.DivergentAcquires, len(r.LockClasses), len(r.Edges), r.CycleCandidates, r.RaceCandidates)
+	if showLocks {
+		for i := range r.Sites {
+			s := &r.Sites[i]
+			if s.Release || s.Unreachable {
+				continue
 			}
-			fmt.Fprintf(w, "  class %d {%s}: %s\n", ci, strings.Join(ac.Shapes, ", "), note)
+			if s.Divergent {
+				fmt.Fprintf(w, "  divergent acquire: %s b%d i%d lock %s — serialized under SIMT; livelock hazard if the critical section spins\n",
+					s.FuncName, s.Block, s.Instr, s.Shape)
+			} else if verbose {
+				fmt.Fprintf(w, "  acquire: %s b%d i%d lock %s\n", s.FuncName, s.Block, s.Instr, s.Shape)
+			}
+		}
+		for _, idx := range r.Recursions {
+			s := &r.Sites[idx]
+			fmt.Fprintf(w, "  recursive acquire: %s b%d i%d lock %s may already be held\n", s.FuncName, s.Block, s.Instr, s.Shape)
+		}
+		for _, idx := range r.BareReleases {
+			s := &r.Sites[idx]
+			fmt.Fprintf(w, "  release without acquire: %s b%d i%d lock %s\n", s.FuncName, s.Block, s.Instr, s.Shape)
+		}
+		for ci := range r.Cycles {
+			c := &r.Cycles[ci]
+			fmt.Fprintf(w, "  cycle candidate: classes %v over {%s}\n", c.Classes, strings.Join(c.Shapes, ", "))
+		}
+		if verbose {
+			for i := range r.Edges {
+				e := &r.Edges[i]
+				fmt.Fprintf(w, "  order edge: %s -> %s\n", e.From, e.To)
+			}
 		}
 	}
-	if verbose {
-		for i := range r.Edges {
-			e := &r.Edges[i]
-			fmt.Fprintf(w, "  order edge: %s -> %s\n", e.From, e.To)
+	if showRaces {
+		for ci := range r.AccessClasses {
+			ac := &r.AccessClasses[ci]
+			if ac.Candidate {
+				fmt.Fprintf(w, "  race candidate: class %d {%s} written with no common named lock\n", ci, strings.Join(ac.Shapes, ", "))
+			} else if verbose {
+				note := ac.Kind
+				if len(ac.CommonLocks) > 0 {
+					note = "protected by " + strings.Join(ac.CommonLocks, ", ")
+				}
+				fmt.Fprintf(w, "  class %d {%s}: %s\n", ci, strings.Join(ac.Shapes, ", "), note)
+			}
 		}
 	}
 }

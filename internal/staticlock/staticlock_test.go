@@ -321,7 +321,7 @@ func TestDeterminism(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			r := Analyze(inst.Prog)
 			var buf bytes.Buffer
-			r.Render(&buf, true)
+			r.Render(&buf, true, true, true)
 			js, err := json.Marshal(r)
 			if err != nil {
 				t.Fatalf("%s: marshal: %v", w.Name, err)
