@@ -259,7 +259,10 @@ func prepare(t *trace.Trace, thread func(i int) (*trace.ThreadTrace, error), par
 		}
 		errs[i] = err
 		close(ready[i])
-		return false
+		// Claims go out in index order, so every lower thread is already
+		// claimed and the consumer still reaches this one: a failure
+		// decides the outcome, and no later thread need be fetched.
+		return err != nil
 	})
 	<-walked
 	if walkErr != nil {

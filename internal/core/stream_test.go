@@ -205,3 +205,21 @@ func TestBatchAndStreamFailIdentically(t *testing.T) {
 			batchErr, cachedErr, streamErr)
 	}
 }
+
+// TestPrepareStopsAtFirstFailure: once a thread fails to fetch, the ingest
+// outcome is decided, so prepare must not fetch (decode) any later thread.
+func TestPrepareStopsAtFirstFailure(t *testing.T) {
+	tr := traceWorkload(t, "rodinia.bfs", 16)
+	calls := 0
+	_, err := prepare(&trace.Trace{Program: tr.Program, Funcs: tr.Funcs, Threads: make([]*trace.ThreadTrace, len(tr.Threads))},
+		func(i int) (*trace.ThreadTrace, error) {
+			calls++
+			return nil, fmt.Errorf("section %d: corrupt", i)
+		}, 1)
+	if err == nil || !strings.Contains(err.Error(), "section 0: corrupt") {
+		t.Fatalf("err = %v, want the section 0 failure", err)
+	}
+	if calls != 1 {
+		t.Errorf("thread func called %d time(s), want 1: fetching must stop at the first failure", calls)
+	}
+}

@@ -14,6 +14,7 @@ package cpusim
 import (
 	"fmt"
 
+	"threadfuser/internal/cachesim"
 	"threadfuser/internal/trace"
 )
 
@@ -27,19 +28,12 @@ type Config struct {
 	// cache-resident code (superscalar width after stalls).
 	IPC float64
 	// L1 is per-core; L2 is shared.
-	L1 CacheConfig
-	L2 CacheConfig
+	L1 cachesim.Config
+	L2 cachesim.Config
 	// DRAMLatency is charged per L2 miss; DRAMBytesPerClk bounds total
 	// traffic.
 	DRAMLatency     uint64
 	DRAMBytesPerClk float64
-}
-
-// CacheConfig mirrors gpusim's cache sizing (32-byte lines).
-type CacheConfig struct {
-	Sets    int
-	Ways    int
-	Latency uint64
 }
 
 // Xeon20 approximates the paper's trace-collection host (an Intel Xeon
@@ -49,8 +43,8 @@ func Xeon20() Config {
 		Name:            "xeon-20c",
 		Cores:           20,
 		IPC:             2.0,
-		L1:              CacheConfig{Sets: 64, Ways: 8, Latency: 4},
-		L2:              CacheConfig{Sets: 4096, Ways: 16, Latency: 40},
+		L1:              cachesim.Config{Sets: 64, Ways: 8, Latency: 4},
+		L2:              cachesim.Config{Sets: 4096, Ways: 16, Latency: 40},
 		DRAMLatency:     180,
 		DRAMBytesPerClk: 8,
 	}
@@ -66,65 +60,17 @@ type Result struct {
 	DRAMBytes uint64
 }
 
-const lineSize = 32
-
-type cache struct {
-	sets, ways int
-	latency    uint64
-	tags       []uint64
-	valid      []bool
-	used       []uint64
-	tick       uint64
-	hits, miss uint64
-}
-
-func newCache(c CacheConfig) *cache {
-	n := c.Sets * c.Ways
-	return &cache{sets: c.Sets, ways: c.Ways, latency: c.Latency,
-		tags: make([]uint64, n), valid: make([]bool, n), used: make([]uint64, n)}
-}
-
-func (c *cache) access(addr uint64) bool {
-	c.tick++
-	line := addr / lineSize
-	set := int(line % uint64(c.sets))
-	base := set * c.ways
-	victim, oldest := base, ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == line {
-			c.used[i] = c.tick
-			c.hits++
-			return true
-		}
-		if c.used[i] < oldest {
-			victim, oldest = i, c.used[i]
-		}
-	}
-	c.miss++
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.used[victim] = c.tick
-	return false
-}
-
-func (c *cache) hitRate() float64 {
-	if c.hits+c.miss == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(c.hits+c.miss)
-}
-
 // Run simulates the trace on the configured multicore and returns the
 // parallel makespan.
 func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.Cores <= 0 || cfg.IPC <= 0 {
 		return nil, fmt.Errorf("cpusim: invalid config %+v", cfg)
 	}
-	l1s := make([]*cache, cfg.Cores)
+	l1s := make([]*cachesim.Cache, cfg.Cores)
 	for i := range l1s {
-		l1s[i] = newCache(cfg.L1)
+		l1s[i] = cachesim.New(cfg.L1)
 	}
-	l2 := newCache(cfg.L2)
+	l2 := cachesim.New(cfg.L2)
 	res := &Result{Config: cfg.Name}
 
 	coreCycles := make([]float64, cfg.Cores)
@@ -142,13 +88,13 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			cycles += float64(r.N) / cfg.IPC
 			for _, m := range r.Mem {
 				switch {
-				case l1.access(m.Addr):
+				case l1.Access(m.Addr):
 					// Hits overlap with execution on an OoO core.
-				case l2.access(m.Addr):
+				case l2.Access(m.Addr):
 					cycles += float64(cfg.L2.Latency) / 2 // partial overlap
 				default:
 					cycles += float64(cfg.DRAMLatency) / 2
-					dramBytes += lineSize
+					dramBytes += cachesim.LineSize
 				}
 			}
 		}
@@ -169,20 +115,8 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 	}
 	res.Cycles = uint64(makespan)
-	res.L1HitRate = aggregate(l1s)
-	res.L2HitRate = l2.hitRate()
+	res.L1HitRate = cachesim.HitRate(l1s...)
+	res.L2HitRate = cachesim.HitRate(l2)
 	res.DRAMBytes = dramBytes
 	return res, nil
-}
-
-func aggregate(cs []*cache) float64 {
-	var h, m uint64
-	for _, c := range cs {
-		h += c.hits
-		m += c.miss
-	}
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

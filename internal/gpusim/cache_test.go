@@ -3,48 +3,49 @@ package gpusim
 import (
 	"testing"
 
+	"threadfuser/internal/cachesim"
 	"threadfuser/internal/ir"
 	"threadfuser/internal/simtrace"
 )
 
 func TestCacheHitMissLRU(t *testing.T) {
-	c := newCache(CacheConfig{Sets: 1, Ways: 2, Latency: 1})
-	if c.access(0) {
+	c := cachesim.New(cachesim.Config{Sets: 1, Ways: 2, Latency: 1})
+	if c.Access(0) {
 		t.Error("cold access hit")
 	}
-	if !c.access(0) {
+	if !c.Access(0) {
 		t.Error("warm access missed")
 	}
-	c.access(32)      // fills way 2
-	if !c.access(0) { // 0 still resident
+	c.Access(32)      // fills way 2
+	if !c.Access(0) { // 0 still resident
 		t.Error("LRU evicted the wrong line")
 	}
-	c.access(64)      // evicts 32 (LRU)
-	if c.access(32) { // 32 gone; this miss refills it, evicting 0
+	c.Access(64)      // evicts 32 (LRU)
+	if c.Access(32) { // 32 gone; this miss refills it, evicting 0
 		t.Error("LRU kept the least-recently-used line")
 	}
-	if c.access(0) {
+	if c.Access(0) {
 		t.Error("line 0 should have been evicted by the refill of 32")
 	}
-	if !c.access(32) {
+	if !c.Access(32) {
 		t.Error("refilled line evicted prematurely")
 	}
 	if c.Hits == 0 || c.Misses == 0 {
 		t.Error("stats not tracked")
 	}
-	if hr := c.HitRate(); hr <= 0 || hr >= 1 {
+	if hr := cachesim.HitRate(c); hr <= 0 || hr >= 1 {
 		t.Errorf("hit rate %v out of range", hr)
 	}
 }
 
 func TestCacheSetIndexing(t *testing.T) {
-	c := newCache(CacheConfig{Sets: 4, Ways: 1, Latency: 1})
+	c := cachesim.New(cachesim.Config{Sets: 4, Ways: 1, Latency: 1})
 	// Lines 0..3 map to distinct sets; all stay resident.
 	for line := uint64(0); line < 4; line++ {
-		c.access(line * lineSize)
+		c.Access(line * cachesim.LineSize)
 	}
 	for line := uint64(0); line < 4; line++ {
-		if !c.access(line * lineSize) {
+		if !c.Access(line * cachesim.LineSize) {
 			t.Errorf("line %d evicted despite distinct sets", line)
 		}
 	}

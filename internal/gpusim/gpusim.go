@@ -16,6 +16,7 @@ package gpusim
 import (
 	"fmt"
 
+	"threadfuser/internal/cachesim"
 	"threadfuser/internal/coalesce"
 	"threadfuser/internal/ir"
 	"threadfuser/internal/simtrace"
@@ -54,8 +55,8 @@ type Config struct {
 	LatCtrl uint64
 	LatSync uint64
 
-	L1         CacheConfig
-	L2         CacheConfig
+	L1         cachesim.Config
+	L2         cachesim.Config
 	MSHRsPerSM int
 
 	DRAMLatency      uint64
@@ -80,8 +81,8 @@ func RTX3070() Config {
 		LatSFU:           16,
 		LatCtrl:          4,
 		LatSync:          20,
-		L1:               CacheConfig{Sets: 64, Ways: 8, Latency: 28},
-		L2:               CacheConfig{Sets: 1024, Ways: 16, Latency: 120},
+		L1:               cachesim.Config{Sets: 64, Ways: 8, Latency: 28},
+		L2:               cachesim.Config{Sets: 1024, Ways: 16, Latency: 120},
 		MSHRsPerSM:       32,
 		DRAMLatency:      220,
 		DRAMBytesPerClk:  32,
@@ -98,8 +99,8 @@ func SmallSIMT() Config {
 	c.Name = "small-simt"
 	c.NumSMs = 8
 	c.WarpsPerSM = 8
-	c.L1 = CacheConfig{Sets: 128, Ways: 8, Latency: 12}
-	c.L2 = CacheConfig{Sets: 2048, Ways: 16, Latency: 60}
+	c.L1 = cachesim.Config{Sets: 128, Ways: 8, Latency: 12}
+	c.L2 = cachesim.Config{Sets: 2048, Ways: 16, Latency: 60}
 	c.DRAMBytesPerClk = 16
 	return c
 }
@@ -159,7 +160,7 @@ type mshrRelease struct {
 type sm struct {
 	resident    []*warpCtx
 	pending     []*simtrace.WarpStream
-	l1          *cache
+	l1          *cachesim.Cache
 	outstanding int
 	releases    []mshrRelease
 	greedy      int
@@ -174,8 +175,10 @@ func Run(kt *simtrace.KernelTrace, cfg Config) (*Result, error) {
 		cfg.MaxCycles = 2_000_000_000
 	}
 	sms := make([]*sm, cfg.NumSMs)
+	l1s := make([]*cachesim.Cache, cfg.NumSMs)
 	for i := range sms {
-		sms[i] = &sm{l1: newCache(cfg.L1)}
+		l1s[i] = cachesim.New(cfg.L1)
+		sms[i] = &sm{l1: l1s[i]}
 	}
 	for i, ws := range kt.Warps {
 		sms[i%cfg.NumSMs].pending = append(sms[i%cfg.NumSMs].pending, ws)
@@ -184,7 +187,7 @@ func Run(kt *simtrace.KernelTrace, cfg Config) (*Result, error) {
 		m.admit(cfg.WarpsPerSM)
 	}
 
-	l2 := newCache(cfg.L2)
+	l2 := cachesim.New(cfg.L2)
 	mem := &dram{latency: cfg.DRAMLatency, bytesClk: cfg.DRAMBytesPerClk}
 	res := &Result{Config: cfg.Name}
 
@@ -209,22 +212,10 @@ func Run(kt *simtrace.KernelTrace, cfg Config) (*Result, error) {
 	if cycle > 0 {
 		res.IPC = float64(res.LaneInstrs) / float64(cycle)
 	}
-	res.L1HitRate = aggregateL1(sms)
-	res.L2HitRate = l2.HitRate()
+	res.L1HitRate = cachesim.HitRate(l1s...)
+	res.L2HitRate = cachesim.HitRate(l2)
 	res.DRAMBytes = mem.Bytes
 	return res, nil
-}
-
-func aggregateL1(sms []*sm) float64 {
-	var h, m uint64
-	for _, s := range sms {
-		h += s.l1.Hits
-		m += s.l1.Misses
-	}
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }
 
 // admit moves pending warps into free resident slots.
@@ -237,7 +228,7 @@ func (m *sm) admit(slots int) {
 
 // step advances one SM by one cycle; it reports whether the SM still has
 // work (resident or pending warps).
-func (m *sm) step(cycle uint64, cfg Config, l2 *cache, mem *dram, res *Result) bool {
+func (m *sm) step(cycle uint64, cfg Config, l2 *cachesim.Cache, mem *dram, res *Result) bool {
 	// Retire completed warps and free MSHRs.
 	for i := 0; i < len(m.resident); {
 		if m.resident[i].finished() {
@@ -296,7 +287,7 @@ func (m *sm) step(cycle uint64, cfg Config, l2 *cache, mem *dram, res *Result) b
 }
 
 // tryIssue attempts to issue the warp's next micro-op at the given cycle.
-func (m *sm) tryIssue(w *warpCtx, cycle uint64, cfg Config, l2 *cache, mem *dram, res *Result) bool {
+func (m *sm) tryIssue(w *warpCtx, cycle uint64, cfg Config, l2 *cachesim.Cache, mem *dram, res *Result) bool {
 	in := &w.stream.Instrs[w.pc]
 	for _, s := range in.Srcs {
 		if s != simtrace.NoReg && w.regReady[s] > cycle {
@@ -356,7 +347,7 @@ func transactions(in *simtrace.WInstr, cfg Config) int {
 		// Local memory is lane-interleaved on real GPUs: same-variable
 		// accesses across the warp are perfectly coalesced.
 		total := len(in.Addrs) * int(in.Size)
-		return (total + lineSize - 1) / lineSize
+		return (total + cachesim.LineSize - 1) / cachesim.LineSize
 	}
 	accs := make([]coalesce.Access, len(in.Addrs))
 	for i, a := range in.Addrs {
@@ -367,7 +358,7 @@ func transactions(in *simtrace.WInstr, cfg Config) int {
 
 // serviceMem walks each transaction through L1, L2 and DRAM, returning the
 // completion cycle of the slowest one.
-func (m *sm) serviceMem(in *simtrace.WInstr, txs int, cycle uint64, cfg Config, l2 *cache, mem *dram) uint64 {
+func (m *sm) serviceMem(in *simtrace.WInstr, txs int, cycle uint64, cfg Config, l2 *cachesim.Cache, mem *dram) uint64 {
 	if txs == 0 {
 		return cycle + cfg.LatALU
 	}
@@ -376,12 +367,12 @@ func (m *sm) serviceMem(in *simtrace.WInstr, txs int, cycle uint64, cfg Config, 
 		addr := txAddr(in, t)
 		var done uint64
 		switch {
-		case m.l1.access(addr):
+		case m.l1.Access(addr):
 			done = cycle + cfg.L1.Latency
-		case l2.access(addr):
+		case l2.Access(addr):
 			done = cycle + cfg.L1.Latency + cfg.L2.Latency
 		default:
-			done = mem.access(cycle+cfg.L1.Latency+cfg.L2.Latency, lineSize)
+			done = mem.access(cycle+cfg.L1.Latency+cfg.L2.Latency, cachesim.LineSize)
 		}
 		if done > worst {
 			worst = done
@@ -395,12 +386,12 @@ func (m *sm) serviceMem(in *simtrace.WInstr, txs int, cycle uint64, cfg Config, 
 func txAddr(in *simtrace.WInstr, t int) uint64 {
 	if in.Space == simtrace.SpaceLocal {
 		// Interleaved local memory: sectors are consecutive.
-		return in.Addrs[0] + uint64(t*lineSize)
+		return in.Addrs[0] + uint64(t*cachesim.LineSize)
 	}
 	seen := 0
 	var sectors []uint64
 	for _, a := range in.Addrs {
-		s := a / lineSize
+		s := a / cachesim.LineSize
 		dup := false
 		for _, x := range sectors {
 			if x == s {
@@ -413,9 +404,9 @@ func txAddr(in *simtrace.WInstr, t int) uint64 {
 		}
 		sectors = append(sectors, s)
 		if seen == t {
-			return s * lineSize
+			return s * cachesim.LineSize
 		}
 		seen++
 	}
-	return in.Addrs[len(in.Addrs)-1] &^ (lineSize - 1)
+	return in.Addrs[len(in.Addrs)-1] &^ (cachesim.LineSize - 1)
 }

@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Disassemble writes a human-readable listing of the program — the view a
@@ -39,11 +38,4 @@ func Disassemble(w io.Writer, p *Program) error {
 		}
 	}
 	return nil
-}
-
-// DisassembleString returns the listing as a string.
-func DisassembleString(p *Program) string {
-	var b strings.Builder
-	_ = Disassemble(&b, p)
-	return b.String()
 }

@@ -46,7 +46,7 @@ func IfConvertStores(p *ir.Program, budget int) int {
 // static melding matcher in internal/staticsimt, examples/portingadvisor)
 // can explain *why* a divergent diamond survives the optimizer. Reports are
 // in program order (function id, then block id). Like IfConvert, it mutates
-// the program; use Examine for a read-only view of a single diamond.
+// the program; use ExamineMeld for a read-only view of a single diamond.
 func IfConvertReport(p *ir.Program, budget int, stores bool) (int, []DiamondReport) {
 	converted := 0
 	var reps []DiamondReport
@@ -137,14 +137,6 @@ type DiamondReport struct {
 	ElseInstrs int `json:"else_instrs"`
 }
 
-// Examine is the read-only view of one candidate: it reports whether block b
-// of f is an if-conversion candidate (a two-way Jcc diamond or hammock) and,
-// if so, whether the given budget and store mode would convert it and why
-// not otherwise. It never mutates the program.
-func Examine(f *ir.Function, b *ir.Block, budget int, stores bool) (DiamondReport, bool) {
-	return examineDiamond(f, b, budget, stores)
-}
-
 // MeldMemCheck judges whether flattening a candidate is legal from a memory
 // oracle's point of view. It receives the real arm blocks of the candidate —
 // for a hammock only thenSide is set, for an inverted hammock only elseSide,
@@ -152,7 +144,10 @@ func Examine(f *ir.Function, b *ir.Block, budget int, stores bool) (DiamondRepor
 // meld (ReasonMemCoalesce).
 type MeldMemCheck func(thenSide, elseSide *ir.Block) bool
 
-// ExamineMeld is Examine with an additional memory-legality input: after the
+// ExamineMeld is the read-only view of one candidate: it reports whether
+// block b of f is an if-conversion candidate (a two-way Jcc diamond or
+// hammock) and, if so, whether the given budget and store mode would convert
+// it and why not otherwise. It never mutates the program. After the
 // structural checks, mem (if non-nil) is consulted with the candidate's arm
 // blocks, and a veto appends ReasonMemCoalesce and clears Convertible. Which
 // blocks are arms depends on the candidate's kind, so the dispatch lives here

@@ -132,8 +132,3 @@ func (c *Client) Static(ctx context.Context, req StaticRequest) (*StaticReport, 
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return fetch[Stats](ctx, c, http.MethodGet, "/v1/stats", nil, nil)
 }
-
-// Health probes GET /healthz.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil, nil)
-}

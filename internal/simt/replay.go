@@ -960,15 +960,8 @@ func (wr *warpReplay) flushRun(e *entry, fn, block uint32, n, cnt uint64, active
 		return
 	}
 	total := n * cnt
-	wm := wr.wm
-	wm.Lockstep += total
-	wm.ThreadInstrs += total * uint64(active)
-	if active >= 0 && active <= MaxWarpSize {
-		wm.LaneHistogram[active] += total
-	}
 	fm := wr.acc.funcMetrics(fn)
-	fm.Lockstep += total
-	fm.ThreadInstrs += total * uint64(active)
+	ChargeInstrs(wr.wm, fm, total, active)
 	if g := wr.graphs[fn]; g != nil && int32(block) == g.Entry() {
 		fm.Invocations += cnt
 	}

@@ -179,7 +179,7 @@ func (a *analysis) memProfile(fi int) (uniform, divergent int) {
 
 // meldAt runs the DARM-style matcher at one divergent jcc: isomorphic arms
 // first (meldable as one region with lane-select operands), then
-// opt.Examine for diamonds rejected purely on the if-conversion budget.
+// opt.ExamineMeld for diamonds rejected purely on the if-conversion budget.
 func (a *analysis) meldAt(fs *funcInfo, b *ir.Block) (Meld, bool) {
 	term := b.Terminator()
 	if term.Op != ir.OpJcc || term.Target == term.Fall {

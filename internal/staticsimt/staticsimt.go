@@ -243,40 +243,6 @@ func (r *Result) Class(fn, block uint32) (*Branch, bool) {
 	return b, ok
 }
 
-// UniformBlocks flattens a Result into the per-(function, block) table the
-// replay engine's lockstep-fusion fast path consumes (simt.Options
-// .UniformBranches): table[fn][block] is true when the oracle proved the
-// block's terminator can never split a warp. Blocks with no multi-way
-// terminator (fallthrough, jmp, ret, direct call) trivially cannot split and
-// are true; jcc/switch/callr terminators are true only when classified
-// Uniform (or never reached by the dataflow). The table is a performance
-// hint, not a semantic input: replay verifies every fused window against
-// every active lane, so a stale or wrong table cannot change any metric.
-func UniformBlocks(p *ir.Program, r *Result) [][]bool {
-	table := make([][]bool, len(p.Funcs))
-	for fi, fn := range p.Funcs {
-		row := make([]bool, len(fn.Blocks))
-		for bi := range row {
-			row[bi] = true
-		}
-		table[fi] = row
-	}
-	for i := range r.Funcs {
-		fr := &r.Funcs[i]
-		if int(fr.ID) >= len(table) {
-			continue
-		}
-		row := table[fr.ID]
-		for j := range fr.Branches {
-			b := &fr.Branches[j]
-			if int(b.Block) < len(row) {
-				row[b.Block] = b.Uniform || b.Unreachable
-			}
-		}
-	}
-	return table
-}
-
 // Analyze runs the static oracle over a program. The program must be valid
 // (ir.Validate); workloads and opt transforms only produce valid programs.
 func Analyze(p *ir.Program, opts Options) *Result {

@@ -42,8 +42,10 @@ const (
 
 // ErrNoIndex reports that a .tft input has no usable thread index: it is a
 // v1/v2 file, or its footer is missing, truncated, or corrupt. Callers fall
-// back to the sequential whole-stream Decode; an unreadable index never makes
-// an otherwise-decodable trace unreadable.
+// back to the batch decoders (Decode, DecodeStrict, ReadFileParallel), which
+// measure the thread sections from the stream itself and still fill them in
+// parallel; an unreadable index never makes an otherwise-decodable trace
+// unreadable.
 var ErrNoIndex = errors.New("trace: no thread index")
 
 // Header is the metadata section of a .tft file: everything before the
@@ -80,7 +82,7 @@ type Reader struct {
 // without a usable index — a v1/v2 file, a truncated footer, sections that
 // do not tile the data region, a header length that disagrees with the
 // header — yields an error wrapping ErrNoIndex so callers can fall back to
-// the sequential Decode.
+// a batch decoder.
 func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if size < minIndexSize {
 		return nil, fmt.Errorf("%w: %d-byte input is too short for a footer", ErrNoIndex, size)

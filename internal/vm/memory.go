@@ -112,11 +112,6 @@ func (m *Memory) Write(addr uint64, size uint8, v uint64) {
 	}
 }
 
-// Footprint returns the number of resident bytes (allocated pages * size).
-func (m *Memory) Footprint() uint64 {
-	return uint64(len(m.pages)) * pageSize
-}
-
 // HashBelow returns an FNV-1a hash of all resident memory at addresses
 // below limit. Differential tests use it to check that two executions (for
 // example the canonical and a compiler-transformed build) left identical

@@ -112,12 +112,6 @@ func (p *Process) WriteF64(addr uint64, v float64) { p.Mem.Write(addr, 8, f2b(v)
 // ReadF64 loads a float64 from addr.
 func (p *Process) ReadF64(addr uint64) float64 { return b2f(p.Mem.Read(addr, 8)) }
 
-// WriteI32 stores a 32-bit integer at addr.
-func (p *Process) WriteI32(addr uint64, v int32) { p.Mem.Write(addr, 4, uint64(uint32(v))) }
-
-// ReadI32 loads a sign-extended 32-bit integer from addr.
-func (p *Process) ReadI32(addr uint64) int32 { return int32(p.Mem.Read(addr, 4)) }
-
 // SymbolTable builds the trace symbol table (function names and static block
 // instruction counts) for the process's program.
 func SymbolTable(prog *ir.Program) []trace.FuncInfo {
