@@ -282,7 +282,10 @@ func TestTraceDigestSensitivity(t *testing.T) {
 // the tracer's in-memory trace and from every decoder of every container
 // version, so a cache entry stored from one path hits from any other. The
 // strict decoder's rows include v2 and v3 files hand-edited into each
-// non-canonical form it accepts.
+// non-canonical form it accepts. A session's upload handle keys every one
+// of those bodies like the in-memory trace: Encode's v2 and v3 bytes from
+// the bytes themselves (trace.CanonicalDigest vouches for them), v1 bytes
+// and every hand edit from the decoded trace (CanonicalDigest refuses them).
 func TestTraceDigestAcrossDecoders(t *testing.T) {
 	dir := t.TempDir()
 	edits := 0
@@ -290,6 +293,23 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 		t.Run(w.Name, func(t *testing.T) {
 			tr := traceWorkload(t, w, 8)
 			want := digest(t, tr)
+			opts := core.Defaults()
+			wantKey, err := core.CacheKey(tr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// uploadKey checks body's canonical verdict and returns the key
+			// its upload handle files opts under.
+			uploadKey := func(name string, body []byte, canonical bool) string {
+				if _, ok := trace.CanonicalDigest(body); ok != canonical {
+					t.Errorf("%s: CanonicalDigest ok = %v, want %v", name, ok, canonical)
+				}
+				u, err := core.NewSession().Upload(body, 0)
+				if err != nil {
+					t.Fatalf("%s: upload: %v", name, err)
+				}
+				return u.CacheKey(opts)
+			}
 			for _, v := range []int{1, 2, 3} {
 				var buf bytes.Buffer
 				if err := trace.Encode(&buf, tr, v); err != nil {
@@ -311,10 +331,23 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 						return trace.ReadFileParallel(path, p)
 					}
 				}
+				decoders["Upload.Trace"] = func() (*trace.Trace, error) {
+					u, err := core.NewSession().Upload(data, 0)
+					if err != nil {
+						return nil, err
+					}
+					return u.Trace()
+				}
+				if k := uploadKey(fmt.Sprintf("v%d", v), data, v != 1); k != wantKey {
+					t.Errorf("v%d: upload key %s, in-memory trace %s", v, k, wantKey)
+				}
 				if v >= 2 {
 					for form, edited := range nonCanonical(t, tr, v, data) {
 						decoders["DecodeStrict/"+form] = func() (*trace.Trace, error) {
 							return trace.DecodeStrict(bytes.NewReader(edited), int64(len(edited)), 0)
+						}
+						if k := uploadKey(fmt.Sprintf("v%d %s", v, form), edited, false); k != wantKey {
+							t.Errorf("v%d %s: upload key %s, in-memory trace %s", v, form, k, wantKey)
 						}
 						edits++
 					}

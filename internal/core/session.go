@@ -12,8 +12,8 @@ import (
 )
 
 // Session is the analyzer: every entry point (Analyze, AnalyzeCached,
-// AnalyzeStream, CacheKey) runs through one. It memoizes the trace-derived
-// analysis products — the ingest (validation, packed columns, DCFGs),
+// AnalyzeStream, CacheKey, Upload) runs through one. It memoizes the
+// trace-derived analysis products — the ingest (validation, packed columns, DCFGs),
 // ipdom.ComputeAll, warp formation, and the content digest — keyed by trace
 // identity, so sweeps that analyze one trace under many configurations (warp widths,
 // formations, lock policies: figure 1, the extension studies,
@@ -90,6 +90,14 @@ func (s *Session) Analyze(t *trace.Trace, opts Options) (*Report, error) {
 // report. Options carrying a Listener bypass the cache, since a listener
 // must observe a real replay. The boolean reports a cache hit.
 func (s *Session) AnalyzeCached(t *trace.Trace, opts Options) (*Report, bool, error) {
+	return s.analyzeCached(opts, func() [sha256.Size]byte { return s.digest(t) },
+		func() (*trace.Trace, error) { return t, nil })
+}
+
+// analyzeCached is AnalyzeCached over a trace that digest keys and load
+// supplies: digest runs only when the cache is consulted, and load only on
+// a miss, so an upload that hits is never decoded.
+func (s *Session) analyzeCached(opts Options, digest func() [sha256.Size]byte, load func() (*trace.Trace, error)) (*Report, bool, error) {
 	if opts.WarpSize == 0 {
 		return nil, false, fmt.Errorf("core: WarpSize must be set (use core.Defaults)")
 	}
@@ -101,10 +109,14 @@ func (s *Session) AnalyzeCached(t *trace.Trace, opts Options) (*Report, bool, er
 	s.mu.Unlock()
 	key := ""
 	if c != nil && opts.Listener == nil {
-		key = cacheKeyFromDigest(s.digest(t), opts)
+		key = cacheKeyFromDigest(digest(), opts)
 		if r, ok := c.get(key); ok {
 			return r, true, nil
 		}
+	}
+	t, err := load()
+	if err != nil {
+		return nil, false, err
 	}
 	p, err := s.prep(t, opts.Parallelism)
 	if err != nil {
@@ -126,10 +138,9 @@ func (s *Session) AnalyzeCached(t *trace.Trace, opts Options) (*Report, bool, er
 
 // CacheKey returns the report-cache key of one (trace, options) analysis,
 // hashing the trace through the session's digest memo, so a caller that
-// needs the key before analyzing (the service's in-flight deduplication)
-// and the analysis itself share one digest. The error is always nil.
-func (s *Session) CacheKey(t *trace.Trace, opts Options) (string, error) {
-	return cacheKeyFromDigest(s.digest(t), opts), nil
+// needs the key before analyzing and the analysis itself share one digest.
+func (s *Session) CacheKey(t *trace.Trace, opts Options) string {
+	return cacheKeyFromDigest(s.digest(t), opts)
 }
 
 // Ingest decodes an indexed trace through prepare, the analyzer's one
@@ -176,6 +187,16 @@ func (s *Session) digest(t *trace.Trace) [sha256.Size]byte {
 	s.mu.Unlock()
 	e.once.Do(func() { e.sum = trace.Digest(t) })
 	return e.sum
+}
+
+// seedDigest installs sum as the memoized digest of t, a trace no other
+// call can hold a memo entry for yet.
+func (s *Session) seedDigest(t *trace.Trace, sum [sha256.Size]byte) {
+	e := &digestEntry{sum: sum}
+	e.once.Do(func() {})
+	s.mu.Lock()
+	s.digests[t] = e
+	s.mu.Unlock()
 }
 
 // Prepared returns the trace's memoized DCFGs and post-dominator trees,

@@ -14,16 +14,16 @@ import (
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/check"
 	"threadfuser/internal/core"
-	"threadfuser/internal/trace"
 	"threadfuser/internal/workloads"
 )
 
-// spoolTrace drains the request body to a spool file and decodes it through
-// the indexed reader path (which transparently falls back for v1/v2
-// streams). The spool file is removed before returning: the decoded trace
-// is fully in memory and nothing on disk outlives the request. The returned
-// status is the HTTP code to fail with when err != nil.
-func (s *Server) spoolTrace(w http.ResponseWriter, r *http.Request) (*trace.Trace, int, error) {
+// spoolUpload drains the request body to a spool file, reads it back into
+// one buffer and hands that to sess as an Upload, which keys a canonical
+// v2/v3 body from its bytes and decodes anything else now (see
+// core.Upload). The spool file is removed before returning: nothing on
+// disk outlives the request. The returned status is the HTTP code to fail
+// with when err != nil.
+func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, sess *core.Session) (*core.Upload, int, error) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	f, err := os.CreateTemp(s.cfg.SpoolDir, "tfserve-spool-*.tft")
 	if err != nil {
@@ -46,11 +46,17 @@ func (s *Server) spoolTrace(w http.ResponseWriter, r *http.Request) (*trace.Trac
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("upload truncated: Content-Length %d, body %d bytes", cl, n)
 	}
-	tr, err := trace.DecodeStrict(f, n, s.cfg.DecodeParallelism)
+	// One buffer per upload: the Upload keys and decodes it in place. A
+	// failed read keeps the status and message trace.DecodeStrict gave it.
+	data := make([]byte, n)
+	if m, err := f.ReadAt(data, 0); m < len(data) && err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("decoding trace: trace: decode: %w", err)
+	}
+	u, err := sess.Upload(data, s.cfg.DecodeParallelism)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("decoding trace: %w", err)
 	}
-	return tr, 0, nil
+	return u, 0, nil
 }
 
 // uploadJob is one trace-upload endpoint's part of serveUpload: the core
@@ -59,15 +65,15 @@ func (s *Server) spoolTrace(w http.ResponseWriter, r *http.Request) (*trace.Trac
 type uploadJob struct {
 	keyOpts core.Options
 	suffix  string
-	run     func(ctx context.Context, sess *core.Session, tr *trace.Trace) (res any, cacheHit bool, err error)
+	run     func(ctx context.Context, sess *core.Session, u *core.Upload) (res any, cacheHit bool, err error)
 }
 
 // serveUpload is the request path the trace-upload endpoints share: count,
-// admit, decode the options (before the body is read), spool and decode the
-// trace, compute the dedup key and serve the job through its flight. The
-// key extends the content-addressed cache key, so two requests share a
-// flight exactly when they are guaranteed the same report; the job runs on
-// the same session, so the upload is hashed once.
+// admit, decode the options (before the body is read), spool and key the
+// upload, and serve the job through its flight. The dedup key extends the
+// content-addressed cache key, so two requests share a flight exactly when
+// they are guaranteed the same report; the job runs on the same session and
+// upload, so the body is hashed once and decoded at most once.
 func (s *Server) serveUpload(endpoint string, decode func(url.Values) (*uploadJob, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.stats.requests.Add(1)
@@ -81,23 +87,18 @@ func (s *Server) serveUpload(endpoint string, decode func(url.Values) (*uploadJo
 			s.failRequest(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		tr, status, err := s.spoolTrace(w, r)
+		sess := core.NewSession()
+		sess.SetCache(s.cfg.Cache)
+		u, status, err := s.spoolUpload(w, r, sess)
 		if err != nil {
 			s.failRequest(w, status, "%v", err)
 			return
 		}
-		sess := core.NewSession()
-		sess.SetCache(s.cfg.Cache)
-		key, err := sess.CacheKey(tr, job.keyOpts)
-		if err != nil {
-			s.failRequest(w, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		s.serveFlight(ctx, w, endpoint+"\x00"+key+job.suffix, func(jctx context.Context) *outcome {
+		s.serveFlight(ctx, w, endpoint+"\x00"+u.CacheKey(job.keyOpts)+job.suffix, func(jctx context.Context) *outcome {
 			return s.runJob(jctx, func(jctx context.Context) (any, bool, error) {
-				return job.run(jctx, sess, tr)
+				return job.run(jctx, sess, u)
 			})
 		})
 	}
@@ -110,10 +111,10 @@ func (s *Server) analyzeJob(q url.Values) (*uploadJob, error) {
 		return nil, err
 	}
 	opts.Parallelism = s.cfg.ReplayParallelism
-	return &uploadJob{keyOpts: opts, run: func(ctx context.Context, sess *core.Session, tr *trace.Trace) (any, bool, error) {
+	return &uploadJob{keyOpts: opts, run: func(ctx context.Context, _ *core.Session, u *core.Upload) (any, bool, error) {
 		o := opts
 		o.Context = ctx
-		return sess.AnalyzeCached(tr, o)
+		return u.AnalyzeCached(o)
 	}}, nil
 }
 
@@ -129,7 +130,11 @@ func (s *Server) lintJob(q url.Values) (*uploadJob, error) {
 	return &uploadJob{
 		keyOpts: core.Options{WarpSize: opts.WarpSize, Formation: opts.Formation},
 		suffix:  fmt.Sprintf("\x00min=%d passes=%s", opts.MinSeverity, strings.Join(opts.Passes, ",")),
-		run: func(ctx context.Context, sess *core.Session, tr *trace.Trace) (any, bool, error) {
+		run: func(ctx context.Context, sess *core.Session, u *core.Upload) (any, bool, error) {
+			tr, err := u.Trace()
+			if err != nil {
+				return nil, false, err
+			}
 			o := opts
 			o.Context = ctx
 			rep, err := analysis.RunSession(sess, tr, o)
@@ -149,7 +154,11 @@ func (s *Server) checkJob(q url.Values) (*uploadJob, error) {
 	return &uploadJob{
 		suffix: fmt.Sprintf("\x00warps=%v par=%v form=%v props=%s",
 			opts.WarpSizes, opts.Parallelism, opts.Formations, strings.Join(opts.Props, ",")),
-		run: func(ctx context.Context, sess *core.Session, tr *trace.Trace) (any, bool, error) {
+		run: func(ctx context.Context, sess *core.Session, u *core.Upload) (any, bool, error) {
+			tr, err := u.Trace()
+			if err != nil {
+				return nil, false, err
+			}
 			o := opts
 			o.Context = ctx
 			o.Analyze = sess.Analyze

@@ -6,8 +6,11 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"threadfuser/internal/core"
 )
 
 // uploadCases are the malformed .tft shapes an internet-facing upload
@@ -134,9 +137,66 @@ func TestSpoolFailureIsServerError(t *testing.T) {
 	assertNoLeak(t, srv, "spool failure")
 }
 
+// countDecodes installs an upload-decode counter for the test's duration.
+func countDecodes(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	restore := core.SetDecodeTestHook(func() { n.Add(1) })
+	t.Cleanup(restore)
+	return &n
+}
+
+// TestCanonicalUploadDecodesOnlyWhenNeeded: a v2/v3 upload in canonical
+// form is keyed from its bytes, so a repeated analyze POST of it is a cache
+// hit that decodes nothing, while a repeated v1 POST still decodes once per
+// request; lint and check need the trace and decode a canonical upload
+// exactly once.
+func TestCanonicalUploadDecodesOnlyWhenNeeded(t *testing.T) {
+	decodes := countDecodes(t)
+	cache := core.NewCache(t.TempDir())
+	_, ts := newTestServer(t, Config{MaxConcurrent: 2, Cache: cache})
+	post := func(path string, body []byte) string {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d: %s", path, resp.StatusCode, buf.String())
+		}
+		return resp.Header.Get("X-Tfserve-Cache")
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		cache      string
+		decodes    int64
+	}{
+		{"v3 analyze, first", "/v1/analyze?warp=8", tftBytes(t, testTrace(), true), "miss", 1},
+		{"v3 analyze, repeated", "/v1/analyze?warp=8", tftBytes(t, testTrace(), true), "hit", 0},
+		{"v1 analyze, repeated", "/v1/analyze?warp=8", tftBytes(t, testTrace(), false), "hit", 1},
+		{"v1 analyze, again", "/v1/analyze?warp=8", tftBytes(t, testTrace(), false), "hit", 1},
+		{"v3 lint", "/v1/lint?warp=8", tftBytes(t, testTrace(), true), "miss", 1},
+		{"v3 check", "/v1/check?warps=4&parallel=1", tftBytes(t, testTrace(), true), "miss", 1},
+	} {
+		before := decodes.Load()
+		if c := post(tc.path, tc.body); c != tc.cache {
+			t.Errorf("%s: cache %q, want %q", tc.name, c, tc.cache)
+		}
+		if got := decodes.Load() - before; got != tc.decodes {
+			t.Errorf("%s: %d decodes, want %d", tc.name, got, tc.decodes)
+		}
+	}
+}
+
 // FuzzUpload hammers the analyze upload handler with arbitrary bytes. The
 // invariants are the handler's whole contract: no panic, no 5xx, and every
-// admission/tenant/engine slot returned.
+// admission/tenant/engine slot returned. Each input also goes to a second
+// server whose report cache already holds the seed trace's analysis: a
+// cached answer must never change the status an upload gets.
 func FuzzUpload(f *testing.F) {
 	v2 := tftBytes(f, testTrace(), false)
 	v3 := tftBytes(f, testTrace(), true)
@@ -149,18 +209,35 @@ func FuzzUpload(f *testing.F) {
 	f.Add(v3[:len(v3)-20]) // cut mid-footer
 	f.Add(flipByte(v3, len(v3)-10))
 
-	srv := New(Config{
+	cfg := Config{
 		MaxConcurrent:  2,
 		MaxUploadBytes: 1 << 20,
 		RequestTimeout: 30 * time.Second,
-	})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	}
+	srv := New(cfg)
+	cache := core.NewCache(f.TempDir())
+	cache.SetMaxBytes(8 << 20)
+	cfg.Cache = cache
+	warm := New(cfg)
+	post := func(srv *Server, data []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", "/v1/analyze?warp=4", bytes.NewReader(data))
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, req)
+		return w
+	}
+	if w := post(warm, v3); w.Code != http.StatusOK {
+		f.Fatalf("warming the cache: status %d: %s", w.Code, w.Body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := post(srv, data)
 		if w.Code >= 500 {
 			t.Fatalf("upload of %d bytes produced status %d: %s", len(data), w.Code, w.Body)
 		}
 		assertNoLeak(t, srv, "after fuzz upload")
+		if c := post(warm, data); c.Code != w.Code {
+			t.Fatalf("upload of %d bytes: status %d with a warm cache (%s), %d without (%s)",
+				len(data), c.Code, c.Body, w.Code, w.Body)
+		}
+		assertNoLeak(t, warm, "after fuzz upload to the cached server")
 	})
 }

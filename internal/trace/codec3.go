@@ -237,7 +237,7 @@ func (r *Reader) Thread(i int) (*ThreadTrace, error) {
 	en.off = 0
 	recs, err := fillThread(data, en, i)
 	if err != nil {
-		m, merr := measureSection(data, 0)
+		m, _, merr := measureSection(data, 0)
 		if merr != nil {
 			return nil, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, merr)
 		}

@@ -165,7 +165,9 @@ func TestStridedSeedExercisesSiteHistograms(t *testing.T) {
 // parallel fill at 4 workers; whatever DecodeStrict accepts, Decode accepts
 // as the same trace; and any accepted trace is either valid or diagnosed by
 // the sanitize pass (the contract tflint depends on) — never silently
-// consumed by the structural passes.
+// consumed by the structural passes. CanonicalDigest vouches only for what
+// DecodeStrict accepts, with the digest of what it decodes, and for every
+// v2 and v3 encoding of an accepted trace, never for a v1 one.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []*trace.Trace{fuzzSeedTrace(), lockSeedTrace(), stridedSeedTrace()} {
 		for _, v := range versions {
@@ -234,6 +236,14 @@ func FuzzDecode(f *testing.F) {
 		if serr == nil && err != nil {
 			t.Fatalf("DecodeStrict accepted an input Decode rejects (%v)", err)
 		}
+		if sum, ok := trace.CanonicalDigest(data); ok {
+			if serr != nil {
+				t.Fatalf("CanonicalDigest vouched for an input DecodeStrict rejects (%v)", serr)
+			}
+			if trace.Digest(strict) != sum {
+				t.Fatal("CanonicalDigest differs from the Digest of the strictly decoded trace")
+			}
+		}
 		if err != nil {
 			return // rejected outright: fine
 		}
@@ -245,6 +255,20 @@ func FuzzDecode(f *testing.F) {
 		}
 		if serr == nil && !reflect.DeepEqual(tr, strict) {
 			t.Fatal("DecodeStrict and Decode disagree on an accepted input")
+		}
+		want := trace.Digest(tr)
+		for _, v := range versions {
+			var enc bytes.Buffer
+			if err := trace.Encode(&enc, tr, v); err != nil {
+				t.Fatalf("v%d: encoding a decoded trace failed: %v", v, err)
+			}
+			sum, ok := trace.CanonicalDigest(enc.Bytes())
+			if ok != (v != 1) {
+				t.Fatalf("v%d: CanonicalDigest ok = %v on Encode's output", v, ok)
+			}
+			if ok && sum != want {
+				t.Fatalf("v%d: CanonicalDigest of Encode's output differs from Digest", v)
+			}
 		}
 		rep, err := analysis.Run(tr, analysis.Options{WarpSize: 4})
 		if err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -53,6 +54,76 @@ func TestDecodeStrict(t *testing.T) {
 		}
 		if _, err := decode(data); err == nil {
 			t.Fatalf("%s: strict decode accepted %d damaged bytes", name, len(data))
+		}
+	}
+}
+
+// TestMeasureSectionCanonical pins measureSection's canonical verdict at
+// each field's boundary: the widest value the decoder keeps is canonical,
+// one past it (a value the decoder would narrow) is not, and neither is an
+// overlong varint or a Store/Release byte other than 0 or 1. Each section
+// is walked as it is and followed by eight RET records, so fields near the
+// end of the input and fields with eight bytes after them both run.
+func TestMeasureSectionCanonical(t *testing.T) {
+	u := binary.AppendUvarint
+	overlong := func(v uint64) []byte { // v's varint with a redundant zero byte
+		b := u(nil, v)
+		b[len(b)-1] |= 0x80
+		return append(b, 0)
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	one, zero := []byte{1}, []byte{0}
+	// access is one memory access or lock op: instr, address, and the
+	// size and Store bytes or the Release byte.
+	access := func(instr, addr []byte, flags ...byte) []byte { return cat(instr, addr, flags) }
+	canonMem, canonLock := access(one, u(nil, 0x10), 8, 1), access(u(nil, 3), u(nil, 0x20), 0)
+	// bbl is a BBL record in func fn, block 0, with 2 instructions, one
+	// access and one lock op; nmem is the access count's bytes.
+	bbl := func(fn, nmem, mem, lock []byte) []byte {
+		return cat([]byte{byte(KindBBL)}, fn, zero, []byte{2}, nmem, mem, one, lock)
+	}
+	canonBBL := bbl(one, one, canonMem, canonLock)
+	call := func(callee []byte) []byte { return cat([]byte{byte(KindCall)}, callee) }
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 2) // 65 bits
+	for _, tc := range []struct {
+		name     string
+		tid, rec []byte
+		want     bool
+	}{
+		{"canonical bbl", zero, canonBBL, true},
+		{"func 0xFFFFFFFF", zero, bbl(u(nil, 0xFFFFFFFF), one, canonMem, canonLock), true},
+		{"func 1<<32", zero, bbl(u(nil, 1<<32), one, canonMem, canonLock), false},
+		{"func overlong", zero, bbl(overlong(1), one, canonMem, canonLock), false},
+		{"access count overlong", zero, bbl(one, overlong(1), canonMem, canonLock), false},
+		{"instr 0xFFFF", zero, bbl(one, one, access(u(nil, 0xFFFF), one, 8, 0), canonLock), true},
+		{"instr 1<<16", zero, bbl(one, one, access(u(nil, 1<<16), one, 8, 0), canonLock), false},
+		{"instr overlong", zero, bbl(one, one, access(overlong(1), one, 8, 0), canonLock), false},
+		{"address 1<<56", zero, bbl(one, one, access(one, u(nil, 1<<56), 8, 0), canonLock), true},
+		{"address max uint64", zero, bbl(one, one, access(one, u(nil, ^uint64(0)), 8, 0), canonLock), true},
+		{"address overlong", zero, bbl(one, one, access(one, overlong(0x10), 8, 0), canonLock), false},
+		{"address overflow", zero, bbl(one, one, access(one, overflow, 8, 0), canonLock), false},
+		{"store 2", zero, bbl(one, one, access(one, one, 8, 2), canonLock), false},
+		{"lock instr 1<<16", zero, bbl(one, one, canonMem, access(u(nil, 1<<16), one, 1)), false},
+		{"lock address overlong", zero, bbl(one, one, canonMem, access(one, overlong(0x20), 1)), false},
+		{"release 2", zero, bbl(one, one, canonMem, access(one, one, 2)), false},
+		{"tid max uint64", u(nil, ^uint64(0)), canonBBL, true},
+		{"tid overlong", overlong(0), canonBBL, false},
+		{"callee 0xFFFFFFFF", zero, call(u(nil, 0xFFFFFFFF)), true},
+		{"callee 1<<32", zero, call(u(nil, 1<<32)), false},
+		{"skip n max uint64", zero, cat([]byte{byte(KindSkip), 0xff}, u(nil, ^uint64(0))), true},
+	} {
+		for _, rets := range []int{0, 8} {
+			sec := cat(tc.tid, u(nil, uint64(1+rets)), tc.rec, bytes.Repeat([]byte{byte(KindRet)}, rets))
+			en, canonical, err := measureSection(sec, 0)
+			if err != nil {
+				t.Fatalf("%s, %d RETs after: %v", tc.name, rets, err)
+			}
+			if en.len != int64(len(sec)) {
+				t.Fatalf("%s, %d RETs after: measured %d of %d bytes", tc.name, rets, en.len, len(sec))
+			}
+			if canonical != tc.want {
+				t.Errorf("%s, %d RETs after: canonical = %v, want %v", tc.name, rets, canonical, tc.want)
+			}
 		}
 	}
 }

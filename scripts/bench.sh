@@ -19,7 +19,10 @@
 # the _maxprocs rows, which exist whenever the machine has >1 core.
 # trace_digest is the report-cache key's trace hash over a Table-I-scale
 # dsb.post trace, and encode_v3 writes the same trace as an indexed v3 file;
-# both are in v1 file bytes/s like the decode rows.
+# both are in v1 file bytes/s like the decode rows. canonical_digest keys
+# that trace's v3 bytes without decoding them (what a tfserve upload of a
+# v2/v3 file pays before its cache lookup), in the v3 file bytes/s it reads;
+# its canonical_vs_decode_v3 field is its MB/s over decode_v3_serial's.
 # Decode rows also carry prev_bytes_per_op/prev_allocs_per_op deltas against
 # the BENCH_analyzer.json being replaced, so an allocation regression is
 # visible in the diff of the file itself.
@@ -46,7 +49,7 @@ cp "$out" "$prev" 2>/dev/null || : >"$prev"
 cores=$(nproc 2>/dev/null || echo 1)
 
 raw=$(GOMAXPROCS=1 go test -run '^$' \
-	-bench 'BenchmarkReplay(Serial|Parallel|Allocs)$|BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkEncodeV3$' \
+	-bench 'BenchmarkReplay(Serial|Parallel|Allocs)$|BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkCanonicalDigest$|BenchmarkEncodeV3$' \
 	-benchmem -benchtime "${BENCHTIME:-1s}" -count=1 .)
 echo "$raw"
 
@@ -130,7 +133,7 @@ function row(name, extra,    s, k) {
 }
 END {
 	n = split("ReplaySerial ReplayParallel ReplayAllocs " \
-		"DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest EncodeV3", want, " ")
+		"DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest CanonicalDigest EncodeV3", want, " ")
 	# At >1 cores the second sweep must have produced the _maxprocs rows.
 	if (cores > 1) {
 		want[++n] = "ReplayParallelMaxProcs"
@@ -153,6 +156,8 @@ END {
 	print row("DecodeV2Serial") ","
 	print row("DecodeV3Serial") ","
 	print row("TraceDigest") ","
+	print row("CanonicalDigest", \
+		sprintf("\"canonical_vs_decode_v3\": %.2f", mbs["CanonicalDigest"] / mbs["DecodeV3Serial"])) ","
 	print row("EncodeV3") ","
 	tail = ""
 	if (cores > 1) tail = ","

@@ -1,5 +1,6 @@
 #!/bin/sh
-# bench_guard: run the decode, replay, trace-digest and encode benchmarks
+# bench_guard: run the decode, replay, trace-digest, canonical-digest and
+# encode benchmarks
 # and fail loudly if any row regresses past the committed limits in
 # scripts/bench_baseline.json:
 #   max_allocs_per_op  allocation ceiling. allocs/op is exact at any
@@ -15,7 +16,7 @@
 #                      (e.g. the pre-fusion per-record replay at ~145 MB/s
 #                      against replay_serial's 250 MB/s floor).
 #
-# Decode, trace-digest and encode rows run at one iteration (allocs-focused; a
+# Decode, digest and encode rows run at one iteration (allocs-focused; a
 # single iteration says nothing about MB/s, so they carry no floors). Replay rows run a few
 # dozen iterations so their MB/s is past cold-cache warmup and meaningfully
 # comparable against the floors.
@@ -29,7 +30,7 @@ cd "$(dirname "$0")/.."
 baseline=scripts/bench_baseline.json
 
 raw=$(go test -run '^$' \
-	-bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkEncodeV3$' \
+	-bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkCanonicalDigest$|BenchmarkEncodeV3$' \
 	-benchmem -benchtime "${BENCHTIME:-1x}" -count=1 .)
 echo "$raw"
 rawr=$(go test -run '^$' \
@@ -41,7 +42,7 @@ raw=$(printf '%s\n%s' "$raw" "$rawr")
 printf '%s\n' "$raw" | awk -v baseline="$baseline" '
 BEGIN {
 	while ((getline line < baseline) > 0) {
-		if (match(line, /"(decode|replay|trace|encode)_[a-z0-9_]+"/)) {
+		if (match(line, /"(decode|replay|trace|canonical|encode)_[a-z0-9_]+"/)) {
 			name = substr(line, RSTART + 1, RLENGTH - 2)
 			if (match(line, /"max_allocs_per_op": [0-9]+/))
 				ceil[name] = substr(line, RSTART + 21, RLENGTH - 21)
@@ -56,7 +57,7 @@ BEGIN {
 		exit 1
 	}
 }
-/^Benchmark(Decode|Replay|TraceDigest|EncodeV3)/ {
+/^Benchmark(Decode|Replay|TraceDigest|CanonicalDigest|EncodeV3)/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
 	sub(/^Benchmark/, "", name)
