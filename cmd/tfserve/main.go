@@ -9,7 +9,7 @@
 //
 //	tfserve [-addr :8787] [-concurrency N] [-queue N] [-tenant-budget N]
 //	        [-max-upload-mb N] [-timeout D] [-cache] [-cache-dir DIR]
-//	        [-cache-max-mb N] [-replay-parallel N]
+//	        [-cache-max-mb N] [-replay-parallel N] [-decode-parallel N]
 //
 // SIGINT/SIGTERM triggers a graceful shutdown: new work is shed with 503,
 // admitted work drains, then the listener closes.
@@ -25,7 +25,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -43,7 +42,7 @@ func main() {
 		timeout      = flag.Duration("timeout", 2*time.Minute, "per-request deadline, queueing included")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
 		replayPar    = flag.Int("replay-parallel", 1, "worker count inside one replay (throughput vs latency)")
-		decodePar    = flag.Int("decode-parallel", 0, "worker count decoding one indexed upload (0 = one per core)")
+		decodePar    = flag.Int("decode-parallel", 1, "worker count decoding one upload on a cache miss (-1 = one per core)")
 		cacheOn      = flag.Bool("cache", true, "serve repeat analyses from the on-disk report cache")
 		cacheDir     = flag.String("cache-dir", "", "cache directory (default: user cache dir/threadfuser)")
 		cacheMaxMB   = flag.Int64("cache-max-mb", 512, "cache size cap in MiB; LRU-evicted past it (0 = unbounded)")
@@ -60,10 +59,6 @@ func main() {
 	if cache != nil && *cacheMaxMB > 0 {
 		cache.SetMaxBytes(*cacheMaxMB << 20)
 	}
-	dp := *decodePar
-	if dp == 0 {
-		dp = runtime.GOMAXPROCS(0)
-	}
 	srv := serve.New(serve.Config{
 		MaxConcurrent:     *concurrency,
 		QueueDepth:        *queue,
@@ -72,7 +67,7 @@ func main() {
 		RequestTimeout:    *timeout,
 		RetryAfter:        *retryAfter,
 		ReplayParallelism: *replayPar,
-		DecodeParallelism: dp,
+		DecodeParallelism: *decodePar,
 		Cache:             cache,
 	})
 

@@ -281,11 +281,11 @@ func TestTraceDigestSensitivity(t *testing.T) {
 // TestTraceDigestAcrossDecoders: every workload digests identically from
 // the tracer's in-memory trace and from every decoder of every container
 // version, so a cache entry stored from one path hits from any other. The
-// strict decoder's rows include v2 and v3 files hand-edited into each
-// non-canonical form it accepts. A session's upload handle keys every one
-// of those bodies like the in-memory trace: Encode's v2 and v3 bytes from
-// the bytes themselves (trace.CanonicalDigest vouches for them), v1 bytes
-// and every hand edit from the decoded trace (CanonicalDigest refuses them).
+// strict decoder's rows include files of every version hand-edited into
+// each non-canonical form it accepts. A session's upload handle keys every
+// one of those bodies like the in-memory trace: Encode's bytes of every
+// version from the bytes themselves (trace.CanonicalKey vouches for them),
+// every hand edit from the decoded trace (CanonicalKey refuses them).
 func TestTraceDigestAcrossDecoders(t *testing.T) {
 	dir := t.TempDir()
 	edits := 0
@@ -301,8 +301,8 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 			// uploadKey checks body's canonical verdict and returns the key
 			// its upload handle files opts under.
 			uploadKey := func(name string, body []byte, canonical bool) string {
-				if _, ok := trace.CanonicalDigest(body); ok != canonical {
-					t.Errorf("%s: CanonicalDigest ok = %v, want %v", name, ok, canonical)
+				if _, ok := trace.CanonicalKey(body); ok != canonical {
+					t.Errorf("%s: CanonicalKey ok = %v, want %v", name, ok, canonical)
 				}
 				u, err := core.NewSession().Upload(body, 0)
 				if err != nil {
@@ -338,19 +338,17 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 					}
 					return u.Trace()
 				}
-				if k := uploadKey(fmt.Sprintf("v%d", v), data, v != 1); k != wantKey {
+				if k := uploadKey(fmt.Sprintf("v%d", v), data, true); k != wantKey {
 					t.Errorf("v%d: upload key %s, in-memory trace %s", v, k, wantKey)
 				}
-				if v >= 2 {
-					for form, edited := range nonCanonical(t, tr, v, data) {
-						decoders["DecodeStrict/"+form] = func() (*trace.Trace, error) {
-							return trace.DecodeStrict(bytes.NewReader(edited), int64(len(edited)), 0)
-						}
-						if k := uploadKey(fmt.Sprintf("v%d %s", v, form), edited, false); k != wantKey {
-							t.Errorf("v%d %s: upload key %s, in-memory trace %s", v, form, k, wantKey)
-						}
-						edits++
+				for form, edited := range nonCanonical(t, tr, v, data) {
+					decoders["DecodeStrict/"+form] = func() (*trace.Trace, error) {
+						return trace.DecodeStrict(bytes.NewReader(edited), int64(len(edited)), 0)
 					}
+					if k := uploadKey(fmt.Sprintf("v%d %s", v, form), edited, false); k != wantKey {
+						t.Errorf("v%d %s: upload key %s, in-memory trace %s", v, form, k, wantKey)
+					}
+					edits++
 				}
 				if v == 3 {
 					decoders["OpenFile+Ingest"] = func() (*trace.Trace, error) {
@@ -383,7 +381,7 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 const maxString = 1 << 20
 
 // nonCanonical returns three hand edits of data, tr's encoding in version
-// 2 or 3, that the strict decoder still reads back as tr: the instr varint
+// v, that the strict decoder still reads back as tr: the instr varint
 // of tr's first stored access written overlong, its store byte written 2
 // instead of 1, and its instr written 0x10000 too high, which the decoder's
 // uint16 narrows away. Each must key like the canonical bytes. It returns

@@ -10,6 +10,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"threadfuser/internal/analysis"
 	"threadfuser/internal/check"
@@ -17,46 +18,81 @@ import (
 	"threadfuser/internal/workloads"
 )
 
-// spoolUpload drains the request body to a spool file, reads it back into
-// one buffer and hands that to sess as an Upload, which keys a canonical
-// v2/v3 body from its bytes and decodes anything else now (see
-// core.Upload). The spool file is removed before returning: nothing on
-// disk outlives the request. The returned status is the HTTP code to fail
-// with when err != nil.
-func (s *Server) spoolUpload(w http.ResponseWriter, r *http.Request, sess *core.Session) (*core.Upload, int, error) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-	f, err := os.CreateTemp(s.cfg.SpoolDir, "tfserve-spool-*.tft")
-	if err != nil {
-		return nil, http.StatusInternalServerError, fmt.Errorf("creating spool file: %w", err)
+// readUpload reads the request body into one buffer and hands it to sess
+// as an Upload, which keys a canonical body from its bytes and decodes
+// anything else now (see core.Upload). A declared Content-Length sizes the
+// buffer exactly, and one over MaxUploadBytes is refused before a byte is
+// read; a chunked body is read whole under the same cap. The read must end
+// by deadline: a client that stalls mid-body gets 408 instead of holding
+// its admission and tenant slots. The returned status is the HTTP code to
+// fail with when err != nil.
+func (s *Server) readUpload(w http.ResponseWriter, r *http.Request, sess *core.Session, deadline time.Time) (*core.Upload, int, error) {
+	limit := s.cfg.MaxUploadBytes
+	if r.ContentLength > limit {
+		w.Header().Set("Connection", "close")
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("upload exceeds %d-byte limit", limit)
 	}
-	defer func() {
-		f.Close()
-		os.Remove(f.Name())
-	}()
-	n, err := io.Copy(f, body)
+	// A writer without read deadlines (a test recorder answers
+	// ErrNotSupported) reads without one.
+	rc := http.NewResponseController(w)
+	deadlineSet := rc.SetReadDeadline(deadline) == nil
+	data, n, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 	if err != nil {
 		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
+		switch {
+		case errors.As(err, &maxErr):
 			return nil, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("upload exceeds %d-byte limit", maxErr.Limit)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// The rest of the body is never read: close the connection
+			// rather than parse it as the next request.
+			w.Header().Set("Connection", "close")
+			return nil, http.StatusRequestTimeout,
+				fmt.Errorf("reading upload: not received within the %v request deadline", s.cfg.RequestTimeout)
 		}
 		return nil, http.StatusBadRequest, fmt.Errorf("reading upload: %w", err)
+	}
+	if deadlineSet {
+		// The job runs under its context's deadline; the connection's next
+		// read (net/http's wait for the client to go away) must not expire.
+		rc.SetReadDeadline(time.Time{})
 	}
 	if cl := r.ContentLength; cl >= 0 && cl != n {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("upload truncated: Content-Length %d, body %d bytes", cl, n)
-	}
-	// One buffer per upload: the Upload keys and decodes it in place. A
-	// failed read keeps the status and message trace.DecodeStrict gave it.
-	data := make([]byte, n)
-	if m, err := f.ReadAt(data, 0); m < len(data) && err != nil {
-		return nil, http.StatusBadRequest, fmt.Errorf("decoding trace: trace: decode: %w", err)
 	}
 	u, err := sess.Upload(data, s.cfg.DecodeParallelism)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("decoding trace: %w", err)
 	}
 	return u, 0, nil
+}
+
+// readBody reads body whole. With a declared length cl >= 0 it reads into
+// one buffer of exactly cl bytes and returns it with the number of bytes
+// the body held, which differs from cl when the body ended early or, for a
+// handler driven directly rather than by net/http (which stops a body at
+// its declared length), ran on past it. A chunked body (cl < 0) is read by
+// io.ReadAll.
+func readBody(body io.Reader, cl int64) ([]byte, int64, error) {
+	if cl < 0 {
+		data, err := io.ReadAll(body)
+		return data, int64(len(data)), err
+	}
+	data := make([]byte, cl)
+	n := 0
+	for n < len(data) {
+		m, err := body.Read(data[n:])
+		n += m
+		if err == io.EOF {
+			return data[:n], int64(n), nil
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	extra, err := io.Copy(io.Discard, body)
+	return data, cl + extra, err
 }
 
 // uploadJob is one trace-upload endpoint's part of serveUpload: the core
@@ -69,11 +105,13 @@ type uploadJob struct {
 }
 
 // serveUpload is the request path the trace-upload endpoints share: count,
-// admit, decode the options (before the body is read), spool and key the
-// upload, and serve the job through its flight. The dedup key extends the
-// content-addressed cache key, so two requests share a flight exactly when
-// they are guaranteed the same report; the job runs on the same session and
-// upload, so the body is hashed once and decoded at most once.
+// admit, decode the options (before the body is read), read and key the
+// upload, and serve the job through its flight. The request deadline starts
+// before the body is read, so it bounds the read and the job together. The
+// dedup key extends the content-addressed cache key, so two requests share
+// a flight exactly when they are guaranteed the same report; the job runs
+// on the same session and upload, so the body is hashed once and decoded at
+// most once.
 func (s *Server) serveUpload(endpoint string, decode func(url.Values) (*uploadJob, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.stats.requests.Add(1)
@@ -87,15 +125,16 @@ func (s *Server) serveUpload(endpoint string, decode func(url.Values) (*uploadJo
 			s.failRequest(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		defer cancel()
+		deadline, _ := ctx.Deadline()
 		sess := core.NewSession()
 		sess.SetCache(s.cfg.Cache)
-		u, status, err := s.spoolUpload(w, r, sess)
+		u, status, err := s.readUpload(w, r, sess, deadline)
 		if err != nil {
 			s.failRequest(w, status, "%v", err)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
 		s.serveFlight(ctx, w, endpoint+"\x00"+u.CacheKey(job.keyOpts)+job.suffix, func(jctx context.Context) *outcome {
 			return s.runJob(jctx, func(jctx context.Context) (any, bool, error) {
 				return job.run(jctx, sess, u)

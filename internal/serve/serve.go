@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -58,11 +57,13 @@ type Config struct {
 	// MaxConcurrent (one tenant can fill the engine but never the whole
 	// queue, so other tenants always have admission room).
 	TenantBudget int
-	// MaxUploadBytes bounds one .tft upload; larger bodies get 413.
-	// Default: 1 GiB.
+	// MaxUploadBytes bounds one .tft upload; larger bodies get 413, before
+	// any byte is read when the request declares its length. Default: 1 GiB.
 	MaxUploadBytes int64
-	// RequestTimeout bounds one request end to end, including queueing;
-	// expiry cancels the replay and returns 504. Default: 2 minutes.
+	// RequestTimeout bounds one request end to end, from the start of the
+	// body read through queueing and the replay. A body still unread at
+	// expiry gets 408; later expiry cancels the replay and returns 504.
+	// Default: 2 minutes.
 	RequestTimeout time.Duration
 	// RetryAfter is the hint sent with 429/503 responses. Default: 1s.
 	RetryAfter time.Duration
@@ -71,14 +72,17 @@ type Config struct {
 	// MaxConcurrent independent requests, not from fanning one request over
 	// every core. Raise it for latency-sensitive, low-traffic deployments.
 	ReplayParallelism int
-	// DecodeParallelism is the worker count for decoding one upload
-	// (indexed v3 traces decode thread-parallel). Default: 1.
+	// DecodeParallelism is the worker count for decoding one upload when a
+	// job needs its trace (a negative value means one per core). Default: 1.
 	DecodeParallelism int
 	// Cache, if set, serves repeat analyses from the content-addressed
 	// report store and persists new ones. Combine with Cache.SetMaxBytes to
 	// keep a long-running service's disk bounded (LRU).
 	Cache *core.Cache
-	// SpoolDir receives upload spool files. Default: os.TempDir().
+	// SpoolDir is ignored: uploads are read straight into memory.
+	//
+	// Deprecated: nothing is spooled to disk any more; the field remains
+	// only so existing callers still compile.
 	SpoolDir string
 }
 
@@ -106,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DecodeParallelism == 0 {
 		c.DecodeParallelism = 1
-	}
-	if c.SpoolDir == "" {
-		c.SpoolDir = os.TempDir()
 	}
 	return c
 }

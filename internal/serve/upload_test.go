@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -118,8 +122,10 @@ func TestUploadTooLarge(t *testing.T) {
 	assertNoLeak(t, srv, "oversized upload")
 }
 
-// TestSpoolFailureIsServerError: an upload the server cannot spool fails
-// with 500 and counts as the server's error, not the client's.
+// TestSpoolFailureIsServerError: uploads are read into memory, never
+// spooled, so a SpoolDir that does not exist (the field is deprecated and
+// ignored) no longer affects an upload: it is analyzed, and no server
+// error is counted.
 func TestSpoolFailureIsServerError(t *testing.T) {
 	srv, ts := newTestServer(t, Config{MaxConcurrent: 2, SpoolDir: filepath.Join(t.TempDir(), "missing")})
 	resp, err := ts.Client().Post(ts.URL+"/v1/analyze", "application/octet-stream",
@@ -128,13 +134,142 @@ func TestSpoolFailureIsServerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("upload with no spool directory: status %d, want 500", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload with no spool directory: status %d, want 200", resp.StatusCode)
 	}
-	if st := srv.Snapshot(); st.ServerErrors != 1 || st.ClientErrors != 0 {
-		t.Fatalf("stats: %d server / %d client errors, want 1 / 0", st.ServerErrors, st.ClientErrors)
+	if st := srv.Snapshot(); st.ServerErrors != 0 || st.ClientErrors != 0 || st.Completed != 1 {
+		t.Fatalf("stats: %d server / %d client errors, %d completed, want 0 / 0, 1",
+			st.ServerErrors, st.ClientErrors, st.Completed)
 	}
-	assertNoLeak(t, srv, "spool failure")
+	assertNoLeak(t, srv, "ignored spool directory")
+}
+
+// unreadBody fails the test if the handler reads it.
+type unreadBody struct{ t *testing.T }
+
+func (b unreadBody) Read([]byte) (int, error) {
+	b.t.Error("the handler read a body whose declared length is over the cap")
+	return 0, io.EOF
+}
+
+// TestUploadTooLargeBeforeRead: a declared Content-Length over the cap is
+// refused with 413 before any byte of the body is read, however small the
+// body actually is.
+func TestUploadTooLargeBeforeRead(t *testing.T) {
+	srv := New(Config{MaxConcurrent: 2, MaxUploadBytes: 1024})
+	req := httptest.NewRequest("POST", "/v1/analyze", unreadBody{t})
+	req.ContentLength = 1025
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared length over the cap: status %d (%s), want 413", w.Code, w.Body)
+	}
+	if !strings.Contains(w.Body.String(), "exceeds 1024-byte limit") {
+		t.Fatalf("error does not name the limit: %s", w.Body)
+	}
+	assertNoLeak(t, srv, "declared oversize upload")
+}
+
+// TestChunkedUpload: a body without a declared length is read whole under
+// the cap: a trace is analyzed, and a body over the cap gets 413.
+func TestChunkedUpload(t *testing.T) {
+	srv := New(Config{MaxConcurrent: 2, MaxUploadBytes: 1024})
+	var declared atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		declared.Store(r.ContentLength)
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	post := func(body []byte) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest("POST", ts.URL+"/v1/analyze", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = -1 // unknown: the client sends chunks
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if n := declared.Load(); n != -1 {
+			t.Fatalf("the server saw a declared length of %d, want a chunked body", n)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
+	}
+	if code, body := post(tftBytes(t, testTrace(), true)); code != http.StatusOK {
+		t.Fatalf("chunked trace upload: status %d (%s), want 200", code, body)
+	}
+	if code, body := post(make([]byte, 4096)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked oversize upload: status %d (%s), want 413", code, body)
+	}
+	assertNoLeak(t, srv, "chunked uploads")
+}
+
+// TestStalledUploadTimesOut: a client that sends its headers and part of
+// the body, then stalls, gets 408 within the request deadline instead of
+// holding its admission and tenant slots, and counts as a client error.
+// A client that completes its body on a kept-alive connection is served,
+// and so is its next request on the same connection.
+func TestStalledUploadTimesOut(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	srv, ts := newTestServer(t, Config{MaxConcurrent: 2, RequestTimeout: timeout})
+	data := tftBytes(t, testTrace(), true)
+	head := fmt.Sprintf("POST /v1/analyze HTTP/1.1\r\nHost: tfserve\r\nContent-Length: %d\r\n\r\n", len(data))
+	dial := func() (net.Conn, *bufio.Reader) {
+		t.Helper()
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		return conn, bufio.NewReader(conn)
+	}
+
+	conn, br := dial()
+	start := time.Now()
+	if _, err := io.WriteString(conn, head+string(data[:len(data)/2])); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("stalled upload got no response: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if elapsed := time.Since(start); elapsed > timeout+2*time.Second {
+		t.Errorf("stalled upload answered after %v, deadline %v", elapsed, timeout)
+	}
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled upload: status %d, want 408", resp.StatusCode)
+	}
+	assertNoLeak(t, srv, "stalled upload")
+	if st := srv.Snapshot(); st.ClientErrors != 1 || st.ServerErrors != 0 {
+		t.Fatalf("stats: %d client / %d server errors, want 1 / 0", st.ClientErrors, st.ServerErrors)
+	}
+
+	// Two whole requests on one kept-alive connection, the second sent
+	// after the first's read deadline has passed.
+	conn, br = dial()
+	for i := 0; i < 2; i++ {
+		if _, err := io.WriteString(conn, head+string(data)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d on a kept-alive connection: %v", i+1, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d on a kept-alive connection: status %d, want 200", i+1, resp.StatusCode)
+		}
+		time.Sleep(2 * timeout)
+	}
+	assertNoLeak(t, srv, "kept-alive requests")
 }
 
 // countDecodes installs an upload-decode counter for the test's duration.
@@ -146,11 +281,10 @@ func countDecodes(t *testing.T) *atomic.Int64 {
 	return &n
 }
 
-// TestCanonicalUploadDecodesOnlyWhenNeeded: a v2/v3 upload in canonical
-// form is keyed from its bytes, so a repeated analyze POST of it is a cache
-// hit that decodes nothing, while a repeated v1 POST still decodes once per
-// request; lint and check need the trace and decode a canonical upload
-// exactly once.
+// TestCanonicalUploadDecodesOnlyWhenNeeded: an upload in canonical form,
+// of any version, is keyed from its bytes, so a repeated analyze POST of it
+// is a cache hit that decodes nothing; lint and check need the trace and
+// decode a canonical upload exactly once.
 func TestCanonicalUploadDecodesOnlyWhenNeeded(t *testing.T) {
 	decodes := countDecodes(t)
 	cache := core.NewCache(t.TempDir())
@@ -177,8 +311,8 @@ func TestCanonicalUploadDecodesOnlyWhenNeeded(t *testing.T) {
 	}{
 		{"v3 analyze, first", "/v1/analyze?warp=8", tftBytes(t, testTrace(), true), "miss", 1},
 		{"v3 analyze, repeated", "/v1/analyze?warp=8", tftBytes(t, testTrace(), true), "hit", 0},
-		{"v1 analyze, repeated", "/v1/analyze?warp=8", tftBytes(t, testTrace(), false), "hit", 1},
-		{"v1 analyze, again", "/v1/analyze?warp=8", tftBytes(t, testTrace(), false), "hit", 1},
+		{"v1 analyze, repeated", "/v1/analyze?warp=8", tftBytes(t, testTrace(), false), "hit", 0},
+		{"v1 analyze, again", "/v1/analyze?warp=8", tftBytes(t, testTrace(), false), "hit", 0},
 		{"v3 lint", "/v1/lint?warp=8", tftBytes(t, testTrace(), true), "miss", 1},
 		{"v3 check", "/v1/check?warps=4&parallel=1", tftBytes(t, testTrace(), true), "miss", 1},
 	} {

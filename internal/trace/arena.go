@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"threadfuser/internal/pool"
@@ -322,7 +323,8 @@ func measureStream(data []byte, off, nthreads int) ([]indexEntry, int, error) {
 // or Release byte other than 0 or 1, and a value the decoder narrows (an
 // access or lock instr over 0xFFFF; a func, block or callee over
 // 0xFFFFFFFF). A canonical v2 section is byte for byte what the encoder
-// writes for the thread it decodes to; CanonicalDigest relies on that.
+// writes for the thread it decodes to, and a canonical v1 section differs
+// from it only in its addresses; CanonicalKey relies on that.
 //
 // The walk keeps its cursor in a local: a truncated skipped varint moves it
 // past len(data), which every later read treats as the end of the input.
@@ -481,6 +483,104 @@ func measureCount(data []byte, p int) (uint64, int, error) {
 // shortest encoding of its value, which ends in a nonzero byte.
 func overlong(data []byte, p, next int) bool {
 	return next-p > 1 && data[next-1] == 0
+}
+
+// appendDeltaSection appends the v1 thread section sec, which
+// measureSection walked whole and found canonical, as the v2 section the
+// encoder writes for the same thread: runs of bytes are copied as they
+// are, and each access and lock address is rewritten from raw to the
+// zig-zag varint of its delta (appendDelta). The verdict is what makes the
+// copied fields the encoder's own bytes and every address fit in 64 bits;
+// the header and address skips use the word loads measureSection does.
+func appendDeltaSection(b, sec []byte, naddr int64) []byte {
+	// A delta is at most 9 bytes longer than the raw address it replaces
+	// (one byte against ten), and appendRun stores whole words.
+	b = slices.Grow(b, len(sec)+9*int(naddr)+8)
+	p, _ := skipVarint(sec, 0, 64) // tid
+	nr, p, _ := uvarintAt(sec, p)
+	var prev uint64
+	run := 0 // start of the bytes not yet copied
+	for j := uint64(0); j < nr; j++ {
+		kind := Kind(sec[p])
+		p++
+		switch kind {
+		case KindBBL:
+			var nm uint64
+			if p+4 <= len(sec) && binary.LittleEndian.Uint32(sec[p:])&0x80808080 == 0 {
+				nm = uint64(sec[p+3])
+				p += 4
+			} else {
+				p, _ = skipVarint(sec, p, 32)
+				p, _ = skipVarint(sec, p, 32)
+				p, _ = skipVarint(sec, p, 64)
+				nm, p, _ = uvarintAt(sec, p)
+			}
+			for i := uint64(0); i < nm; i++ {
+				p, _ = skipVarint(sec, p, 16) // instr
+				b = appendRun(b, sec, run, p)
+				// Raw addresses are routinely five bytes: the 64-bit-load
+				// cascade of uvarintAt, written out as in fillSection.
+				var addr uint64
+				if p+8 <= len(sec) {
+					x := binary.LittleEndian.Uint64(sec[p:])
+					if stop := ^x & 0x8080808080808080; stop != 0 {
+						nb := bits.TrailingZeros64(stop) >> 3
+						x &= ^uint64(0) >> (56 - 8*uint(nb))
+						addr = x&0x7f |
+							x>>1&(0x7f<<7) |
+							x>>2&(0x7f<<14) |
+							x>>3&(0x7f<<21) |
+							x>>4&(0x7f<<28) |
+							x>>5&(0x7f<<35) |
+							x>>6&(0x7f<<42) |
+							x>>7&(0x7f<<49)
+						p += nb + 1
+					} else {
+						addr, p, _ = uvarintAt(sec, p)
+					}
+				} else {
+					addr, p, _ = uvarintAt(sec, p)
+				}
+				b = appendDelta(b, addr, &prev)
+				run = p
+				p += 2 // size, store
+			}
+			var nl uint64
+			if sec[p] < 0x80 {
+				nl = uint64(sec[p])
+				p++
+			} else {
+				nl, p, _ = uvarintAt(sec, p)
+			}
+			for i := uint64(0); i < nl; i++ {
+				p, _ = skipVarint(sec, p, 16) // instr
+				b = appendRun(b, sec, run, p)
+				var addr uint64
+				addr, p, _ = uvarintAt(sec, p)
+				b = appendDelta(b, addr, &prev)
+				run = p
+				p++ // release
+			}
+		case KindCall:
+			p, _ = skipVarint(sec, p, 32)
+		case KindRet:
+		case KindSkip:
+			p, _ = skipVarint(sec, p+1, 64) // past the skip kind
+		}
+	}
+	return append(b, sec[run:]...)
+}
+
+// appendRun appends sec[run:p] to b. The runs between addresses are a few
+// bytes long, so one with eight bytes of sec behind it is stored as a whole
+// word, into the spare capacity appendDeltaSection reserved, instead of
+// through a copy call.
+func appendRun(b, sec []byte, run, p int) []byte {
+	if w := len(b); p-run <= 8 && run+8 <= len(sec) {
+		binary.LittleEndian.PutUint64(b[w:w+8], binary.LittleEndian.Uint64(sec[run:]))
+		return b[:w+p-run]
+	}
+	return append(b, sec[run:p]...)
 }
 
 // uvarint2 is the manually inlined varint fast path for the section fill

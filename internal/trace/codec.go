@@ -41,8 +41,8 @@ import (
 // sections are a trace's canonical encoding: Digest hashes them, and since
 // decoding inverts them, the report cache keys a trace by its content
 // whichever container version it arrived in. A v2 or v3 file the encoder
-// wrote holds those sections verbatim, so CanonicalDigest hashes them
-// without decoding.
+// wrote holds those sections verbatim, and a v1 file differs from them only
+// in its addresses, so CanonicalKey hashes them without decoding.
 
 const (
 	magic    = "TFTR"
@@ -117,49 +117,86 @@ func Digest(t *Trace) [sha256.Size]byte {
 	return sum
 }
 
-// CanonicalDigest returns the Digest of the trace data holds, computed
-// from data's own bytes in one walk without decoding them. ok is true only
-// when DecodeStrict(data) is sure to succeed with a trace whose Digest is
-// sum: data is a v2 stream that ends at its last thread section, or a v3
-// container whose index validates and describes every section exactly as
-// the stream measures it, and every section is canonical (measureSection).
-// Canonical sections are what the encoder writes, so the sum hashes a v2
-// header rebuilt from the parsed one followed by the sections as they are.
-// A v1 stream, a section in a non-canonical form, and anything strict decode
-// might reject give false; a caller then decodes data and hashes the trace.
-func CanonicalDigest(data []byte) (sum [sha256.Size]byte, ok bool) {
+// Keyed is a .tft body keyed from its own bytes by CanonicalKey. Sum is
+// the Digest of the trace the body decodes to; the rest is what the keying
+// walk parsed (the header and the index of thread sections), so Decode
+// fills the arena over that index without measuring the stream again or
+// re-validating a v3 footer.
+type Keyed struct {
+	Sum   [sha256.Size]byte
+	hdr   *Header
+	index []indexEntry
+}
+
+// CanonicalKey computes the Digest of the trace data holds from data's own
+// bytes, without decoding them. ok is true only when DecodeStrict(data) is
+// sure to succeed with a trace whose Digest is the sum: data is a v1 or v2
+// stream that ends at its last thread section, or a v3 container whose
+// index validates and describes every section exactly as the stream
+// measures it, and every section is canonical (measureSection). The sum
+// hashes a v2 header rebuilt from the parsed one followed by the sections:
+// v2 and v3 sections as they are, since canonical sections are what the
+// encoder writes, and v1 sections with each raw address rewritten as the
+// delta the encoder writes (appendDeltaSection). A section in a
+// non-canonical form, and anything strict decode might reject, give false;
+// a caller then decodes data and hashes the trace.
+func CanonicalKey(data []byte) (k *Keyed, ok bool) {
 	d := &bdec{data: data}
 	h := d.header()
-	if d.err != nil || h.Version == version1 {
-		return sum, false
+	if d.err != nil {
+		return nil, false
 	}
 	var index []indexEntry
 	if h.Version == version3 {
 		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
-			return sum, false
+			return nil, false
 		}
 		index = r.index
+	} else {
+		index = make([]indexEntry, 0, preallocCap(uint64(h.NumThreads)))
 	}
-	off := d.off
-	h.Version = version2
+	v2 := *h
+	v2.Version = version2
 	hash := sha256.New()
-	hash.Write(appendHeader(nil, h))
+	hash.Write(appendHeader(nil, &v2))
+	var buf []byte // a v1 section's v2 bytes, reused across sections
+	off := d.off
 	for i := 0; i < h.NumThreads; i++ {
 		en, canonical, err := measureSection(data, off)
-		if err != nil || !canonical || index != nil && en != index[i] {
-			return sum, false
+		if err != nil || !canonical || h.Version == version3 && en != index[i] {
+			return nil, false
 		}
-		hash.Write(data[off : off+int(en.len)])
+		sec := data[off : off+int(en.len)]
+		if h.Version == version1 {
+			buf = appendDeltaSection(buf[:0], sec, en.nmem+en.nlock)
+			sec = buf
+		}
+		hash.Write(sec)
+		if h.Version != version3 {
+			index = append(index, en)
+		}
 		off += int(en.len)
 	}
 	// A v3 index that matched every section tiles the stream up to its
 	// footer; a bare stream must end at its last section.
-	if index == nil && off != len(data) {
-		return sum, false
+	if h.Version != version3 && off != len(data) {
+		return nil, false
 	}
-	hash.Sum(sum[:0])
-	return sum, true
+	k = &Keyed{hdr: h, index: index}
+	hash.Sum(k.Sum[:0])
+	return k, true
+}
+
+// Decode decodes data, the bytes k was keyed from, as DecodeStrictBytes
+// would, filling the arena over the keying walk's index with up to workers
+// goroutines. fill still checks every section against the index.
+func (k *Keyed) Decode(data []byte, workers int) (*Trace, error) {
+	a, err := fill(data, k.index, k.hdr.Version == version1, workers)
+	if err != nil {
+		return nil, err
+	}
+	return a.Trace(k.hdr.Program, k.hdr.Entry, k.hdr.Funcs), nil
 }
 
 // sizeTrace returns each thread's index entry with its tid and table sizes.
@@ -309,9 +346,7 @@ func (e *encoder) section(th *ThreadTrace, delta bool) {
 		if !delta {
 			return binary.AppendUvarint(b, a)
 		}
-		d := zigzag(int64(a - prev))
-		prev = a
-		return binary.AppendUvarint(b, d)
+		return appendDelta(b, a, &prev)
 	}
 	for i := range th.Records {
 		if len(b) >= flushAt {
@@ -356,6 +391,15 @@ func boolByte(v bool) byte {
 		return 1
 	}
 	return 0
+}
+
+// appendDelta appends address a as the zig-zag varint of its delta from
+// *prev and makes a the new *prev. It is the one writer of v2 address
+// bytes: the encoder and CanonicalKey's v1 rewrite both run it.
+func appendDelta(b []byte, a uint64, prev *uint64) []byte {
+	d := zigzag(int64(a - *prev))
+	*prev = a
+	return binary.AppendUvarint(b, d)
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

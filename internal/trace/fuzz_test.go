@@ -165,9 +165,9 @@ func TestStridedSeedExercisesSiteHistograms(t *testing.T) {
 // parallel fill at 4 workers; whatever DecodeStrict accepts, Decode accepts
 // as the same trace; and any accepted trace is either valid or diagnosed by
 // the sanitize pass (the contract tflint depends on) — never silently
-// consumed by the structural passes. CanonicalDigest vouches only for what
-// DecodeStrict accepts, with the digest of what it decodes, and for every
-// v2 and v3 encoding of an accepted trace, never for a v1 one.
+// consumed by the structural passes. CanonicalKey vouches only for what
+// DecodeStrict accepts, with the digest of what it decodes, and its Decode
+// gives that trace; and it vouches for every encoding of an accepted trace.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []*trace.Trace{fuzzSeedTrace(), lockSeedTrace(), stridedSeedTrace()} {
 		for _, v := range versions {
@@ -236,12 +236,19 @@ func FuzzDecode(f *testing.F) {
 		if serr == nil && err != nil {
 			t.Fatalf("DecodeStrict accepted an input Decode rejects (%v)", err)
 		}
-		if sum, ok := trace.CanonicalDigest(data); ok {
+		if k, ok := trace.CanonicalKey(data); ok {
 			if serr != nil {
-				t.Fatalf("CanonicalDigest vouched for an input DecodeStrict rejects (%v)", serr)
+				t.Fatalf("CanonicalKey vouched for an input DecodeStrict rejects (%v)", serr)
 			}
-			if trace.Digest(strict) != sum {
-				t.Fatal("CanonicalDigest differs from the Digest of the strictly decoded trace")
+			if trace.Digest(strict) != k.Sum {
+				t.Fatal("CanonicalKey differs from the Digest of the strictly decoded trace")
+			}
+			keyed, err := k.Decode(data, 4)
+			if err != nil {
+				t.Fatalf("decoding over the keying walk's index failed: %v", err)
+			}
+			if !reflect.DeepEqual(keyed, strict) {
+				t.Fatal("decoding over the keying walk's index and DecodeStrict disagree")
 			}
 		}
 		if err != nil {
@@ -262,12 +269,12 @@ func FuzzDecode(f *testing.F) {
 			if err := trace.Encode(&enc, tr, v); err != nil {
 				t.Fatalf("v%d: encoding a decoded trace failed: %v", v, err)
 			}
-			sum, ok := trace.CanonicalDigest(enc.Bytes())
-			if ok != (v != 1) {
-				t.Fatalf("v%d: CanonicalDigest ok = %v on Encode's output", v, ok)
+			k, ok := trace.CanonicalKey(enc.Bytes())
+			if !ok {
+				t.Fatalf("v%d: CanonicalKey refused Encode's output", v)
 			}
-			if ok && sum != want {
-				t.Fatalf("v%d: CanonicalDigest of Encode's output differs from Digest", v)
+			if k.Sum != want {
+				t.Fatalf("v%d: CanonicalKey of Encode's output differs from Digest", v)
 			}
 		}
 		rep, err := analysis.Run(tr, analysis.Options{WarpSize: 4})

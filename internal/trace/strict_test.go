@@ -126,4 +126,101 @@ func TestMeasureSectionCanonical(t *testing.T) {
 			}
 		}
 	}
+	// Raw v1 addresses at the varint's limits, each in a one-thread v1 file
+	// whose CanonicalKey verdict is checked against DecodeStrict: a
+	// canonical file decodes, to the keyed digest and to what decoding over
+	// the walk's index gives; an overlong address still decodes but is not
+	// vouched for; an 11-byte varint overflows and is rejected.
+	header := cat([]byte(magic), []byte{version1, 0, 0, 0, 1}) // no program, entry or functions; one thread
+	for _, tc := range []struct {
+		name          string
+		addr          []byte
+		want, decodes bool
+	}{
+		{"v1 address 1<<63", u(nil, 1<<63), true, true},
+		{"v1 address max uint64", u(nil, ^uint64(0)), true, true},
+		{"v1 address overlong", overlong(1 << 40), false, true},
+		{"v1 address 11-byte overflow", append(bytes.Repeat([]byte{0xff}, 10), 1), false, false},
+	} {
+		for _, rets := range []int{0, 8} {
+			rec := bbl(one, one, access(one, tc.addr, 8, 0), canonLock)
+			sec := cat(zero, u(nil, uint64(1+rets)), rec, bytes.Repeat([]byte{byte(KindRet)}, rets))
+			_, canonical, err := measureSection(sec, 0)
+			if err != nil {
+				t.Fatalf("%s, %d RETs after: %v", tc.name, rets, err)
+			}
+			if canonical != tc.want {
+				t.Errorf("%s, %d RETs after: canonical = %v, want %v", tc.name, rets, canonical, tc.want)
+			}
+			data := cat(header, sec)
+			k, ok := CanonicalKey(data)
+			tr, serr := DecodeStrictBytes(data, 1)
+			if ok != tc.want || (serr == nil) != tc.decodes {
+				t.Fatalf("%s, %d RETs after: CanonicalKey ok = %v, DecodeStrict error %v", tc.name, rets, ok, serr)
+			}
+			if !ok {
+				continue
+			}
+			if Digest(tr) != k.Sum {
+				t.Errorf("%s, %d RETs after: keyed digest differs from the decoded trace's", tc.name, rets)
+			}
+			if got, err := k.Decode(data, 1); err != nil || !reflect.DeepEqual(got, tr) {
+				t.Errorf("%s, %d RETs after: decoding over the walk's index: %v", tc.name, rets, err)
+			}
+		}
+	}
+}
+
+// TestCanonicalKeyReusesWalk: the keyed handle carries the index its walk
+// measured (the stream's own for v1 and v2, the footer's for v3), and
+// Decode fills over it and the parsed header without reading either again:
+// a copy whose program name and v3 trailer were scribbled over after keying
+// still decodes, at every worker count, to the trace of the bytes keyed.
+func TestCanonicalKeyReusesWalk(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(11)))
+	for _, v := range []int{1, 2, 3} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, tr, v); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		k, ok := CanonicalKey(data)
+		if !ok {
+			t.Fatalf("v%d: CanonicalKey refused Encode's output", v)
+		}
+		d := &bdec{data: data}
+		h := d.header()
+		want, _, err := measureStream(data, d.off, h.NumThreads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == 3 {
+			r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = r.index
+		}
+		if !reflect.DeepEqual(k.index, want) {
+			t.Errorf("v%d: keyed index %v, walk measured %v", v, k.index, want)
+		}
+		strict, err := DecodeStrictBytes(data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribbled := bytes.Clone(data)
+		scribbled[len(magic)+2] ^= 0x20 // the program name's first byte
+		if v == 3 {
+			scribbled[len(scribbled)-1] ^= 0xff // the trailer magic
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := k.Decode(scribbled, workers)
+			if err != nil {
+				t.Fatalf("v%d/%d: %v", v, workers, err)
+			}
+			if !reflect.DeepEqual(got, strict) {
+				t.Errorf("v%d/%d: keyed decode differs from DecodeStrict", v, workers)
+			}
+		}
+	}
 }

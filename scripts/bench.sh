@@ -23,6 +23,9 @@
 # that trace's v3 bytes without decoding them (what a tfserve upload of a
 # v2/v3 file pays before its cache lookup), in the v3 file bytes/s it reads;
 # its canonical_vs_decode_v3 field is its MB/s over decode_v3_serial's.
+# canonical_digest_v1 keys the same trace's v1 bytes, rewriting each raw
+# address as a delta, in v1 file bytes/s; its canonical_vs_decode_v1 field
+# is its MB/s over decode_v1_serial's.
 # Decode rows also carry prev_bytes_per_op/prev_allocs_per_op deltas against
 # the BENCH_analyzer.json being replaced, so an allocation regression is
 # visible in the diff of the file itself.
@@ -49,7 +52,7 @@ cp "$out" "$prev" 2>/dev/null || : >"$prev"
 cores=$(nproc 2>/dev/null || echo 1)
 
 raw=$(GOMAXPROCS=1 go test -run '^$' \
-	-bench 'BenchmarkReplay(Serial|Parallel|Allocs)$|BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkCanonicalDigest$|BenchmarkEncodeV3$' \
+	-bench 'BenchmarkReplay(Serial|Parallel|Allocs)$|BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkCanonicalDigest(V1)?$|BenchmarkEncodeV3$' \
 	-benchmem -benchtime "${BENCHTIME:-1s}" -count=1 .)
 echo "$raw"
 
@@ -133,7 +136,7 @@ function row(name, extra,    s, k) {
 }
 END {
 	n = split("ReplaySerial ReplayParallel ReplayAllocs " \
-		"DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest CanonicalDigest EncodeV3", want, " ")
+		"DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest CanonicalDigest CanonicalDigestV1 EncodeV3", want, " ")
 	# At >1 cores the second sweep must have produced the _maxprocs rows.
 	if (cores > 1) {
 		want[++n] = "ReplayParallelMaxProcs"
@@ -158,6 +161,8 @@ END {
 	print row("TraceDigest") ","
 	print row("CanonicalDigest", \
 		sprintf("\"canonical_vs_decode_v3\": %.2f", mbs["CanonicalDigest"] / mbs["DecodeV3Serial"])) ","
+	print row("CanonicalDigestV1", \
+		sprintf("\"canonical_vs_decode_v1\": %.2f", mbs["CanonicalDigestV1"] / mbs["DecodeV1Serial"])) ","
 	print row("EncodeV3") ","
 	tail = ""
 	if (cores > 1) tail = ","

@@ -30,7 +30,7 @@ cd "$(dirname "$0")/.."
 baseline=scripts/bench_baseline.json
 
 raw=$(go test -run '^$' \
-	-bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkCanonicalDigest$|BenchmarkEncodeV3$' \
+	-bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$|BenchmarkTraceDigest$|BenchmarkCanonicalDigest(V1)?$|BenchmarkEncodeV3$' \
 	-benchmem -benchtime "${BENCHTIME:-1x}" -count=1 .)
 echo "$raw"
 rawr=$(go test -run '^$' \
