@@ -27,12 +27,12 @@ func TestReaderThreads(t *testing.T) {
 	}
 	// Random access, deliberately out of order.
 	for i := r.NumThreads() - 1; i >= 0; i-- {
-		if r.TID(i) != tr.Threads[i].TID {
-			t.Fatalf("TID(%d) = %d, want %d", i, r.TID(i), tr.Threads[i].TID)
-		}
 		th, err := r.Thread(i)
 		if err != nil {
 			t.Fatalf("Thread(%d): %v", i, err)
+		}
+		if th.TID != tr.Threads[i].TID {
+			t.Fatalf("Thread(%d).TID = %d, want %d", i, th.TID, tr.Threads[i].TID)
 		}
 		if !reflect.DeepEqual(th, tr.Threads[i]) {
 			t.Fatalf("Thread(%d) mismatch", i)
