@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test test-race bench bench-decode bench-replay bench-guard check lint staticcheck tfcheck tfstatic staticlock staticmem serve-smoke
+.PHONY: build vet test test-race bench bench-guard check lint staticcheck tfcheck tfstatic staticlock staticmem serve-smoke
 
 build:
 	$(GO) build ./...
@@ -79,30 +79,14 @@ staticmem:
 serve-smoke:
 	scripts/serve_smoke.sh
 
-# Run the key analyzer benchmarks (replay + trace decode) and record the
-# perf trajectory in BENCH_analyzer.json: a JSON array with per-row ns/op,
-# MB/s, allocs/op, the replay serial-vs-parallel speedup, and the v3
-# parallel-decode speedup over the v1 serial baseline.
-bench:
+# The analyzer's micro benchmarks in one sweep: scripts/bench.sh writes
+# BENCH_analyzer.json and fails on a row missing, without a limit, or past
+# its limit in scripts/bench_baseline.json. `bench` records numbers only
+# from a tree that passes `check`; `bench-guard` (and CI) skip that gate.
+bench: check
 	scripts/bench.sh
 
-# Just the trace-decode benchmarks (v1/v2/v3 serial, v3 parallel), without
-# the make-check gate or the JSON artifact — a quick loop for codec work.
-bench-decode:
-	$(GO) test -run '^$$' -bench 'BenchmarkDecodeV(1Serial|2Serial|3Serial|3Parallel)$$' -benchmem -count=1 .
-
-# Just the SIMT replay benchmarks (serial, parallel, allocs), without the
-# make-check gate or the JSON artifact — a quick loop for replay hot-path
-# work (pair with tfanalyze -cpuprofile for the flame graph).
-bench-replay:
-	$(GO) test -run '^$$' -bench 'BenchmarkReplay(Serial|Parallel|Allocs)$$' -benchmem -count=1 .
-
-# Decode and replay benchmarks checked against the committed limits in
-# scripts/bench_baseline.json: allocs/op ceilings (exact at any benchtime;
-# catches losing the arena decoder's or fused replay's near-zero per-record
-# allocation) and replay MB/s floors (regime check with >2x headroom;
-# catches falling back to the pre-fusion per-record replay).
 bench-guard:
-	scripts/bench_guard.sh
+	scripts/bench.sh
 
 check: build vet test test-race lint staticcheck tfcheck tfstatic staticlock staticmem serve-smoke
