@@ -150,7 +150,33 @@ func (s *Session) CacheKey(t *trace.Trace, opts Options) string {
 // memo; the returned trace is what subsequent Analyze calls should be
 // handed, so sweeps over warp widths, formations, and lock policies start
 // replaying immediately, having paid the ingest exactly once.
+//
+// A footer that some section contradicts is discarded as a whole, as the
+// batch decoders discard it: the workers take sections out of order, so
+// those taken before the contradiction came from the footer, and the ingest
+// runs again with every section filled from the stream-measured index.
+// prepare claims sections in index order and finishes every claimed one, so
+// a contradiction earlier in the stream than a failure is always seen.
 func (s *Session) Ingest(r *trace.Reader, parallelism int) (*trace.Trace, error) {
+	t, p, err := ingest(r, parallelism)
+	if r.Remeasured() {
+		t, p, err = ingest(r, parallelism)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// t is new, so no other call can hold its memo entry yet: install one
+	// already done.
+	e := &prepEntry{p: p}
+	e.once.Do(func() {})
+	s.mu.Lock()
+	s.preps[t] = e
+	s.mu.Unlock()
+	return t, nil
+}
+
+// ingest builds a trace from every section of r through prepare.
+func ingest(r *trace.Reader, parallelism int) (*trace.Trace, *prep, error) {
 	hdr := r.Header()
 	t := &trace.Trace{
 		Program: hdr.Program,
@@ -163,17 +189,7 @@ func (s *Session) Ingest(r *trace.Reader, parallelism int) (*trace.Trace, error)
 		t.Threads[i] = th
 		return th, err
 	}, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	// t is new, so no other call can hold its memo entry yet: install one
-	// already done.
-	e := &prepEntry{p: p}
-	e.once.Do(func() {})
-	s.mu.Lock()
-	s.preps[t] = e
-	s.mu.Unlock()
-	return t, nil
+	return t, p, err
 }
 
 // digest returns the trace's memoized content digest.
