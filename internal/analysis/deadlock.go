@@ -78,8 +78,8 @@ func DynamicLockOrder(t *trace.Trace) *LockOrder {
 	edgeThreads := map[edge]map[int]bool{}
 	siteThreads := map[siteEdge]map[int]bool{}
 	nodes := map[uint64]bool{}
-	lockWalk(t, lockHooks{lock: func(tid int, r *trace.Record, li int, held heldSet) {
-		l := &r.Locks[li]
+	lockWalk(t, lockHooks{lock: func(tid int, r *trace.Record, locks []trace.LockOp, li int, held heldSet) {
+		l := &locks[li]
 		if l.Release {
 			return
 		}

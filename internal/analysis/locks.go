@@ -66,8 +66,8 @@ func (lockLintPass) Run(ctx *Context) error {
 		hasRelease = map[blockKey]bool{}     // blocks containing any release
 	)
 	lockWalk(t, lockHooks{
-		lock: func(tid int, r *trace.Record, li int, held heldSet) {
-			l := &r.Locks[li]
+		lock: func(tid int, r *trace.Record, locks []trace.LockOp, li int, held heldSet) {
+			l := &locks[li]
 			site := LockSite{Func: r.Func, Block: r.Block, Instr: l.Instr}
 			bk := blockKey{r.Func, r.Block}
 			_, isHeld := held[l.Addr]
@@ -85,8 +85,8 @@ func (lockLintPass) Run(ctx *Context) error {
 			// Static view: an acquire with no release of the same lock
 			// later in this block leaves the block holding it.
 			released := false
-			for lj := li + 1; lj < len(r.Locks); lj++ {
-				if r.Locks[lj].Release && r.Locks[lj].Addr == l.Addr {
+			for lj := li + 1; lj < len(locks); lj++ {
+				if locks[lj].Release && locks[lj].Addr == l.Addr {
 					released = true
 					break
 				}

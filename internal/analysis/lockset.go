@@ -70,10 +70,8 @@ func eraserWalk(t *trace.Trace, report func(r *trace.Record, m *trace.MemAccess,
 	// excluded, whichever thread or instruction touches them.
 	lockWords := make(map[uint64]bool)
 	for _, th := range t.Threads {
-		for ri := range th.Records {
-			for _, l := range th.Records[ri].Locks {
-				lockWords[l.Addr] = true
-			}
+		for _, l := range th.Locks {
+			lockWords[l.Addr] = true
 		}
 	}
 

@@ -38,8 +38,8 @@ type lockHooks struct {
 	// access sees each memory access once every lock operation at or
 	// before its instruction has applied.
 	access func(tid int, r *trace.Record, m *trace.MemAccess, held heldSet)
-	// lock sees r.Locks[li] before it applies.
-	lock func(tid int, r *trace.Record, li int, held heldSet)
+	// lock sees locks[li], the li-th of r's lock ops, before it applies.
+	lock func(tid int, r *trace.Record, locks []trace.LockOp, li int, held heldSet)
 	// end sees what the thread still holds after its last record.
 	end func(tid int, held heldSet)
 }
@@ -57,24 +57,25 @@ func lockWalk(t *trace.Trace, hk lockHooks) {
 			if r.Kind != trace.KindBBL {
 				continue
 			}
+			mem, locks := th.MemOf(r), th.LocksOf(r)
 			li := 0
 			step := func() {
 				if hk.lock != nil {
-					hk.lock(th.TID, r, li, held)
+					hk.lock(th.TID, r, locks, li, held)
 				}
-				held.apply(r, &r.Locks[li])
+				held.apply(r, &locks[li])
 				li++
 			}
-			for mi := range r.Mem {
-				m := &r.Mem[mi]
-				for li < len(r.Locks) && r.Locks[li].Instr <= m.Instr {
+			for mi := range mem {
+				m := &mem[mi]
+				for li < len(locks) && locks[li].Instr <= m.Instr {
 					step()
 				}
 				if hk.access != nil {
 					hk.access(th.TID, r, m, held)
 				}
 			}
-			for li < len(r.Locks) {
+			for li < len(locks) {
 				step()
 			}
 		}

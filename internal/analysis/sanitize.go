@@ -77,6 +77,12 @@ func (sanitizePass) Run(ctx *Context) error {
 // thread walks one record stream with an explicit call stack, mirroring the
 // frame bookkeeping of cfg.Build so its error cases are all caught here.
 func (s *sanitizer) thread(t *trace.Trace, th *trace.ThreadTrace) {
+	// The payload checks read accesses and lock ops through the records'
+	// ranges, which must first be known to lie in the tables.
+	if err := th.CheckLayout(); err != nil {
+		s.at(SevError, th.TID, 0, "%v", err)
+		return
+	}
 	var stack []uint32 // callee function ids of in-flight invocations
 	for ri := range th.Records {
 		r := &th.Records[ri]
@@ -124,8 +130,9 @@ func (s *sanitizer) block(t *trace.Trace, th *trace.ThreadTrace, ri int, r *trac
 				t.FuncName(r.Func), r.Block, r.N, want)
 		}
 	}
-	for mi := range r.Mem {
-		m := &r.Mem[mi]
+	mem := th.MemOf(r)
+	for mi := range mem {
+		m := &mem[mi]
 		if uint64(m.Instr) >= r.N {
 			s.at(SevError, th.TID, ri, "memory access at instruction %d outside block of %d instructions", m.Instr, r.N)
 		}
@@ -147,10 +154,10 @@ func (s *sanitizer) block(t *trace.Trace, th *trace.ThreadTrace, ri int, r *trac
 	}
 	// Two stores from one instruction to overlapping bytes cannot come from
 	// any real instruction (a read-modify-write emits a load and a store).
-	if n := len(r.Mem); n >= 2 && n <= 64 {
+	if n := len(mem); n >= 2 && n <= 64 {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				a, b := &r.Mem[i], &r.Mem[j]
+				a, b := &mem[i], &mem[j]
 				if a.Instr != b.Instr || !a.Store || !b.Store || a.Size == 0 || b.Size == 0 {
 					continue
 				}
@@ -160,8 +167,9 @@ func (s *sanitizer) block(t *trace.Trace, th *trace.ThreadTrace, ri int, r *trac
 			}
 		}
 	}
-	for li := range r.Locks {
-		l := &r.Locks[li]
+	locks := th.LocksOf(r)
+	for li := range locks {
+		l := &locks[li]
 		if uint64(l.Instr) >= r.N {
 			s.at(SevError, th.TID, ri, "lock operation at instruction %d outside block of %d instructions", l.Instr, r.N)
 		}

@@ -30,9 +30,9 @@ func Generate(seed int64) *trace.Trace {
 
 	nthreads := 1 + rng.Intn(5)
 	for tid := 0; tid < nthreads; tid++ {
-		g := &genThread{rng: rng, funcs: t.Funcs, tid: tid}
+		g := &genThread{rng: rng, funcs: t.Funcs, th: &trace.ThreadTrace{TID: tid}}
 		g.invoke(0, 0)
-		t.Threads = append(t.Threads, &trace.ThreadTrace{TID: tid, Records: g.recs})
+		t.Threads = append(t.Threads, g.th)
 	}
 	if err := t.Validate(); err != nil {
 		// The generator's contract is validity; a failure here is a bug in
@@ -45,27 +45,27 @@ func Generate(seed int64) *trace.Trace {
 type genThread struct {
 	rng   *rand.Rand
 	funcs []trace.FuncInfo
-	tid   int
-	recs  []trace.Record
+	th    *trace.ThreadTrace
 }
 
 // invoke emits one balanced call..ret invocation of fn, with random block
 // executions, nested calls, memory, locks and skips in between.
 func (g *genThread) invoke(fn uint32, depth int) {
-	g.recs = append(g.recs, trace.Record{Kind: trace.KindCall, Callee: fn})
+	g.th.Append(trace.Record{Kind: trace.KindCall, Callee: fn}, nil, nil)
 	blocks := g.funcs[fn].Blocks
 	steps := 1 + g.rng.Intn(4)
 	for s := 0; s < steps; s++ {
 		b := uint32(g.rng.Intn(len(blocks)))
 		n := uint64(blocks[b].NInstr)
-		r := trace.Record{Kind: trace.KindBBL, Func: fn, Block: b, N: n}
+		var mem []trace.MemAccess
+		var locks []trace.LockOp
 		if g.rng.Intn(2) == 0 {
-			r.Mem = g.mem(n)
+			mem = g.mem(n)
 		}
 		if g.rng.Intn(4) == 0 {
-			r.Locks = g.locks(n)
+			locks = g.locks(n)
 		}
-		g.recs = append(g.recs, r)
+		g.th.Append(trace.Record{Kind: trace.KindBBL, Func: fn, Block: b, N: n}, mem, locks)
 		if depth < 2 && g.rng.Intn(4) == 0 {
 			g.invoke(uint32(g.rng.Intn(len(g.funcs))), depth+1)
 		}
@@ -74,10 +74,10 @@ func (g *genThread) invoke(fn uint32, depth int) {
 			if g.rng.Intn(2) == 0 {
 				kind = trace.SkipSpin
 			}
-			g.recs = append(g.recs, trace.Record{Kind: trace.KindSkip, SkipKind: kind, N: uint64(1 + g.rng.Intn(20))})
+			g.th.Append(trace.Record{Kind: trace.KindSkip, SkipKind: kind, N: uint64(1 + g.rng.Intn(20))}, nil, nil)
 		}
 	}
-	g.recs = append(g.recs, trace.Record{Kind: trace.KindRet})
+	g.th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
 }
 
 // mem emits 1-3 accesses at random instruction indices of an n-instruction
@@ -95,7 +95,7 @@ func (g *genThread) mem(n uint64) []trace.MemAccess {
 		case 1:
 			base = vm.HeapBase
 		default:
-			base = vm.StackBase + uint64(g.tid)*4096
+			base = vm.StackBase + uint64(g.th.TID)*4096
 		}
 		out = append(out, trace.MemAccess{
 			Instr: uint16(g.rng.Int63n(int64(n))),
@@ -130,7 +130,7 @@ func (g *genThread) locks(n uint64) []trace.LockOp {
 	case 3: // tid-flipped nesting of two fixed words: seeds order cycles
 		a := vm.GlobalBase + 1024
 		b := vm.GlobalBase + 1088
-		if g.tid%2 == 1 {
+		if g.th.TID%2 == 1 {
 			a, b = b, a
 		}
 		return []trace.LockOp{

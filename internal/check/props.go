@@ -390,11 +390,11 @@ func traceMemBounds(t *trace.Trace) (memInstrs, tx uint64) {
 	for _, th := range t.Threads {
 		for i := range th.Records {
 			r := &th.Records[i]
-			if r.Kind != trace.KindBBL || len(r.Mem) == 0 {
+			if r.Kind != trace.KindBBL || r.MemN == 0 {
 				continue
 			}
 			idx = idx[:0]
-			for _, m := range r.Mem {
+			for _, m := range th.MemOf(r) {
 				seen := false
 				for _, x := range idx {
 					if x == m.Instr {
@@ -427,11 +427,12 @@ func width1MemOracle(t *trace.Trace) (memInstrs, stackTx, heapTx uint64) {
 	for _, th := range t.Threads {
 		for i := range th.Records {
 			r := &th.Records[i]
-			if r.Kind != trace.KindBBL || len(r.Mem) == 0 {
+			if r.Kind != trace.KindBBL || r.MemN == 0 {
 				continue
 			}
+			mem := th.MemOf(r)
 			var idx []uint16
-			for _, m := range r.Mem {
+			for _, m := range mem {
 				seen := false
 				for _, x := range idx {
 					if x == m.Instr {
@@ -445,7 +446,7 @@ func width1MemOracle(t *trace.Trace) (memInstrs, stackTx, heapTx uint64) {
 			}
 			for _, id := range idx {
 				wm.loads, wm.stores = wm.loads[:0], wm.stores[:0]
-				for _, m := range r.Mem {
+				for _, m := range mem {
 					if m.Instr != id {
 						continue
 					}
@@ -478,11 +479,12 @@ func checkCoalesceAlgebra(c *ctx) {
 	for _, th := range c.tr.Threads {
 		for i := range th.Records {
 			r := &th.Records[i]
-			if r.Kind != trace.KindBBL || len(r.Mem) == 0 {
+			if r.Kind != trace.KindBBL || r.MemN == 0 {
 				continue
 			}
-			accs := make([]coalesce.Access, 0, len(r.Mem))
-			for _, m := range r.Mem {
+			mem := th.MemOf(r)
+			accs := make([]coalesce.Access, 0, len(mem))
+			for _, m := range mem {
 				accs = append(accs, coalesce.Access{Addr: m.Addr, Size: m.Size})
 			}
 			n := coalesce.Count(accs)

@@ -53,14 +53,27 @@ func cloneTrace(tr *trace.Trace) *trace.Trace {
 		c.Funcs = append(c.Funcs, trace.FuncInfo{Name: f.Name, Blocks: append([]trace.BlockInfo(nil), f.Blocks...)})
 	}
 	for _, th := range tr.Threads {
-		recs := append([]trace.Record(nil), th.Records...)
-		for i := range recs {
-			recs[i].Mem = append([]trace.MemAccess(nil), recs[i].Mem...)
-			recs[i].Locks = append([]trace.LockOp(nil), recs[i].Locks...)
-		}
-		c.Threads = append(c.Threads, &trace.ThreadTrace{TID: th.TID, Records: recs})
+		c.Threads = append(c.Threads, &trace.ThreadTrace{
+			TID:     th.TID,
+			Records: append([]trace.Record(nil), th.Records...),
+			Mem:     append([]trace.MemAccess(nil), th.Mem...),
+			Locks:   append([]trace.LockOp(nil), th.Locks...),
+		})
 	}
 	return c
+}
+
+// editPayload rebuilds thread i of t through Append, with each record's
+// accesses and lock ops passed through edit.
+func editPayload(t *trace.Trace, i int, edit func(j int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp)) {
+	src := t.Threads[i]
+	th := &trace.ThreadTrace{TID: src.TID}
+	for j := range src.Records {
+		r := &src.Records[j]
+		mem, locks := edit(j, src.MemOf(r), src.LocksOf(r))
+		th.Append(*r, mem, locks)
+	}
+	t.Threads[i] = th
 }
 
 // mutation is one change to a trace. class groups mutations for the
@@ -157,8 +170,8 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 	}
 	rec := func(t *trace.Trace) *trace.Record { return &t.Threads[i].Records[j] }
 	r := &tr.Threads[i].Records[j]
-	for k := range r.Mem {
-		m := func(t *trace.Trace) *trace.MemAccess { return &rec(t).Mem[k] }
+	for k := range tr.Threads[i].MemOf(r) {
+		m := func(t *trace.Trace) *trace.MemAccess { return &t.Threads[i].MemOf(rec(t))[k] }
 		for _, bit := range edges(16) {
 			add("mem.instr", fmt.Sprintf("m%d/instr^bit%d", k, bit), func(t *trace.Trace) { m(t).Instr ^= 1 << bit })
 		}
@@ -170,11 +183,16 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 		}
 		add("mem.store", fmt.Sprintf("m%d/store", k), func(t *trace.Trace) { m(t).Store = !m(t).Store })
 		add("mem.drop", fmt.Sprintf("m%d/drop", k), func(t *trace.Trace) {
-			rec(t).Mem = append(rec(t).Mem[:k:k], rec(t).Mem[k+1:]...)
+			editPayload(t, i, func(n int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp) {
+				if n == j {
+					mem = append(mem[:k:k], mem[k+1:]...)
+				}
+				return mem, locks
+			})
 		})
 	}
-	for k := range r.Locks {
-		l := func(t *trace.Trace) *trace.LockOp { return &rec(t).Locks[k] }
+	for k := range tr.Threads[i].LocksOf(r) {
+		l := func(t *trace.Trace) *trace.LockOp { return &t.Threads[i].LocksOf(rec(t))[k] }
 		for _, bit := range edges(16) {
 			add("lock.instr", fmt.Sprintf("l%d/instr^bit%d", k, bit), func(t *trace.Trace) { l(t).Instr ^= 1 << bit })
 		}
@@ -183,7 +201,12 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 		}
 		add("lock.release", fmt.Sprintf("l%d/release", k), func(t *trace.Trace) { l(t).Release = !l(t).Release })
 		add("lock.drop", fmt.Sprintf("l%d/drop", k), func(t *trace.Trace) {
-			rec(t).Locks = append(rec(t).Locks[:k:k], rec(t).Locks[k+1:]...)
+			editPayload(t, i, func(n int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp) {
+				if n == j {
+					locks = append(locks[:k:k], locks[k+1:]...)
+				}
+				return mem, locks
+			})
 		})
 	}
 	next := -1
@@ -196,21 +219,32 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 	if next < 0 {
 		return ms
 	}
-	to := func(t *trace.Trace) *trace.Record { return &t.Threads[i].Records[next] }
-	if len(r.Mem) > 0 {
+	if r.MemN > 0 {
 		add("mem.move", fmt.Sprintf("last access to r%d", next), func(t *trace.Trace) {
-			from := rec(t)
-			last := len(from.Mem) - 1
-			to(t).Mem = append([]trace.MemAccess{from.Mem[last]}, to(t).Mem...)
-			from.Mem = from.Mem[:last]
+			var moved trace.MemAccess
+			editPayload(t, i, func(n int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp) {
+				switch n {
+				case j:
+					moved, mem = mem[len(mem)-1], mem[:len(mem)-1]
+				case next:
+					mem = append([]trace.MemAccess{moved}, mem...)
+				}
+				return mem, locks
+			})
 		})
 	}
-	if len(r.Locks) > 0 {
+	if r.LockN > 0 {
 		add("lock.move", fmt.Sprintf("last lock to r%d", next), func(t *trace.Trace) {
-			from := rec(t)
-			last := len(from.Locks) - 1
-			to(t).Locks = append([]trace.LockOp{from.Locks[last]}, to(t).Locks...)
-			from.Locks = from.Locks[:last]
+			var moved trace.LockOp
+			editPayload(t, i, func(n int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp) {
+				switch n {
+				case j:
+					moved, locks = locks[len(locks)-1], locks[:len(locks)-1]
+				case next:
+					locks = append([]trace.LockOp{moved}, locks...)
+				}
+				return mem, locks
+			})
 		})
 	}
 	return ms
@@ -292,6 +326,7 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 	for _, w := range workloads.All() {
 		t.Run(w.Name, func(t *testing.T) {
 			tr := traceWorkload(t, w, 8)
+			checkTiles(t, "tracer", tr)
 			want := digest(t, tr)
 			opts := core.Defaults()
 			wantKey, err := core.CacheKey(tr, opts)
@@ -365,6 +400,7 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 					if err != nil {
 						t.Fatalf("v%d %s: %v", v, name, err)
 					}
+					checkTiles(t, fmt.Sprintf("v%d %s", v, name), got)
 					if d := digest(t, got); d != want {
 						t.Errorf("v%d %s: digest %s, in-memory trace %s", v, name, d, want)
 					}
@@ -374,6 +410,18 @@ func TestTraceDigestAcrossDecoders(t *testing.T) {
 	}
 	if edits == 0 {
 		t.Error("no workload has a stored access to write non-canonically")
+	}
+}
+
+// checkTiles fails t unless every thread of tr has the table layout every
+// builder gives it (trace.ThreadTrace.CheckLayout): the records' ranges tile
+// the thread's Mem and Locks tables in order with no gaps.
+func checkTiles(t *testing.T, from string, tr *trace.Trace) {
+	t.Helper()
+	for _, th := range tr.Threads {
+		if err := th.CheckLayout(); err != nil {
+			t.Fatalf("%s: %v", from, err)
+		}
 	}
 }
 
@@ -389,8 +437,9 @@ const maxString = 1 << 20
 func nonCanonical(tb testing.TB, tr *trace.Trace, v int, data []byte) map[string][]byte {
 	tb.Helper()
 	for i, th := range tr.Threads {
-		for j, r := range th.Records {
-			for k, m := range r.Mem {
+		for j := range th.Records {
+			r := &th.Records[j]
+			for k, m := range th.MemOf(r) {
 				if !m.Store {
 					continue
 				}
@@ -398,7 +447,7 @@ func nonCanonical(tb testing.TB, tr *trace.Trace, v int, data []byte) map[string
 				// the first byte where the encodings differ.
 				at := func(change func(*trace.MemAccess)) int {
 					c := cloneTrace(tr)
-					change(&c.Threads[i].Records[j].Mem[k])
+					change(&c.Threads[i].Mem[int(r.MemLo)+k])
 					var buf bytes.Buffer
 					if err := trace.Encode(&buf, c, v); err != nil {
 						tb.Fatal(err)

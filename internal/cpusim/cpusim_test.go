@@ -17,15 +17,15 @@ func mkTrace(n, blocks, ninstr int, memStride uint64) *trace.Trace {
 		th := &trace.ThreadTrace{TID: tid}
 		th.Records = append(th.Records, trace.Record{Kind: trace.KindCall, Callee: 0})
 		for b := 0; b < blocks; b++ {
-			rec := trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: uint64(ninstr)}
+			var mem []trace.MemAccess
 			if memStride > 0 {
-				rec.Mem = []trace.MemAccess{{
+				mem = []trace.MemAccess{{
 					Instr: 0,
 					Addr:  uint64(tid*blocks+b) * memStride,
 					Size:  8,
 				}}
 			}
-			th.Records = append(th.Records, rec)
+			th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: uint64(ninstr)}, mem, nil)
 		}
 		th.Records = append(th.Records, trace.Record{Kind: trace.KindRet})
 		t.Threads = append(t.Threads, th)

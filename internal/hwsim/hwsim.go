@@ -271,7 +271,8 @@ func (w *warpExec) ipdomPos(fn, block uint32, depth int32) pos {
 
 func (w *warpExec) execGroup(e *hwEntry, g hwGroup) error {
 	lanes := make([]int, 0, bits.OnesCount64(g.mask))
-	recs := make([]*trace.Record, 0, cap(lanes))
+	mems := make([][]trace.MemAccess, 0, cap(lanes))
+	var n uint64
 	for m := g.mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
 		th := w.threads[lane]
@@ -290,9 +291,9 @@ func (w *warpExec) execGroup(e *hwEntry, g hwGroup) error {
 				w.res.SkippedIO += s.N
 			}
 		}
-		rec := sr.Rec
+		n = sr.Rec.N
 		lanes = append(lanes, lane)
-		recs = append(recs, &rec)
+		mems = append(mems, sr.Mem)
 	}
 
 	fm := w.res.Funcs[g.pos.fn]
@@ -300,11 +301,11 @@ func (w *warpExec) execGroup(e *hwEntry, g hwGroup) error {
 		fm = &simt.FuncMetrics{}
 		w.res.Funcs[g.pos.fn] = fm
 	}
-	simt.ChargeInstrs(w.wm, fm, recs[0].N, len(lanes))
+	simt.ChargeInstrs(w.wm, fm, n, len(lanes))
 	if g.pos.block == 0 {
 		fm.Invocations++
 	}
-	w.mem.Charge(w.wm, fm, recs)
+	w.mem.Charge(w.wm, fm, mems)
 
 	if w.opts.Listener != nil {
 		threads := make([]int, len(lanes))
@@ -316,9 +317,10 @@ func (w *warpExec) execGroup(e *hwEntry, g hwGroup) error {
 			Func:     g.pos.fn,
 			Block:    g.pos.block,
 			Depth:    g.pos.depth,
+			N:        n,
 			Lanes:    lanes,
 			Threads:  threads,
-			Records:  recs,
+			Mem:      mems,
 			NumLanes: w.opts.WarpSize,
 		})
 	}

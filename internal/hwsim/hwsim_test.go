@@ -174,4 +174,4 @@ func TestOracleListenerAndBudget(t *testing.T) {
 
 type hwCounter struct{ instrs uint64 }
 
-func (c *hwCounter) OnBlock(be *simt.BlockExec) { c.instrs += be.Records[0].N }
+func (c *hwCounter) OnBlock(be *simt.BlockExec) { c.instrs += be.N }

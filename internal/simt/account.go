@@ -44,17 +44,17 @@ type MemCharger struct {
 	Site func(instr uint16, stackTx, heapTx int)
 }
 
-// Charge coalesces one lockstep block execution's memory accesses. recs
-// holds the active lanes' records for the same static block; accesses are
+// Charge coalesces one lockstep block execution's memory accesses. mems
+// holds the active lanes' access lists for the same static block; accesses are
 // merged per instruction index, loads and stores coalesce separately into
 // 32-byte transactions, and counts are split by stack/heap segment. Both the
 // trace-replay engine and the lockstep hardware oracle charge memory through
 // this path, so their transaction metrics are directly comparable. fm, when
 // non-nil, receives the per-function attribution.
-func (mc *MemCharger) Charge(wm *WarpMetrics, fm *FuncMetrics, recs []*trace.Record) {
+func (mc *MemCharger) Charge(wm *WarpMetrics, fm *FuncMetrics, mems [][]trace.MemAccess) {
 	idxList := mc.idx[:0]
-	for _, r := range recs {
-		for _, m := range r.Mem {
+	for _, mem := range mems {
+		for _, m := range mem {
 			found := false
 			for _, x := range idxList {
 				if x == m.Instr {
@@ -82,8 +82,8 @@ func (mc *MemCharger) Charge(wm *WarpMetrics, fm *FuncMetrics, recs []*trace.Rec
 
 	for _, idx := range idxList {
 		loads, stores := mc.loads[:0], mc.stores[:0]
-		for _, r := range recs {
-			for _, m := range r.Mem {
+		for _, mem := range mems {
+			for _, m := range mem {
 				if m.Instr != idx {
 					continue
 				}
@@ -133,7 +133,7 @@ func (c *colAcc) sameSite(a *trace.MemAccess) bool {
 }
 
 // chargeUniform is the fused replay's closed-form charge for the dominant
-// SIMT access shape: every lane in recs issued the same access list (same
+// SIMT access shape: every lane in mems issued the same access list (same
 // length, same strictly increasing instruction sequence, same load/store
 // kinds and sizes) and each list position's addresses form a non-decreasing
 // arithmetic progression across lanes — base+TID*stride table walks and the
@@ -141,15 +141,15 @@ func (c *colAcc) sameSite(a *trace.MemAccess) bool {
 // position then IS one instruction's warp-wide sub-stream in ascending
 // address order, and its transaction count follows in closed form from
 // (base, stride, size, lanes) — no per-access sector walk at all. The
-// outcome is bit-identical to Charge on the same recs. Metric writes happen
+// outcome is bit-identical to Charge on the same mems. Metric writes happen
 // only once every lane has verified; any bail returns false with nothing
-// charged, and the caller charges recs through Charge instead.
-func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, recs []*trace.Record) bool {
-	nl := len(recs)
+// charged, and the caller charges mems through Charge instead.
+func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, mems [][]trace.MemAccess) bool {
+	nl := len(mems)
 	if nl == 0 {
 		return false
 	}
-	mem0 := recs[0].Mem
+	mem0 := mems[0]
 	m := len(mem0)
 	if m > fusedMaxSites {
 		return false
@@ -163,7 +163,7 @@ func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, recs []*tr
 			return false
 		}
 		for li := 1; li < nl; li++ {
-			mem := recs[li].Mem
+			mem := mems[li]
 			if len(mem) != 1 || !c.sameSite(&mem[0]) {
 				return false
 			}
@@ -195,7 +195,7 @@ func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, recs []*tr
 		// Lane 1 sets each column's stride; later lanes only verify it, so
 		// the per-lane loop below carries no lane-index branch.
 		if nl > 1 {
-			mem := recs[1].Mem
+			mem := mems[1]
 			if len(mem) != m {
 				return false
 			}
@@ -209,7 +209,7 @@ func (mc *MemCharger) chargeUniform(wm *WarpMetrics, fm *FuncMetrics, recs []*tr
 			}
 		}
 		for li := 2; li < nl; li++ {
-			mem := recs[li].Mem
+			mem := mems[li]
 			if len(mem) != m {
 				return false
 			}

@@ -57,11 +57,9 @@ func assertFusionAB(t *testing.T, tr *trace.Trace, graphs map[uint32]*cfg.DCFG, 
 	// trace has memory so equality can't pass vacuously on both being empty.
 	if len(fused.MemSites) == 0 {
 		for _, th := range tr.Threads {
-			for _, r := range th.Records {
-				if len(r.Mem) > 0 {
-					t.Errorf("warp=%d: trace has memory accesses but MemSites is empty", opts.WarpSize)
-					return
-				}
+			if len(th.Mem) > 0 {
+				t.Errorf("warp=%d: trace has memory accesses but MemSites is empty", opts.WarpSize)
+				return
 			}
 		}
 	}

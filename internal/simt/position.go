@@ -52,8 +52,11 @@ func (p position) key() uint64 {
 	return uint64(p.kind)<<62 | uint64(p.depth&0x3fff)<<48 | uint64(p.fn)<<24 | uint64(p.block)
 }
 
-// cursor walks one thread's record stream during replay.
+// cursor walks one thread's record stream during replay. th is the thread
+// itself, whose tables hold the records' accesses and lock ops; recs is its
+// record table, kept beside it for the hot loops.
 type cursor struct {
+	th    *trace.ThreadTrace
 	recs  []trace.Record
 	idx   int      // next unconsumed record
 	depth int32    // current call depth
@@ -75,7 +78,7 @@ type cursor struct {
 // stack's backing array so replay workers reuse cursors across warps without
 // reallocating.
 func (c *cursor) reset(th *trace.ThreadTrace) {
-	c.recs = th.Records
+	c.th, c.recs = th, th.Records
 	c.idx = 0
 	c.depth = 0
 	c.funcs = c.funcs[:0]
@@ -240,7 +243,7 @@ func (c *cursor) releasePosition(addr uint64) (position, bool) {
 			if releaseFound {
 				return position{kind: posBlock, fn: r.Func, block: r.Block, depth: depth}, true
 			}
-			for _, l := range r.Locks {
+			for _, l := range c.th.LocksOf(r) {
 				if l.Addr != addr {
 					continue
 				}

@@ -97,13 +97,15 @@ type BlockExec struct {
 	Warp        int
 	Func, Block uint32
 	Depth       int32
+	// N is the block's instruction count.
+	N uint64
 	// Lanes lists the active lane indices; Threads the corresponding
-	// global thread ids; Records each active lane's trace record for this
-	// block (carrying its memory accesses). The three slices are parallel
-	// and only valid for the duration of the callback.
+	// global thread ids; Mem each active lane's memory accesses in this
+	// block. The three slices are parallel and only valid for the duration
+	// of the callback.
 	Lanes   []int
 	Threads []int
-	Records []*trace.Record
+	Mem     [][]trace.MemAccess
 	// NumLanes is the warp's configured width.
 	NumLanes int
 }
@@ -443,7 +445,7 @@ type warpReplay struct {
 
 	groupBuf  []group
 	laneBuf   []int
-	recBuf    []*trace.Record
+	memBuf    [][]trace.MemAccess
 	threadBuf []int
 	// Lane-indexed control-word columns of the warp's threads, set once per
 	// warp (replayWarp); fused windows index them as warpCtl[lane][cursorIdx+k],
@@ -806,7 +808,7 @@ const maxWindow = 8192
 // disagreement. Pass 3 charges the surviving elements, re-reading lane 0's
 // (now cache-hot) words: run-length-scaled instruction accounting (flushed
 // when the (func, block, size) run breaks) and, for elements that touch
-// memory, the lanes' records gathered once and charged by chargeUniform's
+// memory, the lanes' access lists gathered once and charged by chargeUniform's
 // closed form, or by Charge when the closed form does not apply. The stepped
 // loop resumes at the first rejected element.
 //
@@ -921,16 +923,16 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 			if fm == nil {
 				fm = wr.acc.funcMetrics(pos.fn)
 			}
-			recs := wr.recBuf[:0]
+			mems := wr.memBuf[:0]
 			for _, l := range lanes {
 				c := &wr.cursors[l]
-				recs = append(recs, &c.recs[c.idx+k])
+				mems = append(mems, c.th.MemOf(&c.recs[c.idx+k]))
 			}
-			wr.recBuf = recs
+			wr.memBuf = mems
 			// Shapes the closed form cannot express (oversized, irregular or
 			// scattered access lists) go through the stepped engine's path.
-			if !wr.mem.chargeUniform(wm, fm, recs) {
-				wr.mem.Charge(wm, fm, recs)
+			if !wr.mem.chargeUniform(wm, fm, mems) {
+				wr.mem.Charge(wm, fm, mems)
 			}
 		}
 	}
@@ -977,22 +979,27 @@ func (wr *warpReplay) flushRun(e *entry, fn, block uint32, n, cnt uint64, active
 // coalesces the block's memory accesses instruction by instruction.
 func (wr *warpReplay) execBlock(e *entry, pos position, mask uint64) error {
 	lanes := wr.laneBuf[:0]
-	recs := wr.recBuf[:0]
+	mems := wr.memBuf[:0]
+	var n uint64
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		r := wr.cursors[lane].consumeBlock()
+		c := &wr.cursors[lane]
+		r := c.consumeBlock()
 		if r.Func != pos.fn || r.Block != pos.block {
-			wr.laneBuf, wr.recBuf = lanes, recs
+			wr.laneBuf, wr.memBuf = lanes, mems
 			return fmt.Errorf("lane %d consumed f%d.b%d, expected %v", lane, r.Func, r.Block, pos)
 		}
+		if len(lanes) == 0 {
+			n = r.N
+		}
 		lanes = append(lanes, lane)
-		recs = append(recs, r)
+		mems = append(mems, c.th.MemOf(r))
 	}
-	wr.laneBuf, wr.recBuf = lanes, recs
-	wr.flushRun(e, pos.fn, pos.block, recs[0].N, 1, len(lanes))
+	wr.laneBuf, wr.memBuf = lanes, mems
+	wr.flushRun(e, pos.fn, pos.block, n, 1, len(lanes))
 
 	wr.curFn, wr.curBlock = pos.fn, pos.block
-	wr.mem.Charge(wr.wm, wr.acc.funcMetrics(pos.fn), recs)
+	wr.mem.Charge(wr.wm, wr.acc.funcMetrics(pos.fn), mems)
 
 	if wr.opts.Listener != nil {
 		threads := wr.threadBuf[:0]
@@ -1005,9 +1012,10 @@ func (wr *warpReplay) execBlock(e *entry, pos position, mask uint64) error {
 			Func:     pos.fn,
 			Block:    pos.block,
 			Depth:    pos.depth,
+			N:        n,
 			Lanes:    lanes,
 			Threads:  threads,
-			Records:  recs,
+			Mem:      mems,
 			NumLanes: wr.opts.WarpSize,
 		}
 		wr.opts.Listener.OnBlock(&wr.exec)
@@ -1035,8 +1043,7 @@ func (wr *warpReplay) maybeSerialize(e *entry, pos position, mask uint64) bool {
 	noAcq := uint64(0)
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
-		r := wr.cursors[lane].peekBlockRecord()
-		addr, ok := firstAcquire(r)
+		addr, ok := wr.cursors[lane].firstAcquire()
 		if !ok {
 			noAcq |= 1 << uint(lane)
 			continue
@@ -1116,13 +1123,14 @@ func (wr *warpReplay) maybeSerialize(e *entry, pos position, mask uint64) bool {
 	return true
 }
 
-// firstAcquire returns the address of the first lock-acquire operation in a
-// block record.
-func firstAcquire(r *trace.Record) (uint64, bool) {
+// firstAcquire returns the address of the first lock-acquire operation in
+// the thread's next block record, if its next position is a block.
+func (c *cursor) firstAcquire() (uint64, bool) {
+	r := c.peekBlockRecord()
 	if r == nil {
 		return 0, false
 	}
-	for _, l := range r.Locks {
+	for _, l := range c.th.LocksOf(r) {
 		if !l.Release {
 			return l.Addr, true
 		}

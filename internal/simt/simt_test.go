@@ -297,7 +297,7 @@ type countingListener struct {
 
 func (c *countingListener) OnBlock(be *BlockExec) {
 	c.calls++
-	c.instrs += be.Records[0].N
+	c.instrs += be.N
 }
 
 func TestLockReconvergencePolicies(t *testing.T) {

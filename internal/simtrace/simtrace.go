@@ -250,8 +250,8 @@ func (c *collector) crack(s *WarpStream, be *simt.BlockExec, b *ir.Block, idx ui
 func (c *collector) gatherAddrs(be *simt.BlockExec, idx uint16, store bool) ([]uint64, uint8) {
 	var addrs []uint64
 	var size uint8
-	for _, rec := range be.Records {
-		for _, m := range rec.Mem {
+	for _, mem := range be.Mem {
+		for _, m := range mem {
 			if m.Instr == idx && m.Store == store {
 				addrs = append(addrs, m.Addr)
 				size = m.Size

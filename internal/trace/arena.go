@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -26,19 +27,22 @@ import (
 // from a measuring walk over the stream, then runs the same fill over either
 // index.
 //
-// The public Trace/Record API is preserved as a zero-copy view: every
-// ThreadTrace.Records is a sub-slice of the arena's record table, and every
-// Record.Mem/Record.Locks is a sub-slice of the shared access/lock tables.
-// Nothing a consumer can observe distinguishes an arena-backed trace from
-// one built record by record (reflect.DeepEqual included), which is what the
-// differential tests against the reference stream decoder (a test file's
-// decodeStream) assert.
+// The decoded trace is a view of the arena: every ThreadTrace.Records is a
+// sub-slice of the record table, and its Mem and Locks tables are
+// sub-slices of the shared access and lock tables. Records locate their
+// accesses and lock ops by thread-relative ranges (Record.MemLo/MemN,
+// LockLo/LockN), so a record holds no pointers and the record table, the
+// largest allocation of a decode, is never scanned by the garbage
+// collector. The tables have the layout every in-memory builder gives them
+// (ThreadTrace.CheckLayout), so an arena-backed trace and one built record by
+// record are reflect.DeepEqual exactly when they hold the same events, which
+// is what the differential tests against the reference stream decoder (a
+// test file's decodeStream) assert.
 
 // Arena is the columnar backing store of a decoded trace. All threads'
 // records live contiguously in Records (thread sections in file order), all
 // memory accesses in Mem, and all lock operations in Locks, each in record
-// order. Spans maps each thread to its record range; each record's Mem and
-// Locks fields are views of its entries in the shared tables.
+// order. Spans maps each thread to its ranges of the three tables.
 type Arena struct {
 	Spans   []Span
 	Records []Record
@@ -46,15 +50,16 @@ type Arena struct {
 	Locks   []LockOp
 }
 
-// Span locates one thread's records inside the arena's record table.
+// Span locates one thread's entries inside the arena's tables.
 type Span struct {
-	TID    int
-	Lo, Hi int // record index range [Lo,Hi)
+	TID            int
+	Lo, Hi         int // record index range [Lo,Hi)
+	MemLo, MemHi   int // access index range
+	LockLo, LockHi int // lock op index range
 }
 
-// Trace materializes the view adapter: a Trace whose thread record slices
-// and per-record access/lock slices alias the arena's tables. The arena must
-// not be mutated afterwards.
+// Trace materializes the view adapter: a Trace whose threads' tables alias
+// the arena's. The arena must not be mutated afterwards.
 func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	t := &Trace{Program: program, Entry: entry, Funcs: funcs}
 	if len(a.Spans) == 0 {
@@ -64,8 +69,15 @@ func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	block := make([]ThreadTrace, len(a.Spans))
 	t.Threads = make([]*ThreadTrace, len(a.Spans))
 	for i, sp := range a.Spans {
-		block[i] = ThreadTrace{TID: sp.TID, Records: a.Records[sp.Lo:sp.Hi]}
-		t.Threads[i] = &block[i]
+		th := &block[i]
+		th.TID, th.Records = sp.TID, a.Records[sp.Lo:sp.Hi]
+		if sp.MemHi > sp.MemLo {
+			th.Mem = a.Mem[sp.MemLo:sp.MemHi]
+		}
+		if sp.LockHi > sp.LockLo {
+			th.Locks = a.Locks[sp.LockLo:sp.LockHi]
+		}
+		t.Threads[i] = th
 	}
 	return t
 }
@@ -259,17 +271,21 @@ func DecodeStrictBytes(data []byte, parallelism int) (*Trace, error) {
 // error.
 func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error) {
 	n := len(index)
+	for _, en := range index {
+		if err := en.checkWidths(); err != nil {
+			return nil, err
+		}
+	}
 	a := &Arena{Spans: make([]Span, n)}
-	// lo[i] holds section i's first access and lock slots; its first record
-	// slot is Spans[i].Lo.
-	lo := make([][2]int, n)
 	var nrec, nmem, nlock int
 	for i, en := range index {
-		a.Spans[i] = Span{TID: en.tid, Lo: nrec, Hi: nrec + int(en.nrec)}
-		lo[i] = [2]int{nmem, nlock}
-		nrec += int(en.nrec)
-		nmem += int(en.nmem)
-		nlock += int(en.nlock)
+		a.Spans[i] = Span{
+			TID: en.tid,
+			Lo:  nrec, Hi: nrec + int(en.nrec),
+			MemLo: nmem, MemHi: nmem + int(en.nmem),
+			LockLo: nlock, LockHi: nlock + int(en.nlock),
+		}
+		nrec, nmem, nlock = a.Spans[i].Hi, a.Spans[i].MemHi, a.Spans[i].LockHi
 	}
 	a.Records = make([]Record, nrec)
 	a.Mem = make([]MemAccess, nmem)
@@ -278,8 +294,9 @@ func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error
 	var mu sync.Mutex
 	failed, ferr := n, error(nil)
 	pool.ForEach(pool.Workers(workers, n), n, func(_, i int) bool {
-		en := index[i]
-		err := a.fillSection(data[en.off:en.off+en.len], en, raw, i, a.Spans[i].Lo, lo[i][0], lo[i][1])
+		en, sp := index[i], &a.Spans[i]
+		err := fillSection(data[en.off:en.off+en.len], en, raw, i,
+			a.Records[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
 		if err == nil {
 			return false
 		}
@@ -291,6 +308,17 @@ func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error
 		return true
 	})
 	return a, ferr
+}
+
+// checkWidths refuses a section whose access or lock op count does not fit
+// the uint32 thread-relative offsets of Record, before any table is sized
+// from it.
+func (en indexEntry) checkWidths() error {
+	if en.nmem > math.MaxUint32 || en.nlock > math.MaxUint32 {
+		return fmt.Errorf("trace: thread section (tid %d) declares %d accesses and %d lock ops; a thread holds at most %d of each",
+			en.tid, en.nmem, en.nlock, uint64(math.MaxUint32))
+	}
+	return nil
 }
 
 // measureStream builds the index of nthreads thread sections starting at
@@ -648,24 +676,25 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 	return 0, off, false
 }
 
-// fillSection decodes one thread section into the arena's tables at the
-// given base offsets. It is the only routine that decodes record fields from
-// section bytes. Every caller owns a disjoint sub-range of the same backing
-// arrays (the index's per-section table sizes are the partition), so section
-// fills allocate nothing and may run in parallel. raw selects the v1 address
-// encoding (raw addresses instead of zig-zag deltas, the one field that
-// differs between versions). Any disagreement between the stream and the
-// index is an error; decode then falls back to a measured index, which
+// fillSection decodes one thread section into the section's own tables:
+// recs, mem and locks are exactly the section's records, accesses and lock
+// ops as the index sizes them, and each record's ranges are offsets into
+// mem and locks. It is the only routine that decodes record fields from
+// section bytes. Every caller owns disjoint tables (in decode, sub-ranges of
+// the arena's; the index's per-section table sizes are the partition), so
+// section fills allocate nothing and may run in parallel. raw selects the v1
+// address encoding (raw addresses instead of zig-zag deltas, the one field
+// that differs between versions). Any disagreement between the stream and
+// the index is an error; decode then falls back to a measured index, which
 // trusts only the stream.
 //
 // This is the decode hot loop: records are written field by field through a
-// pointer into the record table (no build-then-copy, no bulk write barrier),
-// fields that stay zero are never stored (the tables are freshly allocated),
-// and varints go through the inlined uvarint2 fast path. The section is
-// fully validated against the index before returning: tid,
-// record/access/lock counts and the section byte length must all match
-// exactly.
-func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, memLo, lockLo int) error {
+// pointer into the record table (no build-then-copy), fields that stay zero
+// are never stored (the tables are freshly allocated), and varints go
+// through the inlined uvarint2 fast path. The section is fully validated
+// against the index before returning: tid, record/access/lock counts and
+// the section byte length must all match exactly.
+func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, mem []MemAccess, locks []LockOp) error {
 	d := &bdec{data: data}
 	tid := int(d.uvarint())
 	nr := d.uvarint()
@@ -676,18 +705,18 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 		return fmt.Errorf("trace: thread section %d: stream declares tid %d with %d records, index says tid %d with %d",
 			span, tid, nr, en.tid, en.nrec)
 	}
-	ri, mi, li := recLo, memLo, lockLo
-	memEnd, lockEnd := memLo+int(en.nmem), lockLo+int(en.nlock)
+	var mi, li int
+	memEnd, lockEnd := len(mem), len(locks)
 	off := d.off
 	var prevAddr uint64
 	var ok bool
-	for j := int64(0); j < en.nrec; j++ {
+	for ri := range recs {
 		if off >= len(data) {
 			return fmt.Errorf("trace: thread section %d (tid %d): %w", span, en.tid, io.ErrUnexpectedEOF)
 		}
 		kind := Kind(data[off])
 		off++
-		r := &a.Records[ri]
+		r := &recs[ri]
 		r.Kind = kind
 		switch kind {
 		case KindBBL:
@@ -706,22 +735,22 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 			if !fused {
 				if fn, off, ok = uvarint2(data, off); !ok {
 					if fn, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 				if blk, off, ok = uvarint2(data, off); !ok {
 					if blk, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 				if n, off, ok = uvarint2(data, off); !ok {
 					if n, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 				if cnt, off, ok = uvarint2(data, off); !ok {
 					if cnt, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 			}
@@ -734,7 +763,7 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 				var instr uint64
 				if instr, off, ok = uvarint2(data, off); !ok {
 					if instr, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 				// Address deltas are the one routinely multi-byte varint, so
@@ -757,10 +786,10 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 							x>>7&(0x7f<<49)
 						off += nb + 1
 					} else if delta, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				} else if delta, off, ok = uvarintAt(data, off); !ok {
-					return a.badVarint(span, en)
+					return badVarint(span, en)
 				}
 				if off+1 >= len(data) {
 					return fmt.Errorf("trace: thread section %d (tid %d): %w", span, en.tid, io.ErrUnexpectedEOF)
@@ -770,16 +799,16 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 					addr = prevAddr + uint64(unzigzag(delta))
 					prevAddr = addr
 				}
-				a.Mem[mi] = MemAccess{Instr: uint16(instr), Addr: addr, Size: data[off], Store: data[off+1] != 0}
+				mem[mi] = MemAccess{Instr: uint16(instr), Addr: addr, Size: data[off], Store: data[off+1] != 0}
 				off += 2
 				mi++
 			}
 			if mi > m0 {
-				r.Mem = a.Mem[m0:mi]
+				r.MemLo, r.MemN = uint32(m0), uint32(mi-m0)
 			}
 			if cnt, off, ok = uvarint2(data, off); !ok {
 				if cnt, off, ok = uvarintAt(data, off); !ok {
-					return a.badVarint(span, en)
+					return badVarint(span, en)
 				}
 			}
 			if cnt > maxCount || cnt > uint64(lockEnd-li) {
@@ -790,12 +819,12 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 				var instr, delta uint64
 				if instr, off, ok = uvarint2(data, off); !ok {
 					if instr, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 				if delta, off, ok = uvarint2(data, off); !ok {
 					if delta, off, ok = uvarintAt(data, off); !ok {
-						return a.badVarint(span, en)
+						return badVarint(span, en)
 					}
 				}
 				if off >= len(data) {
@@ -806,18 +835,18 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 					addr = prevAddr + uint64(unzigzag(delta))
 					prevAddr = addr
 				}
-				a.Locks[li] = LockOp{Instr: uint16(instr), Addr: addr, Release: data[off] != 0}
+				locks[li] = LockOp{Instr: uint16(instr), Addr: addr, Release: data[off] != 0}
 				off++
 				li++
 			}
 			if li > l0 {
-				r.Locks = a.Locks[l0:li]
+				r.LockLo, r.LockN = uint32(l0), uint32(li-l0)
 			}
 		case KindCall:
 			var callee uint64
 			if callee, off, ok = uvarint2(data, off); !ok {
 				if callee, off, ok = uvarintAt(data, off); !ok {
-					return a.badVarint(span, en)
+					return badVarint(span, en)
 				}
 			}
 			r.Callee = uint32(callee)
@@ -830,13 +859,12 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 			off++
 			if r.N, off, ok = uvarint2(data, off); !ok {
 				if r.N, off, ok = uvarintAt(data, off); !ok {
-					return a.badVarint(span, en)
+					return badVarint(span, en)
 				}
 			}
 		default:
 			return fmt.Errorf("trace: thread section %d (tid %d): unknown record kind %d", span, en.tid, kind)
 		}
-		ri++
 	}
 	if off != len(data) || mi != memEnd || li != lockEnd {
 		return fmt.Errorf("trace: thread section %d (tid %d): stream and index disagree on section contents", span, en.tid)
@@ -845,6 +873,6 @@ func (a *Arena) fillSection(data []byte, en indexEntry, raw bool, span, recLo, m
 }
 
 // badVarint is fillSection's shared truncated/overflowing-varint error.
-func (a *Arena) badVarint(span int, en indexEntry) error {
+func badVarint(span int, en indexEntry) error {
 	return fmt.Errorf("trace: thread section %d (tid %d): truncated or overflowing varint", span, en.tid)
 }

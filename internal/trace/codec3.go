@@ -250,20 +250,15 @@ func (r *Reader) Thread(i int) (*ThreadTrace, error) {
 	}
 	en := r.index[i]
 	if !r.measured.done.Load() {
-		if recs, err := r.fillThread(en, i); err == nil {
-			return &ThreadTrace{TID: en.tid, Records: recs}, nil
+		if th, err := r.fillThread(en, i); err == nil {
+			return th, nil
 		}
 	}
 	r.measured.once.Do(r.measure)
 	if r.measured.err != nil {
 		return nil, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, r.measured.err)
 	}
-	en = r.measured.index[i]
-	recs, err := r.fillThread(en, i)
-	if err != nil {
-		return nil, err
-	}
-	return &ThreadTrace{TID: en.tid, Records: recs}, nil
+	return r.fillThread(r.measured.index[i], i)
 }
 
 // Remeasured reports whether some section has contradicted the footer, so
@@ -271,19 +266,26 @@ func (r *Reader) Thread(i int) (*ThreadTrace, error) {
 func (r *Reader) Remeasured() bool { return r.measured.done.Load() }
 
 // fillThread reads section i as en describes it and fills it into freshly
-// allocated, exactly sized tables, returning its records.
-func (r *Reader) fillThread(en indexEntry, i int) ([]Record, error) {
+// allocated, exactly sized tables of its own.
+func (r *Reader) fillThread(en indexEntry, i int) (*ThreadTrace, error) {
+	if err := en.checkWidths(); err != nil {
+		return nil, err
+	}
 	data := make([]byte, en.len)
 	if _, err := r.ra.ReadAt(data, en.off); err != nil {
 		return nil, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, err)
 	}
-	en.off = 0
-	a := Arena{
-		Records: make([]Record, en.nrec),
-		Mem:     make([]MemAccess, en.nmem),
-		Locks:   make([]LockOp, en.nlock),
+	th := &ThreadTrace{TID: en.tid, Records: make([]Record, en.nrec)}
+	if en.nmem > 0 {
+		th.Mem = make([]MemAccess, en.nmem)
 	}
-	return a.Records, a.fillSection(data, en, false, i, 0, 0, 0)
+	if en.nlock > 0 {
+		th.Locks = make([]LockOp, en.nlock)
+	}
+	if err := fillSection(data, en, false, i, th.Records, th.Mem, th.Locks); err != nil {
+		return nil, err
+	}
+	return th, nil
 }
 
 // measure builds r.measured.index from the whole file, as decode's

@@ -305,9 +305,10 @@ func readerTrace(r *trace.Reader) (*trace.Trace, error) {
 func TestEncodeRejectsWhatDecodeRejects(t *testing.T) {
 	const limit = 1 << 20
 	long := strings.Repeat("x", limit+1)
-	bbl := func(r trace.Record) *trace.Trace {
-		r.Kind = trace.KindBBL
-		return &trace.Trace{Threads: []*trace.ThreadTrace{{TID: 3, Records: []trace.Record{r}}}}
+	bbl := func(mem []trace.MemAccess, locks []trace.LockOp) *trace.Trace {
+		th := &trace.ThreadTrace{TID: 3}
+		th.Append(trace.Record{Kind: trace.KindBBL}, mem, locks)
+		return &trace.Trace{Threads: []*trace.ThreadTrace{th}}
 	}
 	for _, c := range []struct {
 		field string
@@ -319,8 +320,8 @@ func TestEncodeRejectsWhatDecodeRejects(t *testing.T) {
 		{"function 0 block count", &trace.Trace{Funcs: []trace.FuncInfo{{Blocks: make([]trace.BlockInfo, limit+1)}}}},
 		{"thread count", &trace.Trace{Threads: make([]*trace.ThreadTrace, limit+1)}},
 		{"thread 3 record count", &trace.Trace{Threads: []*trace.ThreadTrace{{TID: 3, Records: make([]trace.Record, limit+1)}}}},
-		{"thread 3 record 0 mem access count", bbl(trace.Record{Mem: make([]trace.MemAccess, limit+1)})},
-		{"thread 3 record 0 lock op count", bbl(trace.Record{Locks: make([]trace.LockOp, limit+1)})},
+		{"thread 3 record 0 mem access count", bbl(make([]trace.MemAccess, limit+1), nil)},
+		{"thread 3 record 0 lock op count", bbl(nil, make([]trace.LockOp, limit+1))},
 	} {
 		for _, v := range versions {
 			var buf bytes.Buffer
@@ -400,8 +401,11 @@ func TestEncodeReturnsWriteErrors(t *testing.T) {
 	}
 	tr := traceWorkload(t, w, 4)
 	long := &trace.ThreadTrace{TID: 4}
-	for len(long.Records) < 1<<16 {
-		long.Records = append(long.Records, tr.Threads[0].Records...)
+	for th := tr.Threads[0]; len(long.Records) < 1<<16; {
+		for i := range th.Records {
+			r := &th.Records[i]
+			long.Append(*r, th.MemOf(r), th.LocksOf(r))
+		}
 	}
 	tr.Threads = append(tr.Threads, long)
 	for _, v := range []int{1, 3} {

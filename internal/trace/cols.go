@@ -5,12 +5,12 @@ package trace
 // element, that all active lanes carry the same upcoming block execution — a
 // comparison that only involves a record's control fields (kind, function,
 // block, instruction count, lock presence, access-list length), never its
-// slice contents. Packing exactly those fields into one uint64 per record
-// turns that per-lane check into a single 8-byte compare and cuts the
-// verification loop's memory traffic by an order of magnitude versus
-// touching ~72-byte Record structs. The accesses themselves are read from
-// the records: the fused memory-charge path gathers the active lanes'
-// records only for elements whose control word says they touch memory.
+// accesses. Packing exactly those fields into one uint64 per record turns
+// that per-lane check into a single 8-byte compare and cuts the
+// verification loop's memory traffic fivefold versus touching 40-byte
+// Record structs. The accesses themselves are read from the threads' Mem
+// tables: the fused memory-charge path gathers the active lanes' access
+// lists only for elements whose control word says they touch memory.
 //
 // Control-word layout (low to high):
 //
@@ -120,10 +120,10 @@ func (c *Cols) SetThread(i int, th *ThreadTrace) {
 			continue
 		}
 		w := r.N | uint64(r.Block)<<CtlBlockShift | uint64(r.Func)<<CtlFuncShift | uint64(r.Kind)<<CtlKindShift
-		if len(r.Locks) > 0 {
+		if r.LockN > 0 {
 			w |= CtlLocksBit
 		}
-		if ml := len(r.Mem); ml >= CtlMemOverflow {
+		if ml := r.MemN; ml >= CtlMemOverflow {
 			w |= CtlMemOverflow << CtlMemShift
 		} else {
 			w |= uint64(ml) << CtlMemShift

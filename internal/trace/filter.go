@@ -31,7 +31,7 @@ func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
 					continue
 				}
 				s.flush()
-				s.recs = append(s.recs, *r)
+				s.keep(r)
 			case KindRet:
 				if depth > 0 {
 					depth--
@@ -40,13 +40,13 @@ func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
 					}
 					continue
 				}
-				s.recs = append(s.recs, *r)
+				s.keep(r)
 			case KindBBL, KindSkip:
 				if depth > 0 {
 					s.dropped += r.N
 					continue
 				}
-				s.recs = append(s.recs, *r)
+				s.keep(r)
 			}
 		}
 	}), nil
@@ -75,7 +75,7 @@ func OnlyFunctions(t *Trace, names ...string) (*Trace, error) {
 				if emit {
 					keptDepth++
 					s.flush()
-					s.recs = append(s.recs, *r)
+					s.keep(r)
 				}
 				emitted = append(emitted, emit)
 			case KindRet:
@@ -91,11 +91,11 @@ func OnlyFunctions(t *Trace, names ...string) (*Trace, error) {
 					}
 				}
 				if emit {
-					s.recs = append(s.recs, *r)
+					s.keep(r)
 				}
 			case KindBBL, KindSkip:
 				if keptDepth > 0 {
-					s.recs = append(s.recs, *r)
+					s.keep(r)
 				} else {
 					s.dropped += r.N
 				}
@@ -123,17 +123,24 @@ func funcIDs(t *Trace, op string, names []string) (map[uint32]bool, error) {
 	return ids, nil
 }
 
-// stream collects one filtered thread's records. Instructions of dropped
-// records accumulate in dropped until flush writes them as one skipped-I/O
-// record, exactly how the paper's tracer accounts untraced regions.
+// stream builds one filtered thread from the records of src it keeps.
+// Instructions of dropped records accumulate in dropped until flush writes
+// them as one skipped-I/O record, exactly how the paper's tracer accounts
+// untraced regions.
 type stream struct {
-	recs    []Record
-	dropped uint64
+	src, out *ThreadTrace
+	dropped  uint64
+}
+
+// keep appends src's record r, with its accesses and lock ops, to the
+// output.
+func (s *stream) keep(r *Record) {
+	s.out.Append(*r, s.src.MemOf(r), s.src.LocksOf(r))
 }
 
 func (s *stream) flush() {
 	if s.dropped > 0 {
-		s.recs = append(s.recs, Record{Kind: KindSkip, SkipKind: SkipIO, N: s.dropped})
+		s.out.Append(Record{Kind: KindSkip, SkipKind: SkipIO, N: s.dropped}, nil, nil)
 		s.dropped = 0
 	}
 }
@@ -143,10 +150,10 @@ func (s *stream) flush() {
 func filter(t *Trace, thread func(th *ThreadTrace, s *stream)) *Trace {
 	out := &Trace{Program: t.Program, Entry: t.Entry, Funcs: t.Funcs}
 	for _, th := range t.Threads {
-		s := &stream{}
+		s := &stream{src: th, out: &ThreadTrace{TID: th.TID}}
 		thread(th, s)
 		s.flush()
-		out.Threads = append(out.Threads, &ThreadTrace{TID: th.TID, Records: s.recs})
+		out.Threads = append(out.Threads, s.out)
 	}
 	return out
 }

@@ -23,21 +23,21 @@ func fuzzSeedTrace() *trace.Trace {
 		},
 	}
 	for tid := 0; tid < 2; tid++ {
-		t.Threads = append(t.Threads, &trace.ThreadTrace{TID: tid, Records: []trace.Record{
-			{Kind: trace.KindCall, Callee: 0},
-			{Kind: trace.KindBBL, Func: 0, Block: 0, N: 3, Mem: []trace.MemAccess{
-				{Instr: 1, Addr: vm.GlobalBase + 8*uint64(tid), Size: 8, Store: true},
-			}},
-			{Kind: trace.KindCall, Callee: 1},
-			{Kind: trace.KindBBL, Func: 1, Block: 0, N: 4, Locks: []trace.LockOp{
-				{Instr: 0, Addr: vm.GlobalBase + 64},
-				{Instr: 3, Addr: vm.GlobalBase + 64, Release: true},
-			}},
-			{Kind: trace.KindRet},
-			{Kind: trace.KindSkip, N: 5, SkipKind: trace.SkipIO},
-			{Kind: trace.KindBBL, Func: 0, Block: 1, N: 2},
-			{Kind: trace.KindRet},
-		}})
+		th := &trace.ThreadTrace{TID: tid}
+		th.Append(trace.Record{Kind: trace.KindCall, Callee: 0}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: 3}, []trace.MemAccess{
+			{Instr: 1, Addr: vm.GlobalBase + 8*uint64(tid), Size: 8, Store: true},
+		}, nil)
+		th.Append(trace.Record{Kind: trace.KindCall, Callee: 1}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 1, Block: 0, N: 4}, nil, []trace.LockOp{
+			{Instr: 0, Addr: vm.GlobalBase + 64},
+			{Instr: 3, Addr: vm.GlobalBase + 64, Release: true},
+		})
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindSkip, N: 5, SkipKind: trace.SkipIO}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 1, N: 2}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
+		t.Threads = append(t.Threads, th)
 	}
 	return t
 }
@@ -65,19 +65,19 @@ func lockSeedTrace() *trace.Trace {
 		if tid == 1 {
 			a, b = b, a // inverted nesting order: the seeded cycle
 		}
-		t.Threads = append(t.Threads, &trace.ThreadTrace{TID: tid, Records: []trace.Record{
-			{Kind: trace.KindBBL, Func: 0, Block: 0, N: 8, Locks: []trace.LockOp{
-				{Instr: 0, Addr: a},
-				{Instr: 1, Addr: b},
-				{Instr: 2, Addr: b}, // recursive re-acquire
-				{Instr: 4, Addr: b, Release: true},
-				{Instr: 5, Addr: b, Release: true},
-				{Instr: 6, Addr: a, Release: true},
-				{Instr: 7, Addr: stray, Release: true}, // bare release
-			}, Mem: []trace.MemAccess{
-				{Instr: 3, Addr: vm.GlobalBase + 2048, Size: 8, Store: true},
-			}},
-		}})
+		th := &trace.ThreadTrace{TID: tid}
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: 8}, []trace.MemAccess{
+			{Instr: 3, Addr: vm.GlobalBase + 2048, Size: 8, Store: true},
+		}, []trace.LockOp{
+			{Instr: 0, Addr: a},
+			{Instr: 1, Addr: b},
+			{Instr: 2, Addr: b}, // recursive re-acquire
+			{Instr: 4, Addr: b, Release: true},
+			{Instr: 5, Addr: b, Release: true},
+			{Instr: 6, Addr: a, Release: true},
+			{Instr: 7, Addr: stray, Release: true}, // bare release
+		})
+		t.Threads = append(t.Threads, th)
 	}
 	return t
 }
@@ -101,13 +101,10 @@ func stridedSeedTrace() *trace.Trace {
 		th := &trace.ThreadTrace{TID: tid}
 		th.Records = append(th.Records, trace.Record{Kind: trace.KindCall, Callee: 0})
 		for iter := 0; iter < 3; iter++ {
-			th.Records = append(th.Records, trace.Record{
-				Kind: trace.KindBBL, Func: 0, Block: 0, N: 4,
-				Mem: []trace.MemAccess{
-					{Instr: 1, Addr: vm.HeapBase + 8*uint64(tid) + 64*uint64(iter), Size: 8},
-					{Instr: 2, Addr: vm.HeapBase + 4096*uint64(tid) + 32*uint64(iter), Size: 8, Store: true},
-				},
-			})
+			th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: 4}, []trace.MemAccess{
+				{Instr: 1, Addr: vm.HeapBase + 8*uint64(tid) + 64*uint64(iter), Size: 8},
+				{Instr: 2, Addr: vm.HeapBase + 4096*uint64(tid) + 32*uint64(iter), Size: 8, Store: true},
+			}, nil)
 		}
 		th.Records = append(th.Records, trace.Record{Kind: trace.KindRet})
 		t.Threads = append(t.Threads, th)
@@ -254,6 +251,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // rejected outright: fine
 		}
+		checkTiles(t, tr)
 		if !reflect.DeepEqual(tr, legacy) {
 			t.Fatal("Decode and the legacy decoder disagree on an accepted input")
 		}
@@ -287,6 +285,19 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// checkTiles fails t unless every thread of tr has the table layout every
+// builder gives it: the records' ranges tile the thread's Mem and Locks
+// tables in order with no gaps. With that layout, reflect.DeepEqual between
+// traces built different ways compares the events and nothing else.
+func checkTiles(t testing.TB, tr *trace.Trace) {
+	t.Helper()
+	for _, th := range tr.Threads {
+		if err := th.CheckLayout(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // arenaEdgeSeedTraces are valid traces hitting the arena decoder's
 // section-size edge cases: empty threads between populated ones,
 // single-record threads, and a long run of identical blocks (maximal
@@ -304,8 +315,8 @@ func arenaEdgeSeedTraces() []*trace.Trace {
 			{TID: 2, Records: []trace.Record{}},
 		}},
 		{Program: "edge-single", Funcs: funcs, Threads: []*trace.ThreadTrace{
-			{TID: 0, Records: []trace.Record{{Kind: trace.KindBBL, N: 2,
-				Mem: []trace.MemAccess{{Instr: 1, Addr: vm.GlobalBase, Size: 8}}}}},
+			{TID: 0, Records: []trace.Record{{Kind: trace.KindBBL, N: 2, MemN: 1}},
+				Mem: []trace.MemAccess{{Instr: 1, Addr: vm.GlobalBase, Size: 8}}},
 			{TID: 1, Records: []trace.Record{{Kind: trace.KindSkip, SkipKind: trace.SkipIO, N: 3}}},
 		}},
 		{Program: "edge-run", Funcs: funcs, Threads: []*trace.ThreadTrace{longRun}},

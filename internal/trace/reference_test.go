@@ -76,13 +76,15 @@ func (d *decoder) thread(version int) *ThreadTrace {
 	th.Records = make([]Record, 0, preallocCap(nr))
 	var prevAddr uint64
 	for j := uint64(0); j < nr && d.err == nil; j++ {
+		var r Record
+		var mem []MemAccess
+		var locks []LockOp
 		if version >= version2 {
-			var r Record
-			r, prevAddr = d.record2(prevAddr)
-			th.Records = append(th.Records, r)
+			r, mem, locks, prevAddr = d.record2(prevAddr)
 		} else {
-			th.Records = append(th.Records, d.record())
+			r, mem, locks = d.record()
 		}
+		th.Append(r, mem, locks)
 	}
 	return th
 }
@@ -148,8 +150,8 @@ func (d *decoder) str() string {
 	return string(b)
 }
 
-func (d *decoder) record() Record {
-	r := Record{Kind: Kind(d.byte())}
+func (d *decoder) record() (r Record, mem []MemAccess, locks []LockOp) {
+	r = Record{Kind: Kind(d.byte())}
 	switch r.Kind {
 	case KindBBL:
 		r.Func = uint32(d.uvarint())
@@ -157,9 +159,9 @@ func (d *decoder) record() Record {
 		r.N = d.uvarint()
 		nm := d.count("mem access", d.uvarint())
 		if nm > 0 && d.err == nil {
-			r.Mem = make([]MemAccess, 0, preallocCap(nm))
+			mem = make([]MemAccess, 0, preallocCap(nm))
 			for i := uint64(0); i < nm && d.err == nil; i++ {
-				r.Mem = append(r.Mem, MemAccess{
+				mem = append(mem, MemAccess{
 					Instr: uint16(d.uvarint()),
 					Addr:  d.uvarint(),
 					Size:  d.byte(),
@@ -169,9 +171,9 @@ func (d *decoder) record() Record {
 		}
 		nl := d.count("lock op", d.uvarint())
 		if nl > 0 && d.err == nil {
-			r.Locks = make([]LockOp, 0, preallocCap(nl))
+			locks = make([]LockOp, 0, preallocCap(nl))
 			for i := uint64(0); i < nl && d.err == nil; i++ {
-				r.Locks = append(r.Locks, LockOp{
+				locks = append(locks, LockOp{
 					Instr:   uint16(d.uvarint()),
 					Addr:    d.uvarint(),
 					Release: d.bool(),
@@ -189,11 +191,11 @@ func (d *decoder) record() Record {
 			d.err = fmt.Errorf("unknown record kind %d", r.Kind)
 		}
 	}
-	return r
+	return r, mem, locks
 }
 
-func (d *decoder) record2(prevAddr uint64) (Record, uint64) {
-	r := Record{Kind: Kind(d.byte())}
+func (d *decoder) record2(prevAddr uint64) (r Record, mem []MemAccess, locks []LockOp, _ uint64) {
+	r = Record{Kind: Kind(d.byte())}
 	switch r.Kind {
 	case KindBBL:
 		r.Func = uint32(d.uvarint())
@@ -201,12 +203,12 @@ func (d *decoder) record2(prevAddr uint64) (Record, uint64) {
 		r.N = d.uvarint()
 		nm := d.count("mem access", d.uvarint())
 		if nm > 0 && d.err == nil {
-			r.Mem = make([]MemAccess, 0, preallocCap(nm))
+			mem = make([]MemAccess, 0, preallocCap(nm))
 			for i := uint64(0); i < nm && d.err == nil; i++ {
 				instr := uint16(d.uvarint())
 				addr := prevAddr + uint64(unzigzag(d.uvarint()))
 				prevAddr = addr
-				r.Mem = append(r.Mem, MemAccess{
+				mem = append(mem, MemAccess{
 					Instr: instr,
 					Addr:  addr,
 					Size:  d.byte(),
@@ -216,12 +218,12 @@ func (d *decoder) record2(prevAddr uint64) (Record, uint64) {
 		}
 		nl := d.count("lock op", d.uvarint())
 		if nl > 0 && d.err == nil {
-			r.Locks = make([]LockOp, 0, preallocCap(nl))
+			locks = make([]LockOp, 0, preallocCap(nl))
 			for i := uint64(0); i < nl && d.err == nil; i++ {
 				instr := uint16(d.uvarint())
 				addr := prevAddr + uint64(unzigzag(d.uvarint()))
 				prevAddr = addr
-				r.Locks = append(r.Locks, LockOp{
+				locks = append(locks, LockOp{
 					Instr:   instr,
 					Addr:    addr,
 					Release: d.bool(),
@@ -239,5 +241,5 @@ func (d *decoder) record2(prevAddr uint64) (Record, uint64) {
 			d.err = fmt.Errorf("unknown record kind %d", r.Kind)
 		}
 	}
-	return r, prevAddr
+	return r, mem, locks, prevAddr
 }

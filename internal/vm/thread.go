@@ -63,6 +63,11 @@ type Thread struct {
 
 	// Executed counts traced instructions, for budget enforcement.
 	Executed uint64
+
+	// mem and locks are the buffers Step collects a block's accesses and
+	// lock operations in, reused from block to block.
+	mem   []trace.MemAccess
+	locks []trace.LockOp
 }
 
 // NewThread prepares a thread with SP at the top of its private stack, TID
@@ -97,9 +102,14 @@ func (th *Thread) Current() (ir.FuncID, ir.BlockID) { return th.fn.ID, th.blockI
 
 // StepResult describes one executed basic block.
 type StepResult struct {
-	// Rec is the block's trace record (function, block, instruction count,
-	// memory accesses, lock operations).
+	// Rec is the block's trace record (function, block, instruction count);
+	// its access and lock ranges are zero.
 	Rec trace.Record
+	// Mem and Locks are the block's memory accesses and lock operations in
+	// instruction order. They alias buffers of the Thread, valid until its
+	// next Step.
+	Mem   []trace.MemAccess
+	Locks []trace.LockOp
 	// Skips holds skip records for OpIO/OpSpin regions inside the block.
 	Skips []trace.Record
 	// Called is set when the block's terminator entered a function.
@@ -122,6 +132,7 @@ func (th *Thread) Step() (StepResult, error) {
 		Block: uint32(th.blockID),
 		N:     uint64(len(block.Instrs)),
 	}}
+	th.mem, th.locks = th.mem[:0], th.locks[:0]
 	th.Executed += uint64(len(block.Instrs))
 
 	for i := range block.Instrs {
@@ -129,7 +140,7 @@ func (th *Thread) Step() (StepResult, error) {
 		if in.Op.IsTerminator() {
 			break
 		}
-		if s, ok := th.step(in, uint16(i), &res.Rec); ok {
+		if s, ok := th.step(in, uint16(i)); ok {
 			res.Skips = append(res.Skips, s)
 		}
 	}
@@ -146,7 +157,7 @@ func (th *Thread) Step() (StepResult, error) {
 			th.blockID = term.Fall
 		}
 	case ir.OpSwitch:
-		idx := th.value(term.Src, termIdx, &res.Rec)
+		idx := th.value(term.Src, termIdx)
 		if idx < 0 {
 			idx = 0
 		}
@@ -157,7 +168,7 @@ func (th *Thread) Step() (StepResult, error) {
 	case ir.OpCall, ir.OpCallR:
 		callee := term.Callee
 		if term.Op == ir.OpCallR {
-			v := th.value(term.Src, termIdx, &res.Rec)
+			v := th.value(term.Src, termIdx)
 			if v < 0 || v >= int64(len(th.proc.Prog.Funcs)) {
 				return res, fmt.Errorf("vm: indirect call to invalid function id %d in %s block %d", v, th.fn.Name, th.blockID)
 			}
@@ -182,6 +193,7 @@ func (th *Thread) Step() (StepResult, error) {
 	default:
 		return res, fmt.Errorf("vm: block %s.%d has non-terminator end %s", th.fn.Name, th.blockID, term.Op)
 	}
+	res.Mem, res.Locks = th.mem, th.locks
 	return res, nil
 }
 
@@ -193,7 +205,7 @@ func (th *Thread) Run(cfg RunConfig) (*trace.ThreadTrace, error) {
 		maxInstrs = defaultMaxInstrs
 	}
 	tt := &trace.ThreadTrace{TID: th.tid}
-	tt.Records = append(tt.Records, trace.Record{Kind: trace.KindCall, Callee: uint32(th.fn.ID)})
+	tt.Append(trace.Record{Kind: trace.KindCall, Callee: uint32(th.fn.ID)}, nil, nil)
 	for !th.done {
 		if th.Executed > maxInstrs {
 			return nil, fmt.Errorf("vm: instruction budget %d exceeded in %s block %d", maxInstrs, th.fn.Name, th.blockID)
@@ -202,73 +214,75 @@ func (th *Thread) Run(cfg RunConfig) (*trace.ThreadTrace, error) {
 		if err != nil {
 			return nil, err
 		}
-		tt.Records = append(tt.Records, res.Rec)
-		tt.Records = append(tt.Records, res.Skips...)
+		tt.Append(res.Rec, res.Mem, res.Locks)
+		for _, s := range res.Skips {
+			tt.Append(s, nil, nil)
+		}
 		if res.Called {
-			tt.Records = append(tt.Records, trace.Record{Kind: trace.KindCall, Callee: uint32(res.Callee)})
+			tt.Append(trace.Record{Kind: trace.KindCall, Callee: uint32(res.Callee)}, nil, nil)
 		}
 		if res.Returned {
-			tt.Records = append(tt.Records, trace.Record{Kind: trace.KindRet})
+			tt.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
 		}
 	}
 	return tt, nil
 }
 
 // step executes one non-terminator instruction, appending memory accesses
-// and lock operations to rec. It returns a skip record for OpIO/OpSpin.
-func (th *Thread) step(in *ir.Instr, idx uint16, rec *trace.Record) (trace.Record, bool) {
+// and lock operations to the thread's block buffers. It returns a skip record for OpIO/OpSpin.
+func (th *Thread) step(in *ir.Instr, idx uint16) (trace.Record, bool) {
 	switch in.Op {
 	case ir.OpNop:
 	case ir.OpMov:
-		th.assign(in.Dst, th.value(in.Src, idx, rec), idx, rec)
+		th.assign(in.Dst, th.value(in.Src, idx), idx)
 	case ir.OpLea:
 		th.regs[in.Dst.Reg] = int64(th.effAddr(in.Src.Mem))
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr, ir.OpSar:
-		a := th.value(in.Dst, idx, rec)
-		b := th.value(in.Src, idx, rec)
-		th.assign(in.Dst, intALU(in.Op, a, b, th.proc), idx, rec)
+		a := th.value(in.Dst, idx)
+		b := th.value(in.Src, idx)
+		th.assign(in.Dst, intALU(in.Op, a, b, th.proc), idx)
 	case ir.OpNeg:
-		th.assign(in.Dst, -th.value(in.Dst, idx, rec), idx, rec)
+		th.assign(in.Dst, -th.value(in.Dst, idx), idx)
 	case ir.OpNot:
-		th.assign(in.Dst, ^th.value(in.Dst, idx, rec), idx, rec)
+		th.assign(in.Dst, ^th.value(in.Dst, idx), idx)
 	case ir.OpCmp:
-		a, b := th.value(in.Dst, idx, rec), th.value(in.Src, idx, rec)
+		a, b := th.value(in.Dst, idx), th.value(in.Src, idx)
 		th.fl = flags{eq: a == b, lt: a < b, ult: uint64(a) < uint64(b)}
 	case ir.OpCmov:
-		v := th.value(in.Src, idx, rec)
+		v := th.value(in.Src, idx)
 		if th.fl.holds(in.Cond) {
-			th.assign(in.Dst, v, idx, rec)
+			th.assign(in.Dst, v, idx)
 		} else if in.Dst.IsMem() {
 			// x86 cmov with a memory destination still performs the
 			// access; mirror that so traces stay address-faithful.
-			th.assign(in.Dst, th.value(in.Dst, idx, rec), idx, rec)
+			th.assign(in.Dst, th.value(in.Dst, idx), idx)
 		}
 	case ir.OpTest:
-		v := th.value(in.Dst, idx, rec) & th.value(in.Src, idx, rec)
+		v := th.value(in.Dst, idx) & th.value(in.Src, idx)
 		th.fl = flags{eq: v == 0, lt: v < 0}
 	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		a := b2f(uint64(th.value(in.Dst, idx, rec)))
-		b := b2f(uint64(th.value(in.Src, idx, rec)))
-		th.assign(in.Dst, int64(f2b(fpALU(in.Op, a, b))), idx, rec)
+		a := b2f(uint64(th.value(in.Dst, idx)))
+		b := b2f(uint64(th.value(in.Src, idx)))
+		th.assign(in.Dst, int64(f2b(fpALU(in.Op, a, b))), idx)
 	case ir.OpFSqrt:
-		a := b2f(uint64(th.value(in.Dst, idx, rec)))
-		th.assign(in.Dst, int64(f2b(math.Sqrt(math.Abs(a)))), idx, rec)
+		a := b2f(uint64(th.value(in.Dst, idx)))
+		th.assign(in.Dst, int64(f2b(math.Sqrt(math.Abs(a)))), idx)
 	case ir.OpFAbs:
-		a := b2f(uint64(th.value(in.Dst, idx, rec)))
-		th.assign(in.Dst, int64(f2b(math.Abs(a))), idx, rec)
+		a := b2f(uint64(th.value(in.Dst, idx)))
+		th.assign(in.Dst, int64(f2b(math.Abs(a))), idx)
 	case ir.OpFCmp:
-		a := b2f(uint64(th.value(in.Dst, idx, rec)))
-		b := b2f(uint64(th.value(in.Src, idx, rec)))
+		a := b2f(uint64(th.value(in.Dst, idx)))
+		b := b2f(uint64(th.value(in.Src, idx)))
 		th.fl = flags{eq: a == b, lt: a < b, ult: a < b}
 	case ir.OpCvtIF:
-		th.assign(in.Dst, int64(f2b(float64(th.value(in.Src, idx, rec)))), idx, rec)
+		th.assign(in.Dst, int64(f2b(float64(th.value(in.Src, idx)))), idx)
 	case ir.OpCvtFI:
-		f := b2f(uint64(th.value(in.Src, idx, rec)))
-		th.assign(in.Dst, int64(f), idx, rec)
+		f := b2f(uint64(th.value(in.Src, idx)))
+		th.assign(in.Dst, int64(f), idx)
 	case ir.OpLock, ir.OpUnlock:
 		addr := th.lockAddr(in.Src)
-		rec.Locks = append(rec.Locks, trace.LockOp{
+		th.locks = append(th.locks, trace.LockOp{
 			Instr: idx, Addr: addr, Release: in.Op == ir.OpUnlock,
 		})
 	case ir.OpIO:
@@ -358,7 +372,7 @@ func (th *Thread) lockAddr(o ir.Operand) uint64 {
 }
 
 // value reads an operand, recording a load for memory operands.
-func (th *Thread) value(o ir.Operand, idx uint16, rec *trace.Record) int64 {
+func (th *Thread) value(o ir.Operand, idx uint16) int64 {
 	switch o.Kind {
 	case ir.OpndReg:
 		return th.regs[o.Reg]
@@ -366,7 +380,7 @@ func (th *Thread) value(o ir.Operand, idx uint16, rec *trace.Record) int64 {
 		return o.Imm
 	case ir.OpndMem:
 		addr := th.effAddr(o.Mem)
-		rec.Mem = append(rec.Mem, trace.MemAccess{Instr: idx, Addr: addr, Size: o.Mem.Size})
+		th.mem = append(th.mem, trace.MemAccess{Instr: idx, Addr: addr, Size: o.Mem.Size})
 		v := th.proc.Mem.Read(addr, o.Mem.Size)
 		if o.Mem.Size == 8 {
 			return int64(v)
@@ -377,13 +391,13 @@ func (th *Thread) value(o ir.Operand, idx uint16, rec *trace.Record) int64 {
 }
 
 // assign writes an operand, recording a store for memory operands.
-func (th *Thread) assign(o ir.Operand, v int64, idx uint16, rec *trace.Record) {
+func (th *Thread) assign(o ir.Operand, v int64, idx uint16) {
 	switch o.Kind {
 	case ir.OpndReg:
 		th.regs[o.Reg] = v
 	case ir.OpndMem:
 		addr := th.effAddr(o.Mem)
-		rec.Mem = append(rec.Mem, trace.MemAccess{Instr: idx, Addr: addr, Size: o.Mem.Size, Store: true})
+		th.mem = append(th.mem, trace.MemAccess{Instr: idx, Addr: addr, Size: o.Mem.Size, Store: true})
 		th.proc.Mem.Write(addr, o.Mem.Size, uint64(v))
 	default:
 		panic("vm: write to non-writable operand")

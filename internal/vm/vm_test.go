@@ -225,10 +225,7 @@ func TestLockEventsRecorded(t *testing.T) {
 			Unlock(ir.Imm(0x5008)).
 			Ret()
 	})
-	var locks []trace.LockOp
-	for _, r := range tt.Records {
-		locks = append(locks, r.Locks...)
-	}
+	locks := tt.Locks
 	if len(locks) != 4 {
 		t.Fatalf("lock ops = %d, want 4", len(locks))
 	}
@@ -242,10 +239,8 @@ func TestLockEventsRecorded(t *testing.T) {
 		t.Errorf("lock[3] should be a release")
 	}
 	// The memory-operand Lock must not record a memory access.
-	for _, r := range tt.Records {
-		if len(r.Mem) != 0 {
-			t.Errorf("lock instructions generated memory accesses: %+v", r.Mem)
-		}
+	if len(tt.Mem) != 0 {
+		t.Errorf("lock instructions generated memory accesses: %+v", tt.Mem)
 	}
 }
 
@@ -276,10 +271,7 @@ func TestRMWMemoryAccessOrder(t *testing.T) {
 		t.Errorf("rmw result = %d, want 7", got)
 	}
 	// The Add must record a load then a store at the same instruction.
-	var accs []trace.MemAccess
-	for _, r := range tt.Records {
-		accs = append(accs, r.Mem...)
-	}
+	accs := tt.Mem
 	if len(accs) != 3 {
 		t.Fatalf("accesses = %d, want 3 (store, load, store)", len(accs))
 	}
