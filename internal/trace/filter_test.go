@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -129,5 +131,52 @@ func TestFiltersPreserveOriginal(t *testing.T) {
 	}
 	if tr.TotalInstructions() != before || len(tr.Threads[0].Records) != 14 {
 		t.Error("filters mutated the input trace")
+	}
+}
+
+// TestFilterOutputsTileTables filters random traces that carry accesses and
+// lock ops: every output thread's records tile its tables in order with no
+// gaps (the layout the decoder produces, so DeepEqual against a decoded
+// trace compares events), and each kept block record keeps exactly its
+// source record's accesses and lock ops.
+func TestFilterOutputsTileTables(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		tr := randomTrace(rand.New(rand.NewSource(seed)))
+		for _, fi := range tr.Funcs {
+			for op, filter := range map[string]func(*Trace, ...string) (*Trace, error){
+				"exclude": ExcludeFunctions, "only": OnlyFunctions,
+			} {
+				out, err := filter(tr, fi.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ti, th := range out.Threads {
+					if err := th.CheckLayout(); err != nil {
+						t.Fatalf("seed %d %s %s: %v", seed, op, fi.Name, err)
+					}
+					// Each kept block record is, in source order, a source
+					// block record with the same accesses and lock ops.
+					src := tr.Threads[ti]
+					si := 0
+					for ri := range th.Records {
+						r := &th.Records[ri]
+						if r.Kind != KindBBL {
+							continue
+						}
+						for ; si < len(src.Records); si++ {
+							s := &src.Records[si]
+							if s.Kind == KindBBL && s.Func == r.Func && s.Block == r.Block &&
+								slices.Equal(th.MemOf(r), src.MemOf(s)) && slices.Equal(th.LocksOf(r), src.LocksOf(s)) {
+								break
+							}
+						}
+						if si == len(src.Records) {
+							t.Fatalf("seed %d %s %s: thread %d record %d has a payload no source record has", seed, op, fi.Name, ti, ri)
+						}
+						si++
+					}
+				}
+			}
+		}
 	}
 }
