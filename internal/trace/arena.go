@@ -323,13 +323,14 @@ func (en indexEntry) checkWidths() error {
 
 // measureStream builds the index of nthreads thread sections starting at
 // off by walking them with measureSection, and returns it with the offset
-// just past the last section.
+// just past the last section. An error names the section it is in, as
+// fillSection's do.
 func measureStream(data []byte, off, nthreads int) ([]indexEntry, int, error) {
 	index := make([]indexEntry, 0, preallocCap(uint64(nthreads)))
 	for t := 0; t < nthreads; t++ {
 		en, _, err := measureSection(data, off)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("thread section %d: %w", t, err)
 		}
 		index = append(index, en)
 		off += int(en.len)

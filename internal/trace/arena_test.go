@@ -159,7 +159,7 @@ func TestRecordIsPointerFree(t *testing.T) {
 
 // TestFillRefusesOffsetOverflow: a section declaring more accesses or lock
 // ops than Record's uint32 offsets address is refused by fill and by
-// Reader.fillThread with an error, before any table is sized from it (the
+// Reader.Thread with an error, before any table is sized from it (the
 // synthetic entries below would otherwise ask for tens of gigabytes).
 func TestFillRefusesOffsetOverflow(t *testing.T) {
 	for _, en := range []indexEntry{
@@ -169,8 +169,8 @@ func TestFillRefusesOffsetOverflow(t *testing.T) {
 		if _, err := fill(nil, []indexEntry{{tid: 4}, en}, false, 1); err == nil || !strings.Contains(err.Error(), "at most") {
 			t.Errorf("fill over %+v: error %v, want the offset-width refusal", en, err)
 		}
-		if _, err := (&Reader{}).fillThread(en, 0); err == nil || !strings.Contains(err.Error(), "at most") {
-			t.Errorf("fillThread over %+v: error %v, want the offset-width refusal", en, err)
+		if _, err := (&Reader{index: []indexEntry{en}}).Thread(0); err == nil || !strings.Contains(err.Error(), "at most") {
+			t.Errorf("Reader.Thread over %+v: error %v, want the offset-width refusal", en, err)
 		}
 	}
 	// At the limit the entry passes the guard (and fails later, on the

@@ -165,6 +165,8 @@ func TestStridedSeedExercisesSiteHistograms(t *testing.T) {
 // consumed by the structural passes. CanonicalKey vouches only for what
 // DecodeStrict accepts, with the digest of what it decodes, and its Decode
 // gives that trace; and it vouches for every encoding of an accepted trace.
+// Where NewReader accepts the input, the Reader agrees with Decode
+// (checkReader).
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []*trace.Trace{fuzzSeedTrace(), lockSeedTrace(), stridedSeedTrace()} {
 		for _, v := range versions {
@@ -248,6 +250,7 @@ func FuzzDecode(f *testing.F) {
 				t.Fatal("decoding over the keying walk's index and DecodeStrict disagree")
 			}
 		}
+		checkReader(t, data, tr, err)
 		if err != nil {
 			return // rejected outright: fine
 		}
@@ -283,6 +286,37 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("sanitizer reported no errors for invalid trace (%v)", verr)
 		}
 	})
+}
+
+// checkReader holds a Reader over data, when NewReader accepts it, to what
+// Decode made of data (tr, or the error derr): Reader.Decode gives the same
+// trace or the same error, Thread taken in index order gives Decode's
+// threads until its first error, and some Thread call fails if Decode does.
+func checkReader(t *testing.T, data []byte, tr *trace.Trace, derr error) {
+	t.Helper()
+	r, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return
+	}
+	got, err := r.Decode(4)
+	if (err == nil) != (derr == nil) || err != nil && err.Error() != derr.Error() {
+		t.Fatalf("Reader.Decode error %v, Decode error %v", err, derr)
+	}
+	if err == nil && !reflect.DeepEqual(got, tr) {
+		t.Fatal("Reader.Decode and Decode disagree on an accepted input")
+	}
+	for i := 0; i < r.NumThreads(); i++ {
+		th, err := r.Thread(i)
+		if err != nil {
+			return
+		}
+		if derr == nil && !reflect.DeepEqual(th, tr.Threads[i]) {
+			t.Fatalf("Thread(%d) differs from Decode's thread %d", i, i)
+		}
+	}
+	if derr != nil {
+		t.Fatalf("every Thread call accepted an input Decode rejects (%v)", derr)
+	}
 }
 
 // checkTiles fails t unless every thread of tr has the table layout every
