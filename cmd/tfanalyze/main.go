@@ -15,7 +15,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -109,31 +108,9 @@ func main() {
 		return
 	}
 
-	// Indexed (v3) traces take the streaming ingest path: section decode,
-	// validation, and replay-column building ride the same worker pass, with
-	// DCFG construction chasing them, so replay starts the moment the last
-	// section lands. Trace-rewriting flags (-exclude/-only/-dump) and
-	// unindexed v1/v2 files need the whole trace in hand first and fall back
-	// to the batch decoder.
-	var (
-		tr *trace.Trace
-		rd *trace.Reader
-	)
-	if *exclude == "" && *only == "" && *dump < 0 {
-		r, oerr := trace.OpenFile(*path)
-		switch {
-		case oerr == nil:
-			rd = r
-			defer r.Close()
-		case !errors.Is(oerr, trace.ErrNoIndex):
-			fatal(oerr)
-		}
-	}
-	if rd == nil {
-		tr, err = trace.ReadFileParallel(*path, *parallel)
-		if err != nil {
-			fatal(err)
-		}
+	tr, err := trace.ReadFileParallel(*path, *parallel)
+	if err != nil {
+		fatal(err)
 	}
 	cache := core.OpenFlagCache(*useCache, *cacheDir)
 	if *exclude != "" {
@@ -156,14 +133,9 @@ func main() {
 	}
 
 	// A session validates the trace and builds DCFG+IPDOM once, for one
-	// analysis or all five -sweep points; an indexed file streams into it.
+	// analysis or all five -sweep points.
 	sess := core.NewSession()
 	sess.SetCache(cache)
-	if rd != nil {
-		if tr, err = sess.Ingest(rd, *parallel); err != nil {
-			fatal(err)
-		}
-	}
 	if *sweep {
 		fmt.Printf("%-10s %s\n", "warp size", "SIMT efficiency")
 		for _, ws := range []int{4, 8, 16, 32, 64} {
