@@ -11,15 +11,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the packages the parallel analyzer pipeline touches: the
+# Race-check the packages that run on pool.ForEach or pool.Sem: the
 # per-warp replay workers (including the fusion A/B equivalence suite in
-# internal/simt and the streaming-ingest suite in internal/core), the
-# parallel section fill in internal/trace, the session cache, the
-# experiment cell pools, the sweep/pool plumbing they are built on, and the
-# tfserve concurrency suite (admission shedding, singleflight dedup, tenant
-# budgets, drain).
+# internal/simt), the parallel thread validation and the concurrent
+# analyses of one trace in internal/core, the parallel section fill in
+# internal/trace, the session cache, the experiment cells, the sweep, the
+# divergence pass's per-function walks in internal/analysis, the pool
+# itself, and the tfserve concurrency suite (admission shedding,
+# singleflight dedup, tenant budgets, drain).
 test-race:
-	$(GO) test -race ./internal/simt/... ./internal/core/... ./internal/trace/... ./internal/report/... ./internal/pool/... ./internal/gpusim/... ./internal/serve/...
+	$(GO) test -race ./internal/simt/... ./internal/core/... ./internal/trace/... ./internal/report/... ./internal/pool/... ./internal/gpusim/... ./internal/analysis/... ./internal/serve/...
 
 # Static sanity: go vet plus the tflint engine over workloads that must stay
 # clean. The trace passes must produce zero findings of any severity; the

@@ -390,9 +390,10 @@ func BenchmarkAblationLockReconvergence(b *testing.B) {
 
 // microBench caches the replay and decode rows' one fixture: parsec.vips at
 // its Table-I thread count (512 threads, 16 warps of 32), encoded once as
-// v1, v2 and v3. The replay input is the v3 bytes decoded into an arena and
-// prepared by a session, as the analyzer prepares what it replays, so the
-// replay rows time the SIMT-stack replay alone.
+// v1, v2 and v3. The replay input is the v3 bytes decoded into an arena,
+// prepared by a session and given its packed control-word columns, as the
+// analyzer prepares what it replays, so the replay rows time the SIMT-stack
+// replay alone.
 var microBench struct {
 	once       sync.Once
 	v1, v2, v3 []byte
@@ -438,6 +439,7 @@ func buildMicroBench() error {
 	if m.graphs, m.pdoms, err = core.NewSession().Prepared(m.tr); err != nil {
 		return err
 	}
+	m.tr.Cols = trace.BuildCols(m.tr)
 	m.warps, err = warp.Form(m.tr, 32, warp.RoundRobin)
 	return err
 }
@@ -546,6 +548,25 @@ func BenchmarkDecodeV3Parallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPrepare measures the analyzer's ingest preparation of the
+// microBench trace: a fresh session's Prepared validates every thread, packs
+// its control words, builds the merged DCFGs and their post-dominator trees.
+// It reports ms/op beside ns/op; allocs/op counts the preparation's own
+// allocations, which do not grow with the thread count beyond one control-
+// word slice per thread.
+func BenchmarkPrepare(b *testing.B) {
+	microBenchSetup(b)
+	tr := microBench.tr
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.NewSession().Prepared(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/op")
 }
 
 // ------------------------------------------------------- digest benchmark

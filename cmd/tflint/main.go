@@ -122,25 +122,17 @@ func main() {
 		// One session shares memoized trace preparation across inputs that
 		// reuse a trace; each input's lint runs independently on the pool.
 		sess := core.NewSession()
-		g := pool.New(*parallel)
-		for i := range inputs {
-			i := i
-			g.Go(func() error {
-				tr, prog, err := inputs[i].Load()
-				if err != nil {
-					errs[i] = err
-					return nil
-				}
-				inOpts := opts
-				inOpts.Prog = prog
-				reports[i], errs[i] = analysis.RunSession(sess, tr, inOpts)
+		pool.ForEach(*parallel, len(inputs), func(_, i int) error {
+			tr, prog, err := inputs[i].Load()
+			if err != nil {
+				errs[i] = err
 				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			fmt.Fprintln(os.Stderr, "tflint:", err)
-			os.Exit(1)
-		}
+			}
+			inOpts := opts
+			inOpts.Prog = prog
+			reports[i], errs[i] = analysis.RunSession(sess, tr, inOpts)
+			return nil
+		})
 	}
 
 	failed := false

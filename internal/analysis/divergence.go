@@ -91,26 +91,20 @@ func (divergencePass) Run(ctx *Context) error {
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i] < fns[j] })
 	results := make([][]Finding, len(fns))
-	g := pool.New(ctx.Opts.Parallelism)
-	for i, fn := range fns {
-		i, fn := i, fn
-		g.Go(func() error {
-			graph := ctx.Graphs[fn]
-			pd := ctx.PDoms[fn]
-			for b := int32(0); b < int32(graph.NBlocks); b++ {
-				if !diverged[branchKey{fn, b}] {
-					continue
-				}
-				if f, ok := meldableDiamond(ctx, fn, graph, pd, b); ok {
-					results[i] = append(results[i], f)
-				}
+	pool.ForEach(ctx.Opts.Parallelism, len(fns), func(_, i int) error {
+		fn := fns[i]
+		graph := ctx.Graphs[fn]
+		pd := ctx.PDoms[fn]
+		for b := int32(0); b < int32(graph.NBlocks); b++ {
+			if !diverged[branchKey{fn, b}] {
+				continue
 			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return err
-	}
+			if f, ok := meldableDiamond(ctx, fn, graph, pd, b); ok {
+				results[i] = append(results[i], f)
+			}
+		}
+		return nil
+	})
 	for _, fs := range results {
 		for _, f := range fs {
 			ctx.add(f)

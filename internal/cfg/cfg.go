@@ -126,23 +126,23 @@ type walkFrame struct {
 	last int32 // -1 until the first block of the invocation executes
 }
 
-// Builder accumulates merged per-function DCFGs one thread at a time. It
-// exists for the streaming analyzer: threads can be walked as their sections
-// come off the decoder, in section order, while later sections are still
-// decoding — the graph construction then costs no wall-clock of its own.
-// Feeding threads in trace order makes the result identical to Build
-// (including which block Entry reports when threads disagree). A Builder is
-// not safe for concurrent use; one consumer walks, many decoders feed it.
+// Builder accumulates merged per-function DCFGs one thread at a time, for
+// callers that walk threads as they become ready (core's ingest walks each
+// thread once it has validated). Feeding threads in trace order makes the
+// result identical to Build (including which block Entry reports when
+// threads disagree). Graphs live in a slice indexed by function id, so the
+// per-record lookup is an index, not a map probe. A Builder is not safe for
+// concurrent use.
 type Builder struct {
 	funcs  []trace.FuncInfo
-	graphs map[uint32]*DCFG
+	graphs []*DCFG     // by function id; nil until the function is observed
 	stack  []walkFrame // reused across AddThread calls
 }
 
 // NewBuilder returns a Builder resolving block counts against funcs, which
 // must be the symbol table of every trace whose threads are added.
 func NewBuilder(funcs []trace.FuncInfo) *Builder {
-	return &Builder{funcs: funcs, graphs: make(map[uint32]*DCFG)}
+	return &Builder{funcs: funcs, graphs: make([]*DCFG, len(funcs))}
 }
 
 func (bl *Builder) graphFor(fn uint32) *DCFG {
@@ -203,10 +203,14 @@ func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
 	return nil
 }
 
-// Finish seals and returns the merged graphs. The Builder must not be used
-// afterwards.
+// Finish seals and returns the merged graphs, keyed by function id. The
+// Builder must not be used afterwards.
 func (bl *Builder) Finish() map[uint32]*DCFG {
-	for _, g := range bl.graphs {
+	out := make(map[uint32]*DCFG)
+	for fn, g := range bl.graphs {
+		if g == nil {
+			continue
+		}
 		// Robustness: any observed block with no successors (possible only
 		// with truncated traces) flows to the virtual exit so the
 		// post-dominator analysis stays well-defined.
@@ -216,6 +220,7 @@ func (bl *Builder) Finish() map[uint32]*DCFG {
 			}
 		}
 		g.sortEdges()
+		out[uint32(fn)] = g
 	}
-	return bl.graphs
+	return out
 }

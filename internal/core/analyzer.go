@@ -194,78 +194,48 @@ type Report struct {
 }
 
 // prep holds the trace-derived analysis products that depend only on the
-// trace itself (not on warp size, formation, or lock options): the
-// per-function dynamic CFGs and their post-dominator trees. Both are
-// read-only after construction and safe to share across goroutines.
+// trace itself (not on warp size, formation, or lock options): the packed
+// control-word columns replay's fusion fast path walks, the per-function
+// dynamic CFGs and their post-dominator trees. All are read-only after
+// construction and safe to share across goroutines. prep owns the columns:
+// the caller's trace is never written, so concurrent analyses of one trace
+// share nothing mutable.
 type prep struct {
+	cols   *trace.Cols
 	graphs map[uint32]*cfg.DCFG
 	pdoms  map[uint32]*ipdom.PostDom
 }
 
 // prepare is the analyzer's one ingest, shared by Session.Ingest and the
-// batch path. Pool workers (work-stealing, bounded by pool.Workers) each
-// validate a thread against t's symbol table and pack its replay columns
-// while it is cache-hot; one consumer goroutine merges checked threads into
-// the DCFGs in trace order, so graph construction overlaps the remaining
-// per-thread work. The ordered walk keeps the graphs — including DCFG entry
-// observation order — and the error independent of scheduling: the first
-// failing thread in trace order wins, whichever stage it failed. Columns
-// already cached on t are reused; otherwise t.Cols is set on success, so
-// repeated analyses of one trace pay the packing pass once.
+// batch path, in two phases. First pool workers validate each thread
+// against t's symbol table and pack its control words while it is
+// cache-hot; pool.ForEach reports the first invalid thread in trace order.
+// Then one walk in trace order feeds the threads below it to the DCFG
+// builder, which keeps the graphs — including DCFG entry observation order —
+// independent of scheduling. The first failing thread in trace order wins,
+// whichever phase it failed.
 func prepare(t *trace.Trace, parallelism int) (*prep, error) {
 	n := len(t.Threads)
-	pack := t.Cols == nil
-	cols := t.Cols
-	if pack {
-		cols = trace.NewCols(n)
-	}
-	// ready[i] is closed once thread i is checked (or failed); the close
-	// publishes the worker's writes to errs[i] and the column slots to the
-	// consumer.
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	errs := make([]error, n)
-
-	b := cfg.NewBuilder(t.Funcs)
-	var walkErr error
-	walked := make(chan struct{})
-	go func() {
-		defer close(walked)
-		for i := 0; i < n; i++ {
-			<-ready[i]
-			if walkErr = errs[i]; walkErr != nil {
-				return
-			}
-			if walkErr = b.AddThread(t.Threads[i]); walkErr != nil {
-				return
-			}
-		}
-	}()
-
-	pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) bool {
+	cols := trace.NewCols(n)
+	valid, verr := pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) error {
 		th := t.Threads[i]
-		err := t.ValidateThread(th)
-		if err == nil && pack {
-			cols.SetThread(i, th)
+		if err := t.ValidateThread(th); err != nil {
+			return err
 		}
-		errs[i] = err
-		close(ready[i])
-		// Claims go out in index order, so every lower thread is already
-		// claimed and the consumer still reaches this one: a failure
-		// decides the outcome, and no later thread need be checked.
-		return err != nil
+		cols.SetThread(i, th)
+		return nil
 	})
-	<-walked
-	if walkErr != nil {
-		return nil, fmt.Errorf("core: ingest: %w", walkErr)
+	b := cfg.NewBuilder(t.Funcs)
+	for _, th := range t.Threads[:valid] {
+		if err := b.AddThread(th); err != nil {
+			return nil, fmt.Errorf("core: ingest: %w", err)
+		}
 	}
-	if pack {
-		t.Cols = cols
+	if verr != nil {
+		return nil, fmt.Errorf("core: ingest: %w", verr)
 	}
 	graphs := b.Finish()
-	return &prep{graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil
+	return &prep{cols: cols, graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil
 }
 
 // testHookReplay, when non-nil, is called every time a replay actually runs.
@@ -277,7 +247,11 @@ func analyzeWith(t *trace.Trace, p *prep, warps []warp.Warp, opts Options) (*Rep
 	if testHookReplay != nil {
 		testHookReplay()
 	}
-	res, err := simt.Replay(t, p.graphs, p.pdoms, warps, simt.Options{
+	// Replay reads the fusion columns off the trace; hand it a shallow copy
+	// carrying the prepared ones rather than writing the caller's trace.
+	tc := *t
+	tc.Cols = p.cols
+	res, err := simt.Replay(&tc, p.graphs, p.pdoms, warps, simt.Options{
 		WarpSize:              opts.WarpSize,
 		EmulateLocks:          opts.EmulateLocks,
 		LockReconvergence:     opts.LockReconvergence,

@@ -135,6 +135,36 @@ func TestSessionMatchesAnalyze(t *testing.T) {
 	}
 }
 
+// TestConcurrentAnalysesOfOneTrace runs two analyses of one trace at once.
+// Each Analyze makes its own Session, so both prepare the trace; the packed
+// columns belong to each preparation, and the caller's trace is only read —
+// which -race checks here.
+func TestConcurrentAnalysesOfOneTrace(t *testing.T) {
+	tr := traceWorkload(t, "paropoly.nbody", 64)
+	var reps [2]*Report
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i], errs[i] = Analyze(tr, Defaults())
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("analysis %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(reps[0], reps[1]) {
+		t.Error("concurrent analyses of one trace disagree")
+	}
+	if tr.Cols != nil {
+		t.Error("analysis wrote the caller's trace columns")
+	}
+}
+
 // TestSessionRejectsZeroWarpSize mirrors Analyze's options validation.
 func TestSessionRejectsZeroWarpSize(t *testing.T) {
 	tr := traceWorkload(t, "rodinia.bfs", 8)

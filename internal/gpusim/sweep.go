@@ -19,22 +19,19 @@ type SweepPoint struct {
 // … evaluate alternative SIMT accelerator designs"). Points are labelled by
 // each configuration's Name. Configurations simulate concurrently (Run only
 // reads the shared kernel trace) into index-addressed slots, so the returned
-// points are in configuration order regardless of completion order.
+// points are in configuration order regardless of completion order, and a
+// failure is the first failing configuration's.
 func Sweep(kt *simtrace.KernelTrace, cfgs []Config) ([]SweepPoint, error) {
 	out := make([]SweepPoint, len(cfgs))
-	g := pool.New(0)
-	for i, cfg := range cfgs {
-		i, cfg := i, cfg
-		g.Go(func() error {
-			res, err := Run(kt, cfg)
-			if err != nil {
-				return fmt.Errorf("gpusim: sweep %s: %w", cfg.Name, err)
-			}
-			out[i] = SweepPoint{Label: cfg.Name, Config: cfg, Result: res}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if _, err := pool.ForEach(0, len(cfgs), func(_, i int) error {
+		cfg := cfgs[i]
+		res, err := Run(kt, cfg)
+		if err != nil {
+			return fmt.Errorf("gpusim: sweep %s: %w", cfg.Name, err)
+		}
+		out[i] = SweepPoint{Label: cfg.Name, Config: cfg, Result: res}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -1,8 +1,7 @@
-// Package pool provides a bounded, errgroup-style worker pool built only on
-// the standard library (sync.WaitGroup plus a channel semaphore). The
-// analyzer pipeline uses it to run independent workload×configuration cells
-// of an experiment concurrently while keeping the goroutine count bounded by
-// the machine's core count.
+// Package pool holds the repo's two concurrency primitives, built only on the
+// standard library: ForEach, the one data-parallel loop, which gives every
+// caller the result and the error of the serial loop, and Sem, the admission
+// primitive the analysis service layers on top.
 package pool
 
 import (
@@ -14,9 +13,9 @@ import (
 // MinParallelItems is the shared "not worth parallelizing" threshold: below
 // this many independent work items the fan-out overhead (goroutines,
 // per-worker state, cache traffic) exceeds what extra cores win back, so
-// callers should take their sequential path outright. Both the SIMT replay
-// worker pool (per warp) and the trace decoder (per thread section) resolve
-// their worker counts through Workers, which applies it.
+// callers should take their sequential path outright. SIMT replay (per
+// warp), the trace decoder (per thread section) and the analyzer's ingest
+// (per thread) resolve their worker counts through Workers, which applies it.
 const MinParallelItems = 8
 
 // Workers resolves an effective worker count for `items` independent work
@@ -41,32 +40,39 @@ func Workers(limit, items int) int {
 	return n
 }
 
-// ForEach runs fn(worker, item) for every item in [0, items), distributing
-// items over `workers` goroutines through an atomic claim counter — work
-// stealing, in contrast to Group's static submission order: a worker that
-// finishes its item early claims the next unclaimed one instead of idling,
-// so unevenly sized items cannot strand the pool behind one slow worker.
-// The worker index is stable per goroutine, letting callers keep per-worker
-// state (accumulators, scratch buffers) without locks. fn returning true
-// stops the whole loop: no further items are claimed by any worker, though
-// items already claimed still finish. ForEach returns when every claimed
-// item is done. With workers ≤ 1 it degenerates to a plain sequential loop.
-func ForEach(workers, items int, fn func(worker, item int) (stop bool)) {
+// ForEach runs fn(worker, item) for every item in [0, items) on up to
+// `workers` goroutines (≤ 0: one per core) and returns what the serial loop
+// would: (items, nil) when every call succeeds, otherwise the lowest failing
+// item and its error. Items are claimed through an atomic counter — work
+// stealing: a worker that finishes early claims the next unclaimed item, so
+// unevenly sized items cannot strand the pool behind one slow worker. A
+// failure stops new claims; claimed items still finish. Claims go out in
+// index order, so every item below a failing one was claimed and ran: the
+// lowest failure seen is exactly the one the serial loop meets first. The
+// worker index is stable per goroutine, letting callers keep per-worker
+// state (accumulators, scratch buffers) without locks. With one worker
+// ForEach is a plain loop in index order.
+func ForEach(workers, items int, fn func(worker, item int) error) (int, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > items {
 		workers = items
 	}
 	if workers <= 1 {
 		for i := 0; i < items; i++ {
-			if fn(0, i) {
-				return
+			if err := fn(0, i); err != nil {
+				return i, err
 			}
 		}
-		return
+		return items, nil
 	}
 	var next atomic.Int64
+	var mu sync.Mutex
+	failed, ferr := items, error(nil)
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for k := 0; k < workers; k++ {
-		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			for {
@@ -74,57 +80,18 @@ func ForEach(workers, items int, fn func(worker, item int) (stop bool)) {
 				if i >= items {
 					return
 				}
-				if fn(k, i) {
+				if err := fn(k, i); err != nil {
 					next.Store(int64(items))
+					mu.Lock()
+					if i < failed {
+						failed, ferr = i, err
+					}
+					mu.Unlock()
 					return
 				}
 			}
 		}(k)
 	}
 	wg.Wait()
-}
-
-// Group runs tasks concurrently, at most limit at a time, and retains the
-// first error. The zero value is not usable; call New.
-type Group struct {
-	sem     chan struct{}
-	wg      sync.WaitGroup
-	errOnce sync.Once
-	err     error
-}
-
-// New returns a Group that runs at most limit tasks concurrently. A limit
-// of 0 (or negative) uses runtime.GOMAXPROCS(0), the convention shared with
-// core.Options.Parallelism; a limit of 1 degenerates to serial execution in
-// submission order.
-func New(limit int) *Group {
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	return &Group{sem: make(chan struct{}, limit)}
-}
-
-// Go submits one task. It blocks while the group is at its concurrency
-// limit, so a producer loop is naturally throttled and never builds an
-// unbounded goroutine backlog. Tasks submitted after a failure still run;
-// callers that want early exit should check their own cancellation state.
-func (g *Group) Go(fn func() error) {
-	g.wg.Add(1)
-	g.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-g.sem
-			g.wg.Done()
-		}()
-		if err := fn(); err != nil {
-			g.errOnce.Do(func() { g.err = err })
-		}
-	}()
-}
-
-// Wait blocks until every submitted task has finished and returns the first
-// error any of them produced, if any.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	return g.err
+	return failed, ferr
 }

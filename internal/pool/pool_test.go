@@ -2,71 +2,104 @@ package pool
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunsEverySubmittedTask(t *testing.T) {
-	g := New(4)
 	var n atomic.Int64
-	for i := 0; i < 100; i++ {
-		g.Go(func() error {
-			n.Add(1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	done, err := ForEach(4, 100, func(_, _ int) error {
+		n.Add(1)
+		return nil
+	})
+	if done != 100 || err != nil {
+		t.Fatalf("ForEach = (%d, %v), want (100, nil)", done, err)
 	}
 	if n.Load() != 100 {
-		t.Fatalf("ran %d of 100 tasks", n.Load())
+		t.Fatalf("ran %d of 100 items", n.Load())
 	}
 }
 
 func TestConcurrencyBounded(t *testing.T) {
 	const limit = 3
-	g := New(limit)
 	var cur, peak atomic.Int64
 	var mu sync.Mutex
-	for i := 0; i < 50; i++ {
-		g.Go(func() error {
-			c := cur.Add(1)
-			mu.Lock()
-			if c > peak.Load() {
-				peak.Store(c)
-			}
-			mu.Unlock()
-			cur.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
+	_, err := ForEach(limit, 50, func(_, _ int) error {
+		c := cur.Add(1)
+		mu.Lock()
+		if c > peak.Load() {
+			peak.Store(c)
+		}
+		mu.Unlock()
+		cur.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("ForEach: %v", err)
 	}
 	if p := peak.Load(); p > limit {
-		t.Fatalf("observed %d concurrent tasks, limit %d", p, limit)
+		t.Fatalf("observed %d concurrent items, limit %d", p, limit)
 	}
 }
 
+// TestFirstErrorRetained pins the serial loop's error on both paths: the
+// lowest failing item wins, even when a higher item fails first.
 func TestFirstErrorRetained(t *testing.T) {
-	g := New(1) // serial: submission order == execution order
 	boom := errors.New("boom")
-	g.Go(func() error { return nil })
-	g.Go(func() error { return boom })
-	g.Go(func() error { return errors.New("later") })
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want first error %v", err, boom)
+	i, err := ForEach(1, 3, func(_, i int) error {
+		switch i {
+		case 1:
+			return boom
+		case 2:
+			return errors.New("later")
+		}
+		return nil
+	})
+	if i != 1 || !errors.Is(err, boom) {
+		t.Fatalf("serial ForEach = (%d, %v), want (1, %v)", i, err, boom)
+	}
+
+	// Parallel: item 2 blocks until item 5 has failed, then fails too. The
+	// higher failure lands first, yet ForEach reports item 2's.
+	fiveFailed := make(chan struct{})
+	i, err = ForEach(4, 100, func(_, i int) error {
+		switch i {
+		case 2:
+			<-fiveFailed
+			time.Sleep(10 * time.Millisecond) // let item 5's failure be recorded first
+			return fmt.Errorf("item %d", i)
+		case 5:
+			close(fiveFailed)
+			return fmt.Errorf("item %d", i)
+		}
+		return nil
+	})
+	if i != 2 || err == nil || err.Error() != "item 2" {
+		t.Fatalf("parallel ForEach = (%d, %v), want (2, item 2)", i, err)
 	}
 }
 
 func TestZeroLimitDefaultsToCores(t *testing.T) {
-	g := New(0)
-	done := false
-	g.Go(func() error { done = true; return nil })
-	if err := g.Wait(); err != nil || !done {
-		t.Fatalf("Wait = %v, done = %v", err, done)
+	cores := runtime.GOMAXPROCS(0)
+	var mu sync.Mutex
+	seen := make(map[int]bool)
+	done, err := ForEach(0, 10*cores, func(w, _ int) error {
+		mu.Lock()
+		seen[w] = true
+		mu.Unlock()
+		return nil
+	})
+	if done != 10*cores || err != nil {
+		t.Fatalf("ForEach = (%d, %v), want (%d, nil)", done, err, 10*cores)
+	}
+	for w := range seen {
+		if w < 0 || w >= cores {
+			t.Fatalf("worker id %d outside [0, %d)", w, cores)
+		}
 	}
 }
 
@@ -105,13 +138,15 @@ func TestForEachVisitsEveryItemOnce(t *testing.T) {
 		var visits [items]atomic.Int64
 		workerSeen := make(map[int]bool)
 		var mu sync.Mutex
-		ForEach(workers, items, func(w, i int) bool {
+		if done, err := ForEach(workers, items, func(w, i int) error {
 			visits[i].Add(1)
 			mu.Lock()
 			workerSeen[w] = true
 			mu.Unlock()
-			return false
-		})
+			return nil
+		}); done != items || err != nil {
+			t.Fatalf("workers=%d: ForEach = (%d, %v), want (%d, nil)", workers, done, err, items)
+		}
 		for i := range visits {
 			if n := visits[i].Load(); n != 1 {
 				t.Fatalf("workers=%d: item %d visited %d times", workers, i, n)
@@ -119,7 +154,7 @@ func TestForEachVisitsEveryItemOnce(t *testing.T) {
 		}
 		max := workers
 		if max < 1 {
-			max = 1
+			max = runtime.GOMAXPROCS(0)
 		}
 		if len(workerSeen) > max {
 			t.Fatalf("workers=%d: %d distinct worker ids", workers, len(workerSeen))
@@ -133,23 +168,33 @@ func TestForEachVisitsEveryItemOnce(t *testing.T) {
 }
 
 func TestForEachStopsOnTrue(t *testing.T) {
-	// Serial path: stop after item 10, items 11+ never run.
+	stop := errors.New("stop")
+	// Serial path: item 10 fails, items 11+ never run.
 	var ran atomic.Int64
-	ForEach(1, 100, func(_, i int) bool {
+	i, err := ForEach(1, 100, func(_, i int) error {
 		ran.Add(1)
-		return i == 10
+		if i == 10 {
+			return stop
+		}
+		return nil
 	})
-	if ran.Load() != 11 {
-		t.Fatalf("serial ForEach ran %d items after stop at 10, want 11", ran.Load())
+	if ran.Load() != 11 || i != 10 || err != stop {
+		t.Fatalf("serial ForEach ran %d items and returned (%d, %v), want 11 and (10, stop)", ran.Load(), i, err)
 	}
-	// Parallel path: no NEW items are claimed after a stop; already-claimed
-	// ones may finish, so the bound is ran <= stop-point + workers.
+	// Parallel path: no NEW items are claimed after a failure; already-
+	// claimed ones may finish, so the bound is ran <= stop-point + workers.
 	const workers = 4
 	ran.Store(0)
-	ForEach(workers, 10_000, func(_, i int) bool {
-		return ran.Add(1) >= 50
+	i, err = ForEach(workers, 10_000, func(_, _ int) error {
+		if ran.Add(1) >= 50 {
+			return stop
+		}
+		return nil
 	})
 	if n := ran.Load(); n < 50 || n > 50+workers {
 		t.Fatalf("parallel ForEach ran %d items, want within [50, %d]", n, 50+workers)
+	}
+	if i >= 10_000 || err != stop {
+		t.Fatalf("parallel ForEach = (%d, %v), want a failing item and stop", i, err)
 	}
 }

@@ -3,7 +3,7 @@ package pool
 import "context"
 
 // Sem is a counting semaphore with non-blocking and context-aware acquire
-// paths. The Group above throttles homogeneous task fan-out; Sem is the
+// paths. ForEach runs a fixed set of items to completion; Sem is the
 // admission-control primitive the analysis service layers on top: engine
 // slots, the bounded admission queue, and per-tenant concurrency budgets are
 // all Sems, differing only in capacity and in whether exhaustion sheds

@@ -39,21 +39,16 @@ func Fig7(s Scale) (*Fig7Data, error) {
 		return nil, err
 	}
 	// The original and fixed variants are independent analyses.
-	var rep, frep *core.Report
-	g := s.pool()
-	g.Go(func() error {
+	variants := []*workloads.Workload{w, fw}
+	reps := make([]*core.Report, len(variants))
+	if err := s.each(len(variants), func(i int) error {
 		var err error
-		rep, _, _, err = analyze(w, s, 32, false)
+		reps[i], _, _, err = analyze(variants[i], s, 32, false)
 		return err
-	})
-	g.Go(func() error {
-		var err error
-		frep, _, _, err = analyze(fw, s, 32, false)
-		return err
-	})
-	if err := g.Wait(); err != nil {
+	}); err != nil {
 		return nil, err
 	}
+	rep, frep := reps[0], reps[1]
 	d := &Fig7Data{OriginalEff: rep.Efficiency, FixedEff: frep.Efficiency}
 	for _, f := range rep.PerFunction {
 		d.Funcs = append(d.Funcs, Fig7Func{Name: f.Name, InstrShare: f.InstrShare, Efficiency: f.Efficiency})
@@ -97,29 +92,25 @@ func Fig8(s Scale) (*Fig8Data, error) {
 	ws := workloads.Microservices()
 	d := &Fig8Data{Rows: make([]Fig8Row, len(ws))}
 	fracs := make([]float64, len(ws))
-	g := s.pool()
-	for i, w := range ws {
-		i, w := i, w
-		g.Go(func() error {
-			rep, _, _, err := analyze(w, s, 32, false)
-			if err != nil {
-				return err
-			}
-			total := float64(rep.TotalInstrs + rep.SkippedIO + rep.SkippedSpin)
-			row := Fig8Row{
-				Workload:  w.Name,
-				TracedPct: rep.TracedPercent,
-			}
-			if total > 0 {
-				row.IOPct = 100 * float64(rep.SkippedIO) / total
-				row.SpinPct = 100 * float64(rep.SkippedSpin) / total
-			}
-			fracs[i] = rep.TracedPercent / 100
-			d.Rows[i] = row
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if err := s.each(len(ws), func(i int) error {
+		w := ws[i]
+		rep, _, _, err := analyze(w, s, 32, false)
+		if err != nil {
+			return err
+		}
+		total := float64(rep.TotalInstrs + rep.SkippedIO + rep.SkippedSpin)
+		row := Fig8Row{
+			Workload:  w.Name,
+			TracedPct: rep.TracedPercent,
+		}
+		if total > 0 {
+			row.IOPct = 100 * float64(rep.SkippedIO) / total
+			row.SpinPct = 100 * float64(rep.SkippedSpin) / total
+		}
+		fracs[i] = rep.TracedPercent / 100
+		d.Rows[i] = row
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	// fracs is index-addressed, so the geometric mean sees the same
@@ -161,39 +152,35 @@ type Fig9Data struct {
 func Fig9(s Scale) (*Fig9Data, error) {
 	ws := workloads.Microservices()
 	d := &Fig9Data{Rows: make([]Fig9Row, len(ws))}
-	g := s.pool()
-	for i, w := range ws {
-		i, w := i, w
-		g.Go(func() error {
-			// Trace once; a session shares the DCFG/IPDOM products and warp
-			// formation between the fine-grain and lock-emulated analyses,
-			// which differ only in replay options.
-			inst, err := w.Instantiate(s.config(w))
-			if err != nil {
-				return err
-			}
-			tr, err := inst.Trace()
-			if err != nil {
-				return err
-			}
-			sess := s.session()
-			base, err := sess.Analyze(tr, s.options(32, false))
-			if err != nil {
-				return err
-			}
-			emu, err := sess.Analyze(tr, s.options(32, true))
-			if err != nil {
-				return err
-			}
-			d.Rows[i] = Fig9Row{
-				Workload:     w.Name,
-				EffFineGrain: base.Efficiency,
-				EffEmulated:  emu.Efficiency,
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if err := s.each(len(ws), func(i int) error {
+		w := ws[i]
+		// Trace once; a session shares the DCFG/IPDOM products and warp
+		// formation between the fine-grain and lock-emulated analyses,
+		// which differ only in replay options.
+		inst, err := w.Instantiate(s.config(w))
+		if err != nil {
+			return err
+		}
+		tr, err := inst.Trace()
+		if err != nil {
+			return err
+		}
+		sess := s.session()
+		base, err := sess.Analyze(tr, s.options(32, false))
+		if err != nil {
+			return err
+		}
+		emu, err := sess.Analyze(tr, s.options(32, true))
+		if err != nil {
+			return err
+		}
+		d.Rows[i] = Fig9Row{
+			Workload:     w.Name,
+			EffFineGrain: base.Efficiency,
+			EffEmulated:  emu.Efficiency,
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -227,23 +214,19 @@ type Fig10Data struct {
 func Fig10(s Scale) (*Fig10Data, error) {
 	ws := workloads.Microservices()
 	d := &Fig10Data{Rows: make([]Fig10Row, len(ws))}
-	g := s.pool()
-	for i, w := range ws {
-		i, w := i, w
-		g.Go(func() error {
-			rep, _, _, err := analyze(w, s, 32, false)
-			if err != nil {
-				return err
-			}
-			d.Rows[i] = Fig10Row{
-				Workload:   w.Name,
-				HeapTxPer:  rep.HeapTxPerInstr,
-				StackTxPer: rep.StackTxPerInstr,
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if err := s.each(len(ws), func(i int) error {
+		w := ws[i]
+		rep, _, _, err := analyze(w, s, 32, false)
+		if err != nil {
+			return err
+		}
+		d.Rows[i] = Fig10Row{
+			Workload:   w.Name,
+			HeapTxPer:  rep.HeapTxPerInstr,
+			StackTxPer: rep.StackTxPerInstr,
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return d, nil

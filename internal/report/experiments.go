@@ -54,9 +54,12 @@ func (s Scale) options(warpSize int, locks bool) core.Options {
 	return opts
 }
 
-// pool returns the bounded worker pool experiments fan their cells over.
-func (s Scale) pool() *pool.Group {
-	return pool.New(s.Parallel)
+// each runs an experiment's n independent cells on at most s.Parallel
+// workers. Cells write index-addressed slots; a failure is the first failing
+// cell's in index order, as in a serial loop.
+func (s Scale) each(n int, cell func(i int) error) error {
+	_, err := pool.ForEach(s.Parallel, n, func(_, i int) error { return cell(i) })
+	return err
 }
 
 // analyze traces and analyzes one workload.
@@ -103,39 +106,35 @@ type Fig1Data struct {
 func Fig1(s Scale) (*Fig1Data, error) {
 	ws := workloads.TableI()
 	d := &Fig1Data{Rows: make([]Fig1Row, len(ws))}
-	g := s.pool()
-	for i, w := range ws {
-		i, w := i, w
-		g.Go(func() error {
-			row := Fig1Row{Workload: w.Name, Suite: w.Suite}
-			inst, err := w.Instantiate(s.config(w))
+	if err := s.each(len(ws), func(i int) error {
+		w := ws[i]
+		row := Fig1Row{Workload: w.Name, Suite: w.Suite}
+		inst, err := w.Instantiate(s.config(w))
+		if err != nil {
+			return err
+		}
+		tr, err := inst.Trace()
+		if err != nil {
+			return err
+		}
+		sess := s.session()
+		for _, width := range []int{8, 16, 32} {
+			rep, err := sess.Analyze(tr, s.options(width, false))
 			if err != nil {
 				return err
 			}
-			tr, err := inst.Trace()
-			if err != nil {
-				return err
+			switch width {
+			case 8:
+				row.Eff8 = rep.Efficiency
+			case 16:
+				row.Eff16 = rep.Efficiency
+			case 32:
+				row.Eff32 = rep.Efficiency
 			}
-			sess := s.session()
-			for _, width := range []int{8, 16, 32} {
-				rep, err := sess.Analyze(tr, s.options(width, false))
-				if err != nil {
-					return err
-				}
-				switch width {
-				case 8:
-					row.Eff8 = rep.Efficiency
-				case 16:
-					row.Eff16 = rep.Efficiency
-				case 32:
-					row.Eff32 = rep.Efficiency
-				}
-			}
-			d.Rows[i] = row
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+		}
+		d.Rows[i] = row
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -266,46 +265,42 @@ func fig5(s Scale, metric string, pred func(*core.Report) float64, ref func(*hwM
 	// see samples in exactly the serial order.
 	ws := workloads.Correlation()
 	cells := make([][]Fig5Point, len(ws))
-	g := s.pool()
-	for i, w := range ws {
-		i, w := i, w
-		g.Go(func() error {
-			inst, err := w.Instantiate(s.config(w))
+	if err := s.each(len(ws), func(i int) error {
+		w := ws[i]
+		inst, err := w.Instantiate(s.config(w))
+		if err != nil {
+			return err
+		}
+		// Hardware oracle: lockstep execution of the nvcc-like build.
+		hwInst := inst.WithProgram(opt.HardwareBuild(inst.Prog))
+		hwRes, err := hwInst.RunHardware(32, nil)
+		if err != nil {
+			return fmt.Errorf("report: %s oracle: %w", w.Name, err)
+		}
+		hw := &hwMeasurement{
+			efficiency: hwRes.Efficiency(),
+			heapTx:     hwRes.Total().HeapTx,
+		}
+		pts := make([]Fig5Point, 0, len(opt.Levels))
+		for _, lvl := range opt.Levels {
+			tr, err := inst.WithProgram(opt.Apply(inst.Prog, lvl)).Trace()
 			if err != nil {
 				return err
 			}
-			// Hardware oracle: lockstep execution of the nvcc-like build.
-			hwInst := inst.WithProgram(opt.HardwareBuild(inst.Prog))
-			hwRes, err := hwInst.RunHardware(32, nil)
+			rep, _, err := core.AnalyzeCached(s.Cache, tr, s.options(32, false))
 			if err != nil {
-				return fmt.Errorf("report: %s oracle: %w", w.Name, err)
+				return err
 			}
-			hw := &hwMeasurement{
-				efficiency: hwRes.Efficiency(),
-				heapTx:     hwRes.Total().HeapTx,
-			}
-			pts := make([]Fig5Point, 0, len(opt.Levels))
-			for _, lvl := range opt.Levels {
-				tr, err := inst.WithProgram(opt.Apply(inst.Prog, lvl)).Trace()
-				if err != nil {
-					return err
-				}
-				rep, _, err := core.AnalyzeCached(s.Cache, tr, s.options(32, false))
-				if err != nil {
-					return err
-				}
-				pts = append(pts, Fig5Point{
-					Workload:  w.Name,
-					Level:     lvl,
-					Predicted: pred(rep),
-					Hardware:  ref(hw),
-				})
-			}
-			cells[i] = pts
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+			pts = append(pts, Fig5Point{
+				Workload:  w.Name,
+				Level:     lvl,
+				Predicted: pred(rep),
+				Hardware:  ref(hw),
+			})
+		}
+		cells[i] = pts
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	for _, pts := range cells {
@@ -416,61 +411,57 @@ func Fig6(s Scale) (*Fig6Data, error) {
 	ws := workloads.TableI()
 	d := &Fig6Data{Rows: make([]Fig6Row, len(ws))}
 	natives := make([]uint64, len(ws)) // native-path GPU cycles, GPU twins only
-	g := s.pool()
-	for i, w := range ws {
-		i, w := i, w
-		g.Go(func() error {
-			inst, err := w.Instantiate(s.config(w))
+	if err := s.each(len(ws), func(i int) error {
+		w := ws[i]
+		inst, err := w.Instantiate(s.config(w))
+		if err != nil {
+			return err
+		}
+		cpuInst := inst.WithProgram(opt.Apply(inst.Prog, opt.O3))
+		tr, err := cpuInst.Trace()
+		if err != nil {
+			return err
+		}
+		kt, err := simtrace.Generate(cpuInst.Prog, tr, 32)
+		if err != nil {
+			return err
+		}
+		gr, err := gpusim.Run(kt, gcfg)
+		if err != nil {
+			return fmt.Errorf("report: %s gpusim: %w", w.Name, err)
+		}
+		c, err := cpusim.Run(tr, ccfg)
+		if err != nil {
+			return err
+		}
+		row := Fig6Row{
+			Workload:  w.Name,
+			GPUCycles: gr.Cycles,
+			CPUCycles: c.Cycles,
+			TFSpeedup: float64(c.Cycles) / float64(gr.Cycles),
+		}
+		if w.HasGPUImpl {
+			// Native path: lockstep-collected ("nvbit") trace of the
+			// nvcc-like hardware build.
+			hwInst := inst.WithProgram(opt.HardwareBuild(inst.Prog))
+			p2, args2, err := hwInst.NewProcess()
 			if err != nil {
 				return err
 			}
-			cpuInst := inst.WithProgram(opt.Apply(inst.Prog, opt.O3))
-			tr, err := cpuInst.Trace()
+			nkt, err := simtrace.FromHardware(p2, hwInst.Threads(), 32, args2)
 			if err != nil {
 				return err
 			}
-			kt, err := simtrace.Generate(cpuInst.Prog, tr, 32)
+			ng, err := gpusim.Run(nkt, gcfg)
 			if err != nil {
 				return err
 			}
-			gr, err := gpusim.Run(kt, gcfg)
-			if err != nil {
-				return fmt.Errorf("report: %s gpusim: %w", w.Name, err)
-			}
-			c, err := cpusim.Run(tr, ccfg)
-			if err != nil {
-				return err
-			}
-			row := Fig6Row{
-				Workload:  w.Name,
-				GPUCycles: gr.Cycles,
-				CPUCycles: c.Cycles,
-				TFSpeedup: float64(c.Cycles) / float64(gr.Cycles),
-			}
-			if w.HasGPUImpl {
-				// Native path: lockstep-collected ("nvbit") trace of the
-				// nvcc-like hardware build.
-				hwInst := inst.WithProgram(opt.HardwareBuild(inst.Prog))
-				p2, args2, err := hwInst.NewProcess()
-				if err != nil {
-					return err
-				}
-				nkt, err := simtrace.FromHardware(p2, hwInst.Threads(), 32, args2)
-				if err != nil {
-					return err
-				}
-				ng, err := gpusim.Run(nkt, gcfg)
-				if err != nil {
-					return err
-				}
-				row.CUDASpeedup = float64(c.Cycles) / float64(ng.Cycles)
-				natives[i] = ng.Cycles
-			}
-			d.Rows[i] = row
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+			row.CUDASpeedup = float64(c.Cycles) / float64(ng.Cycles)
+			natives[i] = ng.Cycles
+		}
+		d.Rows[i] = row
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	for i, w := range ws {

@@ -51,46 +51,42 @@ func Ext1(s Scale) (*Ext1Data, error) {
 	// instructions stay nil and are compacted afterwards, preserving the
 	// serial path's skip-empty behaviour and ordering.
 	rows := make([]*Ext1Row, len(extWorkloads))
-	g := s.pool()
-	for i, name := range extWorkloads {
-		i, name := i, name
-		g.Go(func() error {
-			w, err := workloads.ByName(name)
-			if err != nil {
-				return err
-			}
-			rep, _, _, err := analyze(w, s, 32, false)
-			if err != nil {
-				return err
-			}
-			var total, full, single, cum uint64
-			for _, v := range rep.LaneHistogram {
-				total += v
-			}
-			if total == 0 {
-				return nil
-			}
-			full = rep.LaneHistogram[len(rep.LaneHistogram)-1]
-			single = rep.LaneHistogram[1]
-			median := 0
-			for k, v := range rep.LaneHistogram {
-				cum += v
-				if cum >= total/2 {
-					median = k
-					break
-				}
-			}
-			rows[i] = &Ext1Row{
-				Workload:    name,
-				Efficiency:  rep.Efficiency,
-				FullPct:     100 * float64(full) / float64(total),
-				SinglePct:   100 * float64(single) / float64(total),
-				MedianLanes: median,
-			}
+	if err := s.each(len(extWorkloads), func(i int) error {
+		name := extWorkloads[i]
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return err
+		}
+		rep, _, _, err := analyze(w, s, 32, false)
+		if err != nil {
+			return err
+		}
+		var total, full, single, cum uint64
+		for _, v := range rep.LaneHistogram {
+			total += v
+		}
+		if total == 0 {
 			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+		}
+		full = rep.LaneHistogram[len(rep.LaneHistogram)-1]
+		single = rep.LaneHistogram[1]
+		median := 0
+		for k, v := range rep.LaneHistogram {
+			cum += v
+			if cum >= total/2 {
+				median = k
+				break
+			}
+		}
+		rows[i] = &Ext1Row{
+			Workload:    name,
+			Efficiency:  rep.Efficiency,
+			FullPct:     100 * float64(full) / float64(total),
+			SinglePct:   100 * float64(single) / float64(total),
+			MedianLanes: median,
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	for _, r := range rows {
@@ -139,43 +135,39 @@ func Ext2(s Scale) (*Ext2Data, error) {
 		d.SMCounts = append(d.SMCounts, c.NumSMs)
 	}
 	d.Rows = make([]Ext2Row, len(extWorkloads))
-	g := s.pool()
-	for i, name := range extWorkloads {
-		i, name := i, name
-		g.Go(func() error {
-			w, err := workloads.ByName(name)
-			if err != nil {
-				return err
-			}
-			cfg := s.config(w)
-			if cfg.Threads == 0 {
-				cfg.Threads = 256 // enough warps to make scaling meaningful
-			}
-			inst, err := w.Instantiate(cfg)
-			if err != nil {
-				return err
-			}
-			tr, err := inst.Trace()
-			if err != nil {
-				return err
-			}
-			kt, err := simtrace.Generate(inst.Prog, tr, 32)
-			if err != nil {
-				return err
-			}
-			points, err := gpusim.Sweep(kt, cfgs)
-			if err != nil {
-				return err
-			}
-			row := Ext2Row{Workload: name, Cycles: map[int]uint64{}}
-			for _, pt := range points {
-				row.Cycles[pt.Config.NumSMs] = pt.Result.Cycles
-			}
-			d.Rows[i] = row
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if err := s.each(len(extWorkloads), func(i int) error {
+		name := extWorkloads[i]
+		w, err := workloads.ByName(name)
+		if err != nil {
+			return err
+		}
+		cfg := s.config(w)
+		if cfg.Threads == 0 {
+			cfg.Threads = 256 // enough warps to make scaling meaningful
+		}
+		inst, err := w.Instantiate(cfg)
+		if err != nil {
+			return err
+		}
+		tr, err := inst.Trace()
+		if err != nil {
+			return err
+		}
+		kt, err := simtrace.Generate(inst.Prog, tr, 32)
+		if err != nil {
+			return err
+		}
+		points, err := gpusim.Sweep(kt, cfgs)
+		if err != nil {
+			return err
+		}
+		row := Ext2Row{Workload: name, Cycles: map[int]uint64{}}
+		for _, pt := range points {
+			row.Cycles[pt.Config.NumSMs] = pt.Result.Cycles
+		}
+		d.Rows[i] = row
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return d, nil

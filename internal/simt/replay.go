@@ -360,39 +360,22 @@ func Replay(t *trace.Trace, graphs map[uint32]*cfg.DCFG, pdoms map[uint32]*ipdom
 	// statically dealt long one, so skewed warp sizes cannot flatten the
 	// parallel speedup. The claim order cannot leak into the result: each
 	// warp writes an exclusive Result slot, and every accumulator field is a
-	// commutative sum merged afterwards. At one worker pool.ForEach is a
-	// plain loop in warp order.
+	// commutative sum merged afterwards. pool.ForEach returns the failure of
+	// the lowest-numbered failing warp, the one a serial loop meets first;
+	// at one worker it is a plain loop in warp order.
 	accs := make([]*accumulator, nw)
-	errWarp := make([]int, nw)
-	errs := make([]error, nw)
 	wrs := make([]*warpReplay, nw)
 	for k := 0; k < nw; k++ {
 		accs[k] = newAccumulator(t, lay)
 		wrs[k] = newWarpReplay(graphs, pdoms, opts, accs[k], cols)
-		errWarp[k] = -1
 	}
-	pool.ForEach(nw, len(warps), func(k, wi int) bool {
+	if _, err := pool.ForEach(nw, len(warps), func(k, wi int) error {
 		if err := cancelErr(opts.Context); err != nil {
-			errWarp[k], errs[k] = wi, err
-			return true
+			return err
 		}
-		if err := safeReplay(wrs[k], wi, warps[wi], &res.Warps[wi]); err != nil {
-			errWarp[k], errs[k] = wi, err
-			return true
-		}
-		return false
-	})
-	// Surface the failure of the lowest-numbered warp that hit one: a
-	// worker stops claiming at its first failure, and every lower warp was
-	// claimed before it, so that is the failure a serial loop meets first.
-	first := -1
-	for k := 0; k < nw; k++ {
-		if errs[k] != nil && (first == -1 || errWarp[k] < errWarp[first]) {
-			first = k
-		}
-	}
-	if first >= 0 {
-		return nil, errs[first]
+		return safeReplay(wrs[k], wi, warps[wi], &res.Warps[wi])
+	}); err != nil {
+		return nil, err
 	}
 	for _, acc := range accs {
 		acc.mergeInto(res)

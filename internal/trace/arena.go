@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"threadfuser/internal/pool"
 )
@@ -266,9 +265,8 @@ func DecodeStrictBytes(data []byte, parallelism int) (*Trace, error) {
 
 // fill sizes the arena's tables once from the index's per-section counts and
 // decodes every section into its disjoint sub-range of them, distributing
-// sections over pool.Workers(workers, len(index)) goroutines. Among the
-// sections that ran, the first failing one in index order supplies the
-// error.
+// sections over pool.Workers(workers, len(index)) goroutines. The first
+// failing section in index order supplies the error.
 func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error) {
 	n := len(index)
 	for _, en := range index {
@@ -291,23 +289,12 @@ func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error
 	a.Mem = make([]MemAccess, nmem)
 	a.Locks = make([]LockOp, nlock)
 
-	var mu sync.Mutex
-	failed, ferr := n, error(nil)
-	pool.ForEach(pool.Workers(workers, n), n, func(_, i int) bool {
+	_, err := pool.ForEach(pool.Workers(workers, n), n, func(_, i int) error {
 		en, sp := index[i], &a.Spans[i]
-		err := fillSection(data[en.off:en.off+en.len], en, raw, i,
+		return fillSection(data[en.off:en.off+en.len], en, raw, i,
 			a.Records[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
-		if err == nil {
-			return false
-		}
-		mu.Lock()
-		if i < failed {
-			failed, ferr = i, err
-		}
-		mu.Unlock()
-		return true
 	})
-	return a, ferr
+	return a, err
 }
 
 // checkWidths refuses a section whose access or lock op count does not fit

@@ -102,7 +102,7 @@ func BuildCols(t *Trace) *Cols {
 
 // NewCols returns an empty column view with room for n threads, for callers
 // that fill thread slots out of order via SetThread — the analyzer's ingest
-// builds each thread's columns inside the worker that just validated it,
+// packs each thread's control words in the worker that just validated it,
 // while the thread is still cache-hot.
 func NewCols(n int) *Cols {
 	return &Cols{Ctl: make([][]uint64, n)}

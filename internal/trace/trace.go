@@ -248,9 +248,12 @@ type Trace struct {
 	Funcs   []FuncInfo
 	Threads []*ThreadTrace
 
-	// Cols caches the control-word column replay's fusion fast path walks (see
-	// cols.go). It is derived state — never serialized, never compared —
-	// populated by the analyzer's ingest and invalidated by mutating Records.
+	// Cols optionally carries the control-word column replay's fusion fast
+	// path walks (see cols.go). It is derived state — never serialized, never
+	// compared — and invalidated by mutating Records. A caller that replays
+	// one trace directly many times may set it once; simt.Replay derives the
+	// columns when it is nil. Package core never writes it: its ingest keeps
+	// the columns in its own preparation.
 	Cols *Cols `json:"-"`
 }
 
@@ -296,9 +299,9 @@ func (t *Trace) Validate() error {
 }
 
 // ValidateThread checks one thread's records against the trace's symbol
-// table. Threads validate independently, which is what lets the streaming
-// analyzer pipeline validation into the per-section decode workers instead
-// of paying a separate whole-trace pass.
+// table. Threads validate independently, so the analyzer's ingest checks
+// them in parallel, packing each thread's control words while it is
+// cache-hot.
 func (t *Trace) ValidateThread(th *ThreadTrace) error {
 	depth := 0
 	for i := range th.Records {

@@ -8,9 +8,10 @@
 # figure. bench_test.go builds the fixtures and says what each row times.
 # Replay throughput is millions of traced instructions per second
 # (minstr_per_s), and a replay row's fusion_speedup is the stepped engine's
-# replay time over the fused one's; every other row's mb_per_s is file bytes
-# per second. A *_parallel row's speedup_vs_serial is its *_serial row's
-# ns/op over its own.
+# replay time over the fused one's; the prepare row's ms_per_op is one
+# ingest preparation's time; every other row's mb_per_s is file bytes per
+# second. A *_parallel row's speedup_vs_serial is its *_serial row's ns/op
+# over its own.
 #
 # A baseline limit max_<field> or min_<field> bounds the row's <field>. The
 # script fails when a row is missing from the sweep, when a row has no
@@ -18,7 +19,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-rows='ReplaySerial ReplayParallel DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest CanonicalDigest CanonicalDigestV1 EncodeV3'
+rows='ReplaySerial ReplayParallel Prepare DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel TraceDigest CanonicalDigest CanonicalDigestV1 EncodeV3'
 
 raw=$(go test -run '^$' -bench "^Benchmark($(echo $rows | tr ' ' '|'))\$" -benchmem -count 3 .) || {
 	echo "$raw"
@@ -62,8 +63,8 @@ BEGIN {
 	}
 	close(baseline)
 	unit["ns/op"] = "ns_per_op"; unit["B/op"] = "bytes_per_op"; unit["allocs/op"] = "allocs_per_op"
-	unit["fusion_speedup"] = "fusion_speedup"
-	nf = split("ns_per_op minstr_per_s mb_per_s fusion_speedup bytes_per_op allocs_per_op", fields, " ")
+	unit["fusion_speedup"] = "fusion_speedup"; unit["ms/op"] = "ms_per_op"
+	nf = split("ns_per_op ms_per_op minstr_per_s mb_per_s fusion_speedup bytes_per_op allocs_per_op", fields, " ")
 }
 /^Benchmark/ {
 	name = $1
