@@ -11,7 +11,7 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-check the packages that run on pool.ForEach or pool.Sem: the
+# Race-check the packages that run on pool.ForEach, pool.Memo or pool.Sem: the
 # per-warp replay workers (including the fusion A/B equivalence suite in
 # internal/simt), the parallel thread validation and the concurrent
 # analyses of one trace in internal/core, the parallel section fill in

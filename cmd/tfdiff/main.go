@@ -93,8 +93,9 @@ func analyzeFile(path string, opts core.Options, cache *core.Cache, server, tena
 	if err != nil {
 		return nil, err
 	}
-	rep, _, err := core.AnalyzeCached(cache, tr, opts)
-	return rep, err
+	sess := core.NewSession()
+	sess.SetCache(cache)
+	return sess.Analyze(tr, opts)
 }
 
 // writeDiff renders the full comparison: headline metric deltas, then the

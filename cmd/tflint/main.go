@@ -76,7 +76,6 @@ func main() {
 	opts := analysis.Options{
 		WarpSize:    *warpSize,
 		Parallelism: *parallel,
-		Cache:       core.OpenFlagCache(*useCache, *cacheDir),
 	}
 	if opts.Formation, err = warp.ParseFormation(*formation); err != nil {
 		fmt.Fprintf(os.Stderr, "tflint: unknown formation %q\n", *formation)
@@ -122,6 +121,7 @@ func main() {
 		// One session shares memoized trace preparation across inputs that
 		// reuse a trace; each input's lint runs independently on the pool.
 		sess := core.NewSession()
+		sess.SetCache(core.OpenFlagCache(*useCache, *cacheDir))
 		pool.ForEach(*parallel, len(inputs), func(_, i int) error {
 			tr, prog, err := inputs[i].Load()
 			if err != nil {

@@ -27,6 +27,7 @@ import (
 	"threadfuser/internal/core"
 	"threadfuser/internal/ipdom"
 	"threadfuser/internal/ir"
+	"threadfuser/internal/pool"
 	"threadfuser/internal/simt"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
@@ -171,10 +172,6 @@ type Options struct {
 	// passes (static-oracle-vs-replay comparison). Nil disables them:
 	// trace-only inputs have no IR to analyze.
 	Prog *ir.Program
-	// Cache, if set, is attached to the run's session: replay reports the
-	// passes request are served from it when present and stored after
-	// computation. Findings are unaffected — only replay time is.
-	Cache *core.Cache
 	// Context, if non-nil, cancels the replays the passes request; the
 	// analysis service threads request timeouts through it. Findings of a
 	// run that completes are unaffected.
@@ -191,12 +188,11 @@ type Context struct {
 	PDoms  map[uint32]*ipdom.PostDom
 	Opts   Options
 
-	sess     *core.Session
+	sess    *core.Session
+	reports pool.Memo[bool, *core.Report] // keyed by lock emulation
+	// mu guards findings and funcIDs.
 	mu       sync.Mutex
 	findings []Finding
-	reports  [2]*core.Report
-	repErr   [2]error
-	repDone  [2]bool
 	funcIDs  map[string]uint32
 }
 
@@ -210,23 +206,15 @@ func (c *Context) add(f Finding) {
 // Report returns the trace's replay report with or without lock emulation,
 // memoized so the two replays happen at most once across all passes.
 func (c *Context) Report(emulateLocks bool) (*core.Report, error) {
-	idx := 0
-	if emulateLocks {
-		idx = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.repDone[idx] {
+	return c.reports.Get(emulateLocks, func() (*core.Report, error) {
 		opts := core.Defaults()
 		opts.WarpSize = c.Opts.WarpSize
 		opts.Formation = c.Opts.Formation
 		opts.Parallelism = c.Opts.Parallelism
 		opts.EmulateLocks = emulateLocks
 		opts.Context = c.Opts.Context
-		c.reports[idx], c.repErr[idx] = c.sess.Analyze(c.Trace, opts)
-		c.repDone[idx] = true
-	}
-	return c.reports[idx], c.repErr[idx]
+		return c.sess.Analyze(c.Trace, opts)
+	})
 }
 
 // funcID resolves a function name back to its symbol-table id (first
@@ -295,7 +283,9 @@ func Run(t *trace.Trace, opts Options) (*Report, error) {
 }
 
 // RunSession lints one trace, reusing the session's memoized preparation
-// and warp formations. The returned error covers only engine misuse (bad
+// and warp formations; the replays the passes request go through the report
+// cache attached to the session, if any (Session.SetCache), which findings
+// never depend on. The returned error covers only engine misuse (bad
 // options); problems with the trace itself become findings.
 func RunSession(sess *core.Session, t *trace.Trace, opts Options) (*Report, error) {
 	if opts.WarpSize == 0 {
@@ -304,7 +294,6 @@ func RunSession(sess *core.Session, t *trace.Trace, opts Options) (*Report, erro
 	if opts.WarpSize < 1 || opts.WarpSize > simt.MaxWarpSize {
 		return nil, fmt.Errorf("analysis: warp size %d out of range 1..%d", opts.WarpSize, simt.MaxWarpSize)
 	}
-	sess.SetCache(opts.Cache)
 	all := Passes()
 	selected := make(map[string]bool, len(all))
 	if len(opts.Passes) == 0 {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"threadfuser/internal/analysis"
+	"threadfuser/internal/core"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/workloads"
 )
@@ -144,6 +145,25 @@ func TestFindingsDeterministicAcrossParallelism(t *testing.T) {
 				t.Errorf("%s: report differs between parallelism 1 and %d", name, par)
 			}
 		}
+	}
+}
+
+// TestRunSessionKeepsSessionCache: a lint run with zero Options uses the
+// report cache attached to the caller's session and leaves it attached, so
+// a later analysis on that session hits the entry the lint stored.
+func TestRunSessionKeepsSessionCache(t *testing.T) {
+	tr := traceFor(t, "vectoradd")
+	sess := core.NewSession()
+	sess.SetCache(core.NewCache(t.TempDir()))
+	if _, err := analysis.RunSession(sess, tr, analysis.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	_, hit, err := sess.AnalyzeCached(tr, core.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit {
+		t.Error("analysis after a lint run missed the session's cache (hit=false)")
 	}
 }
 

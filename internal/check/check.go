@@ -24,6 +24,7 @@ import (
 
 	"threadfuser/internal/core"
 	"threadfuser/internal/ir"
+	"threadfuser/internal/pool"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
 )
@@ -190,8 +191,7 @@ type ctx struct {
 	// overridden, and always supplies the trace's DCFGs.
 	sess    *core.Session
 	analyze AnalyzeFunc
-	reports map[Cell]*core.Report
-	rerrs   map[Cell]error
+	reports pool.Memo[Cell, *core.Report]
 	rep     *Report
 	prop    string
 }
@@ -199,20 +199,15 @@ type ctx struct {
 // report returns the analyzer's output for one matrix cell, computing and
 // memoizing it on first use so properties share cells.
 func (c *ctx) report(cl Cell) (*core.Report, error) {
-	if r, ok := c.reports[cl]; ok {
-		return r, c.rerrs[cl]
-	}
-	opts := core.Options{
-		WarpSize:              cl.WarpSize,
-		Formation:             cl.Formation,
-		EmulateLocks:          cl.Locks,
-		Parallelism:           cl.Parallelism,
-		DisableLockstepFusion: cl.NoFusion,
-	}
-	r, err := c.analyze(c.tr, opts)
-	c.reports[cl] = r
-	c.rerrs[cl] = err
-	return r, err
+	return c.reports.Get(cl, func() (*core.Report, error) {
+		return c.analyze(c.tr, core.Options{
+			WarpSize:              cl.WarpSize,
+			Formation:             cl.Formation,
+			EmulateLocks:          cl.Locks,
+			Parallelism:           cl.Parallelism,
+			DisableLockstepFusion: cl.NoFusion,
+		})
+	})
 }
 
 // mustReport is report with analyzer failures converted into violations;
@@ -302,8 +297,6 @@ func Run(name string, tr *trace.Trace, opts Options) (*Report, error) {
 		opts:    opts,
 		sess:    sess,
 		analyze: analyze,
-		reports: make(map[Cell]*core.Report),
-		rerrs:   make(map[Cell]error),
 		rep:     &Report{Input: name},
 	}
 	for _, p := range props {

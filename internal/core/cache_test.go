@@ -274,16 +274,18 @@ func TestSessionCacheHitSkipsPrepAndReplay(t *testing.T) {
 	replays := countReplays(t)
 	sess := NewSession()
 	sess.SetCache(c)
-	r, err := sess.Analyze(cacheTestTrace(), testOpts())
+	hitTrace := cacheTestTrace()
+	r, err := sess.Analyze(hitTrace, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *replays != 0 {
 		t.Errorf("session cache hit performed %d replays, want 0", *replays)
 	}
-	// The hit must not even have prepared the trace.
-	if len(sess.preps) != 0 {
-		t.Errorf("session cache hit prepared %d traces, want 0", len(sess.preps))
+	// The hit must not even have prepared the trace: a memo probe with an
+	// fn returning nil sees nil only if no preparation was memoized.
+	if p, _ := sess.preps.Get(hitTrace, func() (*prep, error) { return nil, nil }); p != nil {
+		t.Error("session cache hit prepared the trace")
 	}
 	want, err := Analyze(cacheTestTrace(), testOpts())
 	if err != nil {

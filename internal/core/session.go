@@ -3,10 +3,11 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"threadfuser/internal/cfg"
 	"threadfuser/internal/ipdom"
+	"threadfuser/internal/pool"
 	"threadfuser/internal/trace"
 	"threadfuser/internal/warp"
 )
@@ -19,28 +20,16 @@ import (
 // formations, lock policies: figure 1, the extension studies,
 // examples/warpwidthstudy) pay for the preparation exactly once. A Session
 // is safe for concurrent use: concurrent Analyze calls on the same trace
-// share one preparation, with duplicate work suppressed by sync.Once.
+// share one preparation, with duplicate work suppressed by pool.Memo.
 //
 // Cache entries are keyed by *trace.Trace pointer identity. Mutating a trace
 // after analyzing it through a Session yields stale results; build a new
 // trace (or a new Session) instead.
 type Session struct {
-	mu      sync.Mutex
-	preps   map[*trace.Trace]*prepEntry
-	warps   map[warpKey]*warpsEntry
-	digests map[*trace.Trace]*digestEntry
-	cache   *Cache
-}
-
-type prepEntry struct {
-	once sync.Once
-	p    *prep
-	err  error
-}
-
-type digestEntry struct {
-	once sync.Once
-	sum  [sha256.Size]byte
+	preps   pool.Memo[*trace.Trace, *prep]
+	warps   pool.Memo[warpKey, []warp.Warp]
+	digests pool.Memo[*trace.Trace, [sha256.Size]byte]
+	cache   atomic.Pointer[Cache]
 }
 
 type warpKey struct {
@@ -49,19 +38,9 @@ type warpKey struct {
 	formation warp.Formation
 }
 
-type warpsEntry struct {
-	once  sync.Once
-	warps []warp.Warp
-	err   error
-}
-
 // NewSession returns an empty Session.
 func NewSession() *Session {
-	return &Session{
-		preps:   make(map[*trace.Trace]*prepEntry),
-		warps:   make(map[warpKey]*warpsEntry),
-		digests: make(map[*trace.Trace]*digestEntry),
-	}
+	return &Session{}
 }
 
 // SetCache attaches an on-disk report cache to the session. Subsequent
@@ -70,9 +49,7 @@ func NewSession() *Session {
 // needs is memoized per trace, so a sweep over many configurations hashes
 // each trace once.
 func (s *Session) SetCache(c *Cache) {
-	s.mu.Lock()
-	s.cache = c
-	s.mu.Unlock()
+	s.cache.Store(c)
 }
 
 // Analyze is equivalent to the package-level Analyze but reuses the
@@ -104,9 +81,7 @@ func (s *Session) analyzeCached(opts Options, digest func() [sha256.Size]byte, l
 	if opts.Context != nil && opts.Context.Err() != nil {
 		return nil, false, fmt.Errorf("core: analysis canceled: %w", opts.Context.Err())
 	}
-	s.mu.Lock()
-	c := s.cache
-	s.mu.Unlock()
+	c := s.cache.Load()
 	key := ""
 	if c != nil && opts.Listener == nil {
 		key = cacheKeyFromDigest(digest(), opts)
@@ -159,37 +134,15 @@ func (s *Session) Ingest(r *trace.Reader, parallelism int) (*trace.Trace, error)
 	if err != nil {
 		return nil, err
 	}
-	// t is new, so no other call can hold its memo entry yet: install one
-	// already done.
-	e := &prepEntry{p: p}
-	e.once.Do(func() {})
-	s.mu.Lock()
-	s.preps[t] = e
-	s.mu.Unlock()
+	// t is new, so no other call can hold its memo entry yet: the seed lands.
+	s.preps.Get(t, func() (*prep, error) { return p, nil })
 	return t, nil
 }
 
 // digest returns the trace's memoized content digest.
 func (s *Session) digest(t *trace.Trace) [sha256.Size]byte {
-	s.mu.Lock()
-	e := s.digests[t]
-	if e == nil {
-		e = &digestEntry{}
-		s.digests[t] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() { e.sum = trace.Digest(t) })
-	return e.sum
-}
-
-// seedDigest installs sum as the memoized digest of t, a trace no other
-// call can hold a memo entry for yet.
-func (s *Session) seedDigest(t *trace.Trace, sum [sha256.Size]byte) {
-	e := &digestEntry{sum: sum}
-	e.once.Do(func() {})
-	s.mu.Lock()
-	s.digests[t] = e
-	s.mu.Unlock()
+	sum, _ := s.digests.Get(t, func() ([sha256.Size]byte, error) { return trace.Digest(t), nil })
+	return sum
 }
 
 // Prepared returns the trace's memoized DCFGs and post-dominator trees,
@@ -207,36 +160,18 @@ func (s *Session) Prepared(t *trace.Trace) (map[uint32]*cfg.DCFG, map[uint32]*ip
 // prep returns the trace's cached preparation, computing it on first use
 // with at most parallelism ingest workers (0: one per core).
 func (s *Session) prep(t *trace.Trace, parallelism int) (*prep, error) {
-	s.mu.Lock()
-	e := s.preps[t]
-	if e == nil {
-		e = &prepEntry{}
-		s.preps[t] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		e.p, e.err = prepare(t, parallelism)
-	})
-	return e.p, e.err
+	return s.preps.Get(t, func() (*prep, error) { return prepare(t, parallelism) })
 }
 
 // form returns the trace's cached warp formation for one width and
 // formation algorithm. Formed warps are read-only during replay, so sharing
 // them between configurations is safe.
 func (s *Session) form(t *trace.Trace, width int, f warp.Formation) ([]warp.Warp, error) {
-	key := warpKey{t: t, width: width, formation: f}
-	s.mu.Lock()
-	e := s.warps[key]
-	if e == nil {
-		e = &warpsEntry{}
-		s.warps[key] = e
-	}
-	s.mu.Unlock()
-	e.once.Do(func() {
-		e.warps, e.err = warp.Form(t, width, f)
-		if e.err != nil {
-			e.err = fmt.Errorf("core: forming warps: %w", e.err)
+	return s.warps.Get(warpKey{t: t, width: width, formation: f}, func() ([]warp.Warp, error) {
+		warps, err := warp.Form(t, width, f)
+		if err != nil {
+			return nil, fmt.Errorf("core: forming warps: %w", err)
 		}
+		return warps, nil
 	})
-	return e.warps, e.err
 }

@@ -71,7 +71,8 @@ func (u *Upload) Trace() (*trace.Trace, error) {
 		u.t, u.err = decodeUpload(u.body, u.key, u.parallelism)
 		u.body, u.key = nil, nil
 		if u.err == nil {
-			u.s.seedDigest(u.t, u.sum)
+			// u.t is new, so the seed lands.
+			u.s.digests.Get(u.t, func() ([sha256.Size]byte, error) { return u.sum, nil })
 		}
 	})
 	return u.t, u.err

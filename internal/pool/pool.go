@@ -1,7 +1,8 @@
-// Package pool holds the repo's two concurrency primitives, built only on the
-// standard library: ForEach, the one data-parallel loop, which gives every
-// caller the result and the error of the serial loop, and Sem, the admission
-// primitive the analysis service layers on top.
+// Package pool holds the repo's three concurrency primitives, built only on
+// the standard library: ForEach, the one data-parallel loop, which gives
+// every caller the result and the error of the serial loop; Memo, the one
+// keyed memo, which computes each key once however many callers race for it;
+// and Sem, the admission primitive the analysis service layers on top.
 package pool
 
 import (

@@ -72,7 +72,7 @@ func analyze(w *workloads.Workload, s Scale, warpSize int, locks bool) (*core.Re
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rep, _, err := core.AnalyzeCached(s.Cache, tr, s.options(warpSize, locks))
+	rep, err := s.session().Analyze(tr, s.options(warpSize, locks))
 	return rep, tr, inst, err
 }
 
@@ -287,7 +287,7 @@ func fig5(s Scale, metric string, pred func(*core.Report) float64, ref func(*hwM
 			if err != nil {
 				return err
 			}
-			rep, _, err := core.AnalyzeCached(s.Cache, tr, s.options(32, false))
+			rep, err := s.session().Analyze(tr, s.options(32, false))
 			if err != nil {
 				return err
 			}

@@ -165,7 +165,6 @@ func (s *Server) lintJob(q url.Values) (*uploadJob, error) {
 		return nil, err
 	}
 	opts.Parallelism = s.cfg.ReplayParallelism
-	opts.Cache = s.cfg.Cache
 	return &uploadJob{
 		keyOpts: core.Options{WarpSize: opts.WarpSize, Formation: opts.Formation},
 		suffix:  fmt.Sprintf("\x00min=%d passes=%s", opts.MinSeverity, strings.Join(opts.Passes, ",")),

@@ -97,6 +97,13 @@ func (o Options) WithCache(c *Cache) Options {
 	return o
 }
 
+// session returns a new analysis session with the options' cache attached.
+func (o Options) session() *core.Session {
+	s := core.NewSession()
+	s.SetCache(o.Cache)
+	return s
+}
+
 func (o Options) coreOptions() core.Options {
 	opts := core.Defaults()
 	if o.WarpSize != 0 {
@@ -153,8 +160,7 @@ func Trace(w *workloads.Workload, o Options) (*trace.Trace, error) {
 // Analyze runs the ThreadFuser analyzer over a previously collected trace,
 // consulting the configured report cache first if one is set.
 func Analyze(tr *trace.Trace, o Options) (*Report, error) {
-	r, _, err := core.AnalyzeCached(o.Cache, tr, o.coreOptions())
-	return r, err
+	return o.session().Analyze(tr, o.coreOptions())
 }
 
 // AnalyzeWorkload traces and analyzes a bundled workload in one step.
@@ -184,7 +190,7 @@ const (
 )
 
 func (o Options) analysisOptions() analysis.Options {
-	return analysis.Options{WarpSize: o.WarpSize, Formation: o.Formation, Parallelism: o.Parallelism, Cache: o.Cache}
+	return analysis.Options{WarpSize: o.WarpSize, Formation: o.Formation, Parallelism: o.Parallelism}
 }
 
 // Lint runs the multi-pass analysis engine (trace sanitizer, lockset race
@@ -192,7 +198,7 @@ func (o Options) analysisOptions() analysis.Options {
 // trace. Problems with the trace become findings, not errors; the returned
 // error covers only invalid options.
 func Lint(tr *trace.Trace, o Options) (*LintReport, error) {
-	return analysis.Run(tr, o.analysisOptions())
+	return analysis.RunSession(o.session(), tr, o.analysisOptions())
 }
 
 // LintWorkload traces and lints a bundled workload in one step. Unlike Lint
@@ -209,7 +215,7 @@ func LintWorkload(w *workloads.Workload, o Options) (*LintReport, error) {
 	}
 	opts := o.analysisOptions()
 	opts.Prog = inst.Prog
-	return analysis.Run(tr, opts)
+	return analysis.RunSession(o.session(), tr, opts)
 }
 
 // StaticReport is the static SIMT oracle's projection for one program:
