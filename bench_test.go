@@ -15,6 +15,8 @@ package threadfuser
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -550,12 +552,33 @@ func BenchmarkDecodeV3Parallel(b *testing.B) {
 	}
 }
 
+// BenchmarkReadFileV3 measures ReadFileParallel on the microBench trace's
+// v3 file, one worker per core: the decode tfanalyze runs on an indexed
+// file, its thread sections read straight from the file in runs. Its MB/s
+// are file bytes per second; bytes/op is the arena's tables plus the runs'
+// read buffers, without a copy of the file.
+func BenchmarkReadFileV3(b *testing.B) {
+	microBenchSetup(b)
+	data := microBench.v3
+	path := filepath.Join(b.TempDir(), "vips.tft")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.ReadFileParallel(path, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPrepare measures the analyzer's ingest preparation of the
 // microBench trace: a fresh session's Prepared validates every thread, packs
 // its control words, builds the merged DCFGs and their post-dominator trees.
 // It reports ms/op beside ns/op; allocs/op counts the preparation's own
-// allocations, which do not grow with the thread count beyond one control-
-// word slice per thread.
+// allocations, which grow with the trace's control words, one slab per
+// 32 KB of them, not with its thread count.
 func BenchmarkPrepare(b *testing.B) {
 	microBenchSetup(b)
 	tr := microBench.tr

@@ -209,20 +209,21 @@ type prep struct {
 // prepare is the analyzer's one ingest, shared by Session.Ingest and the
 // batch path, in two phases. First pool workers validate each thread
 // against t's symbol table and pack its control words while it is
-// cache-hot; pool.ForEach reports the first invalid thread in trace order.
+// cache-hot, each into its slot of trace.AllocCols; pool.ForEach reports
+// the first invalid thread in trace order.
 // Then one walk in trace order feeds the threads below it to the DCFG
 // builder, which keeps the graphs — including DCFG entry observation order —
 // independent of scheduling. The first failing thread in trace order wins,
 // whichever phase it failed.
 func prepare(t *trace.Trace, parallelism int) (*prep, error) {
 	n := len(t.Threads)
-	cols := trace.NewCols(n)
+	cols := trace.AllocCols(t)
 	valid, verr := pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) error {
 		th := t.Threads[i]
 		if err := t.ValidateThread(th); err != nil {
 			return err
 		}
-		cols.SetThread(i, th)
+		trace.PackCtl(cols.Ctl[i], th)
 		return nil
 	})
 	b := cfg.NewBuilder(t.Funcs)

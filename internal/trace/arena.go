@@ -21,10 +21,11 @@ import (
 // (fillSection) with no reader interface calls on the hot path, and filled
 // in disjoint sub-ranges by parallel workers.
 //
-// Every whole-trace decode goes through decode: it takes its per-section
-// table sizes from the v3 index footer when that validates, and otherwise
-// from a measuring walk over the stream, then runs the same fill over either
-// index.
+// Every whole-trace decode sizes its arena from an index with newArena and
+// fills it section by section. decode, over input in memory, takes the index
+// from the v3 footer when that validates, and otherwise from a measuring
+// walk over the stream; Reader.fill takes it from the footer and reads the
+// sections from the Reader's input, handing any failure back to decode.
 //
 // The decoded trace is a view of the arena: every ThreadTrace.Records is a
 // sub-slice of the record table, and its Mem and Locks tables are
@@ -198,13 +199,13 @@ func (d *bdec) header() *Header {
 	return h
 }
 
-// decode is the one decoder behind Decode, DecodeStrict and
-// ReadFileParallel: it picks an index of the thread sections, then fills
-// every section through fillSection, up to workers at a time. A v3 index
-// footer that NewReader validates is used as is; anything else — a v1/v2
-// stream, a damaged footer, or a footer whose counts the stream contradicts —
-// is decoded from a measured index, which trusts only the stream. The result
-// is identical at every worker count.
+// decode is the decoder of input in memory, behind Decode, DecodeStrict and
+// the fallbacks of Reader.Decode and ReadFileParallel: it picks an index of
+// the thread sections, then fills every section through fillSection, up to
+// workers at a time. A v3 index footer that NewReader validates is used as
+// is; anything else — a v1/v2 stream, a damaged footer, or a footer whose
+// counts the stream contradicts — is decoded from a measured index, which
+// trusts only the stream. The result is identical at every worker count.
 //
 // In strict mode the input must be fully accounted for: either the footer
 // validates, or the bare stream ends exactly at the last byte — leftover
@@ -263,18 +264,16 @@ func DecodeStrictBytes(data []byte, parallelism int) (*Trace, error) {
 	return decode(data, parallelism, true)
 }
 
-// fill sizes the arena's tables once from the index's per-section counts and
-// decodes every section into its disjoint sub-range of them, distributing
-// sections over pool.Workers(workers, len(index)) goroutines. The first
-// failing section in index order supplies the error.
-func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error) {
-	n := len(index)
+// newArena sizes the arena's tables once from the index's per-section
+// counts: each table is one exact allocation, and each section's Span is its
+// disjoint sub-range of them, ready for fillSpan.
+func newArena(index []indexEntry) (*Arena, error) {
 	for _, en := range index {
 		if err := en.checkWidths(); err != nil {
 			return nil, err
 		}
 	}
-	a := &Arena{Spans: make([]Span, n)}
+	a := &Arena{Spans: make([]Span, len(index))}
 	var nrec, nmem, nlock int
 	for i, en := range index {
 		a.Spans[i] = Span{
@@ -288,11 +287,30 @@ func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error
 	a.Records = make([]Record, nrec)
 	a.Mem = make([]MemAccess, nmem)
 	a.Locks = make([]LockOp, nlock)
+	return a, nil
+}
 
-	_, err := pool.ForEach(pool.Workers(workers, n), n, func(_, i int) error {
-		en, sp := index[i], &a.Spans[i]
-		return fillSection(data[en.off:en.off+en.len], en, raw, i,
-			a.Records[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
+// fillSpan decodes section i, whose bytes are sec, into its span of the
+// arena's tables.
+func (a *Arena) fillSpan(i int, sec []byte, en indexEntry, raw bool) error {
+	sp := &a.Spans[i]
+	return fillSection(sec, en, raw, i,
+		a.Records[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
+}
+
+// fill sizes the arena from the index (newArena) and decodes every section
+// of data into its span, distributing sections over
+// pool.Workers(workers, len(index)) goroutines. The first failing section in
+// index order supplies the error.
+func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error) {
+	a, err := newArena(index)
+	if err != nil {
+		return nil, err
+	}
+	n := len(index)
+	_, err = pool.ForEach(pool.Workers(workers, n), n, func(_, i int) error {
+		en := index[i]
+		return a.fillSpan(i, data[en.off:en.off+en.len], en, raw)
 	})
 	return a, err
 }
@@ -668,8 +686,8 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 // recs, mem and locks are exactly the section's records, accesses and lock
 // ops as the index sizes them, and each record's ranges are offsets into
 // mem and locks. It is the only routine that decodes record fields from
-// section bytes. Every caller owns disjoint tables (in decode, sub-ranges of
-// the arena's; the index's per-section table sizes are the partition), so
+// section bytes. Every caller owns disjoint tables (in fillSpan, sub-ranges
+// of the arena's; the index's per-section table sizes are the partition), so
 // section fills allocate nothing and may run in parallel. raw selects the v1
 // address encoding (raw addresses instead of zig-zag deltas, the one field
 // that differs between versions). Any disagreement between the stream and

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"threadfuser/internal/pool"
 )
 
 // Version 3 of the .tft format keeps the v2 delta-encoded record stream but
@@ -42,8 +44,9 @@ const (
 
 // ErrNoIndex reports that a .tft input has no usable thread index: it is a
 // v1/v2 file, or its footer is missing, truncated, or corrupt. Callers fall
-// back to the batch decoders (Decode, DecodeStrict, ReadFileParallel), which
-// measure the thread sections from the stream itself and still fill them in
+// back to a batch decoder that reads the input whole — Decode, DecodeStrict,
+// or DecodeStrictBytes; ReadFileParallel takes that fallback itself — which
+// measures the thread sections from the stream and still fills them in
 // parallel; an unreadable index never makes an otherwise-decodable trace
 // unreadable.
 var ErrNoIndex = errors.New("trace: no thread index")
@@ -69,10 +72,11 @@ type indexEntry struct {
 }
 
 // Reader provides random access to the thread sections of an indexed v3
-// trace. Thread fills one section from its footer entry; Decode decodes the
-// whole trace, and is the one place a footer the stream contradicts is
-// handled (see decode). Thread decodes are independent of each other, so a
-// Reader is safe for concurrent use by multiple goroutines.
+// trace. Thread fills one section from its footer entry; Decode fills the
+// whole trace from the footer, reading sections straight from the input, and
+// hands a footer the stream contradicts to decode, the one code that handles
+// it. Thread decodes are independent of each other, so a Reader is safe for
+// concurrent use by multiple goroutines.
 type Reader struct {
 	ra     io.ReaderAt
 	size   int64
@@ -254,18 +258,91 @@ func (r *Reader) Thread(i int) (*ThreadTrace, error) {
 }
 
 // Decode decodes the whole trace as DecodeStrict does, over up to
-// parallelism workers. NewReader has validated the footer, so the lenient
-// decoders would return the same trace or the same error: a footer the
-// stream contradicts is discarded and the sections measured from the
-// stream, exactly as in every batch decode.
+// parallelism workers, without copying the input whole: fill reads the
+// thread sections the validated footer locates straight from the Reader's
+// input. On any failure — a read error, or a stream that contradicts the
+// footer — it falls back to DecodeStrict over the input, so decode stays the
+// one code that handles a lying footer (by measuring the sections from the
+// stream), and the result or the error is byte for byte DecodeStrict's.
 func (r *Reader) Decode(parallelism int) (*Trace, error) {
+	if a, err := r.fill(parallelism); err == nil {
+		return a.Trace(r.hdr.Program, r.hdr.Entry, r.hdr.Funcs), nil
+	}
 	return DecodeStrict(r.ra, r.size, parallelism)
+}
+
+// runCap is the most bytes fill reads in one ReadAt, unless a single
+// section is larger: a quarter megabyte keeps the per-worker buffers small
+// while one read still covers hundreds of typical sections.
+const runCap = 256 << 10
+
+// fill sizes an arena from the footer's index (newArena) and fills it from
+// the Reader's input. Consecutive sections are grouped into runs of at most
+// runCap bytes — lowered to a pool.MinParallelItems-th of the data region,
+// so small files still fan out — and a section larger than the cap is a run
+// of its own. Up to pool.Workers(parallelism, runs) workers claim runs in
+// order; each reads its run with one ReadAt into a buffer of its own, sized
+// for a run at the cap and grown only for a larger section, and fills the
+// run's sections in order. So the input is never copied whole, and the
+// first failing section in index order supplies the error.
+func (r *Reader) fill(parallelism int) (*Arena, error) {
+	a, err := newArena(r.index)
+	if err != nil {
+		return nil, err
+	}
+	n := len(r.index)
+	if n == 0 {
+		return a, nil
+	}
+	lo, hi := r.index[0].off, r.index[n-1].off+r.index[n-1].len
+	limit := min(runCap, (hi-lo+pool.MinParallelItems-1)/pool.MinParallelItems)
+	// runs[j] is the first section of run j; runs[len(runs)-1] is n.
+	runs := []int{0}
+	for i, start := 1, lo; i < n; i++ {
+		if en := r.index[i]; en.off+en.len-start > limit {
+			runs = append(runs, i)
+			start = en.off
+		}
+	}
+	runs = append(runs, n)
+	workers := pool.Workers(parallelism, len(runs)-1)
+	bufs := make([][]byte, workers)
+	_, err = pool.ForEach(workers, len(runs)-1, func(k, j int) error {
+		first, last := r.index[runs[j]], r.index[runs[j+1]-1]
+		size := last.off + last.len - first.off
+		if int64(cap(bufs[k])) < size {
+			bufs[k] = make([]byte, max(size, limit))
+		}
+		buf := bufs[k][:size]
+		if m, err := r.ra.ReadAt(buf, first.off); m < len(buf) {
+			return fmt.Errorf("trace: thread section %d (tid %d): %w", runs[j], first.tid, err)
+		}
+		for i := runs[j]; i < runs[j+1]; i++ {
+			en := r.index[i]
+			if err := a.fillSpan(i, buf[en.off-first.off:en.off-first.off+en.len], en, false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return a, err
 }
 
 // ReadFileParallel decodes the named .tft file like Decode, filling its
 // thread sections over up to parallelism workers (0 = one per core, 1 =
-// serial; see decode). The result is identical at every parallelism.
+// serial). A v3 file whose footer validates is decoded as Reader.Decode
+// decodes it, its sections read straight from the file; any other file — a
+// v1/v2 stream (ErrNoIndex), a damaged footer, or one the stream
+// contradicts — is read whole and decoded by decode, which measures the
+// sections from the stream. The result is identical at every parallelism.
 func ReadFileParallel(path string, parallelism int) (*Trace, error) {
+	if r, err := OpenFile(path); err == nil {
+		a, err := r.fill(parallelism)
+		r.Close()
+		if err == nil {
+			return a.Trace(r.hdr.Program, r.hdr.Entry, r.hdr.Funcs), nil
+		}
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+
+	"threadfuser/internal/pool"
 )
 
 // TestReaderThreads: per-thread random access reproduces the encoded
@@ -213,6 +217,99 @@ func TestDecodeCapsThreadAndRecordCounts(t *testing.T) {
 		}
 		if want := "implausible"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 			t.Errorf("%s: error %q does not mention %q", name, err, want)
+		}
+	}
+}
+
+// countingReaderAt is an io.ReaderAt that records the length of every read.
+type countingReaderAt struct {
+	ra    io.ReaderAt
+	mu    sync.Mutex
+	reads []int
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	c.reads = append(c.reads, len(p))
+	c.mu.Unlock()
+	return c.ra.ReadAt(p, off)
+}
+
+// chunkTrace returns a trace whose v3 sections span many of Reader.fill's
+// runs: 1000 threads of 150 block records, and, among them, one thread of
+// 20000 records whose section alone is larger than runCap.
+func chunkTrace() *Trace {
+	r := rand.New(rand.NewSource(29))
+	t := &Trace{Program: "chunks", Funcs: []FuncInfo{{Name: "f", Blocks: []BlockInfo{{NInstr: 4}, {NInstr: 6}}}}}
+	for tid := 0; tid < 1000; tid++ {
+		n := 150
+		if tid == 17 {
+			n = 20000
+		}
+		th := &ThreadTrace{TID: tid}
+		for j := 0; j < n; j++ {
+			blk := r.Intn(2)
+			mem := make([]MemAccess, r.Intn(3))
+			for m := range mem {
+				mem[m] = MemAccess{Instr: uint16(r.Intn(4)), Addr: r.Uint64() >> 20, Size: 8, Store: r.Intn(2) == 0}
+			}
+			th.Append(Record{Kind: KindBBL, Block: uint32(blk), N: uint64(4 + 2*blk)}, mem, nil)
+		}
+		t.Threads = append(t.Threads, th)
+	}
+	return t
+}
+
+// TestReaderDecodeReadsInChunks: Reader.Decode reads the thread sections
+// straight from its input, in runs of at most runCap bytes or one larger
+// section, each byte of the data region once, and never copies the file
+// whole; what it returns is what DecodeStrictBytes returns.
+func TestReaderDecodeReadsInChunks(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, chunkTrace(), 3); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	want, err := DecodeStrictBytes(data, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		cr := &countingReaderAt{ra: bytes.NewReader(data)}
+		r, err := NewReader(cr, int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var largest int64
+		for _, en := range r.index {
+			largest = max(largest, en.len)
+		}
+		if largest <= runCap {
+			t.Fatalf("largest section is %d bytes, want one over runCap (%d)", largest, runCap)
+		}
+		last := r.index[len(r.index)-1]
+		region := last.off + last.len - r.index[0].off
+		cr.reads = nil
+		got, err := r.Decode(par)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: Reader.Decode differs from DecodeStrictBytes", par)
+		}
+		var total int64
+		for _, n := range cr.reads {
+			if int64(n) > max(runCap, largest) {
+				t.Errorf("parallelism %d: one read of %d bytes, over max(runCap, largest section) = %d", par, n, max(runCap, largest))
+			}
+			total += int64(n)
+		}
+		if total != region {
+			t.Errorf("parallelism %d: read %d bytes in %d reads, want the %d-byte data region once", par, total, len(cr.reads), region)
+		}
+		t.Logf("parallelism %d: %d reads over a %d-byte data region", par, len(cr.reads), region)
+		if len(cr.reads) < pool.MinParallelItems {
+			t.Errorf("parallelism %d: %d reads, want at least %d runs", par, len(cr.reads), pool.MinParallelItems)
 		}
 	}
 }

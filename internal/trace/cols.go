@@ -90,29 +90,73 @@ type Cols struct {
 	Ctl [][]uint64
 }
 
-// BuildCols derives the packed column view of a trace. One streaming pass
-// per thread; the result is safe for concurrent readers.
+// BuildCols derives the packed column view of a trace: one streaming pass
+// per thread into its slot of AllocCols. The result is safe for concurrent
+// readers.
 func BuildCols(t *Trace) *Cols {
-	c := NewCols(len(t.Threads))
+	c := AllocCols(t)
 	for i, th := range t.Threads {
-		c.SetThread(i, th)
+		PackCtl(c.Ctl[i], th)
+	}
+	return c
+}
+
+// ctlSlabWords is the size of the slabs AllocCols carves thread columns
+// from: 32 KB, the largest object the Go allocator serves from its small
+// size classes. One multi-megabyte column for a whole trace, the alternative,
+// is a large object, and in paired end-to-end runs on a 2-vCPU machine it
+// raised the peak RSS of a 2048-4096-thread batch analysis by 7%; slabs
+// this size did not.
+const ctlSlabWords = 32 << 10 / 8
+
+// AllocCols returns a column view whose slot i is sized for t.Threads[i]'s
+// control words, ready for PackCtl. Consecutive threads share 32 KB slabs,
+// and a thread too large for one gets an allocation of its own, so a trace
+// costs one allocation per slab, not one per thread. A nil thread gets no
+// slot.
+func AllocCols(t *Trace) *Cols {
+	c := NewCols(len(t.Threads))
+	var slab []uint64
+	for i, th := range t.Threads {
+		if th == nil {
+			continue
+		}
+		n := len(th.Records)
+		switch l := len(slab); {
+		case n <= cap(slab)-l:
+			slab = slab[:l+n]
+			c.Ctl[i] = slab[l : l+n : l+n]
+		case n >= ctlSlabWords:
+			c.Ctl[i] = make([]uint64, n)
+		default:
+			slab = make([]uint64, n, ctlSlabWords)
+			c.Ctl[i] = slab[:n:n]
+		}
 	}
 	return c
 }
 
 // NewCols returns an empty column view with room for n threads, for callers
-// that fill thread slots out of order via SetThread — the analyzer's ingest
-// packs each thread's control words in the worker that just validated it,
-// while the thread is still cache-hot.
+// that fill thread slots out of order via SetThread. AllocCols is the sized
+// alternative: the analyzer's ingest packs each thread into its slot in the
+// worker that just validated it, while the thread is still cache-hot.
 func NewCols(n int) *Cols {
 	return &Cols{Ctl: make([][]uint64, n)}
 }
 
-// SetThread derives and installs thread i's control words. Distinct slots
-// may be filled concurrently; the view is safe for readers once every slot a
-// reader touches has been set.
+// SetThread derives and installs thread i's control words in a slice of
+// their own. Distinct slots may be filled concurrently; the view is safe for
+// readers once every slot a reader touches has been set.
 func (c *Cols) SetThread(i int, th *ThreadTrace) {
-	ctl := make([]uint64, len(th.Records))
+	c.Ctl[i] = PackCtl(make([]uint64, len(th.Records)), th)
+}
+
+// PackCtl writes the control words of th's records into dst, which must
+// hold at least one word per record, and returns dst[:len(th.Records)]. It
+// allocates nothing, so callers that pack many threads can pack each into
+// its slot of AllocCols.
+func PackCtl(dst []uint64, th *ThreadTrace) []uint64 {
+	ctl := dst[:len(th.Records)]
 	for j := range th.Records {
 		r := &th.Records[j]
 		if r.N > CtlNMask || r.Block >= 1<<ctlBlockBits || r.Func >= 1<<ctlFuncBits || r.Kind > KindSkip {
@@ -130,5 +174,5 @@ func (c *Cols) SetThread(i int, th *ThreadTrace) {
 		}
 		ctl[j] = w
 	}
-	c.Ctl[i] = ctl
+	return ctl
 }

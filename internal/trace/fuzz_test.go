@@ -165,8 +165,8 @@ func TestStridedSeedExercisesSiteHistograms(t *testing.T) {
 // consumed by the structural passes. CanonicalKey vouches only for what
 // DecodeStrict accepts, with the digest of what it decodes, and its Decode
 // gives that trace; and it vouches for every encoding of an accepted trace.
-// Where NewReader accepts the input, the Reader agrees with Decode
-// (checkReader).
+// Where NewReader accepts the input, the Reader agrees with Decode and with
+// DecodeStrictBytes (checkReader).
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []*trace.Trace{fuzzSeedTrace(), lockSeedTrace(), stridedSeedTrace()} {
 		for _, v := range versions {
@@ -289,9 +289,11 @@ func FuzzDecode(f *testing.F) {
 }
 
 // checkReader holds a Reader over data, when NewReader accepts it, to what
-// Decode made of data (tr, or the error derr): Reader.Decode gives the same
-// trace or the same error, Thread taken in index order gives Decode's
-// threads until its first error, and some Thread call fails if Decode does.
+// Decode made of data (tr, or the error derr): Reader.Decode, which reads
+// the sections from the Reader's input, gives the same trace or the same
+// error, and so does the batch decode of the bytes, DecodeStrictBytes;
+// Thread taken in index order gives Decode's threads until its first error,
+// and some Thread call fails if Decode does.
 func checkReader(t *testing.T, data []byte, tr *trace.Trace, derr error) {
 	t.Helper()
 	r, err := trace.NewReader(bytes.NewReader(data), int64(len(data)))
@@ -304,6 +306,13 @@ func checkReader(t *testing.T, data []byte, tr *trace.Trace, derr error) {
 	}
 	if err == nil && !reflect.DeepEqual(got, tr) {
 		t.Fatal("Reader.Decode and Decode disagree on an accepted input")
+	}
+	batch, berr := trace.DecodeStrictBytes(data, 4)
+	if (err == nil) != (berr == nil) || err != nil && err.Error() != berr.Error() {
+		t.Fatalf("Reader.Decode error %v, DecodeStrictBytes error %v", err, berr)
+	}
+	if err == nil && !reflect.DeepEqual(got, batch) {
+		t.Fatal("Reader.Decode and DecodeStrictBytes disagree on an accepted input")
 	}
 	for i := 0; i < r.NumThreads(); i++ {
 		th, err := r.Thread(i)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -20,8 +21,9 @@ func countFDs(t *testing.T) int {
 	return len(des)
 }
 
-// TestOpenFileNoFDLeak proves OpenFile's error paths release the file
-// handle: a server calls it once per untrusted upload, so even a one-fd
+// TestOpenFileNoFDLeak proves OpenFile's error paths, and ReadFileParallel's
+// fallbacks from an open Reader to the whole-file decode, release the file
+// handle: a server calls them once per untrusted upload, so even a one-fd
 // leak per malformed input exhausts the process's descriptor table under
 // sustained traffic. Each failing input is opened 1000 times; the
 // descriptor count must be where it started.
@@ -78,6 +80,39 @@ func TestOpenFileNoFDLeak(t *testing.T) {
 	// that can appear lazily; a real leak here would be ~3000 fds.
 	if after := countFDs(t); after > before+5 {
 		t.Fatalf("descriptor count grew %d -> %d across 3000 failed opens", before, after)
+	}
+
+	// ReadFileParallel opens every file as a Reader first, and must release
+	// it on each fallback: no index (v1, corrupt footer, short trailer), and
+	// a footer that validates but that the stream contradicts (lying), which
+	// the fill finds only after the open succeeded.
+	lying := filepath.Join(dir, "lying.tft")
+	if err := os.WriteFile(lying, LyingAccessIndex(full), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenFile(lying); err != nil {
+		t.Fatalf("OpenFile(lying.tft): %v", err)
+	}
+	paths = append(paths, lying)
+	for _, p := range paths {
+		got, err := ReadFileParallel(p, 1)
+		if err != nil {
+			t.Fatalf("ReadFileParallel(%s): %v", filepath.Base(p), err)
+		}
+		if !reflect.DeepEqual(got, tr) {
+			t.Fatalf("ReadFileParallel(%s) differs from the encoded trace", filepath.Base(p))
+		}
+	}
+	before = countFDs(t)
+	for i := 0; i < 1000; i++ {
+		for _, p := range paths {
+			if _, err := ReadFileParallel(p, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if after := countFDs(t); after > before+5 {
+		t.Fatalf("descriptor count grew %d -> %d across 4000 fallback reads", before, after)
 	}
 
 	// The success path must keep exactly one handle and release it on Close.

@@ -273,3 +273,33 @@ func TestCheckLayoutCatchesGaps(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocColsSlots: BuildCols, which packs into AllocCols' slab-carved
+// slots, gives every thread the control words SetThread packs into a slice
+// of its own, and no slot can grow into its neighbour's words. The trace
+// spans several slabs and holds empty threads and one thread larger than a
+// slab.
+func TestAllocColsSlots(t *testing.T) {
+	tr := &Trace{Funcs: []FuncInfo{{Name: "f", Blocks: []BlockInfo{{NInstr: 3}}}}}
+	for tid, n := range []int{0, 700, 3000, 0, 2500, ctlSlabWords + 5, 900, 4000, 1} {
+		th := &ThreadTrace{TID: tid}
+		for j := 0; j < n; j++ {
+			th.Append(Record{Kind: KindBBL, N: uint64(j + 7*tid)}, nil, nil)
+		}
+		tr.Threads = append(tr.Threads, th)
+	}
+	c := BuildCols(tr)
+	want := NewCols(len(tr.Threads))
+	for i, th := range tr.Threads {
+		want.SetThread(i, th)
+		if len(c.Ctl[i]) != cap(c.Ctl[i]) {
+			t.Errorf("thread %d: slot has length %d but capacity %d", i, len(c.Ctl[i]), cap(c.Ctl[i]))
+		}
+		if len(c.Ctl[i]) > 0 && !reflect.DeepEqual(c.Ctl[i], want.Ctl[i]) {
+			t.Errorf("thread %d: packed control words differ from SetThread's", i)
+		}
+		if len(c.Ctl[i]) != len(th.Records) {
+			t.Errorf("thread %d: slot holds %d words for %d records", i, len(c.Ctl[i]), len(th.Records))
+		}
+	}
+}
