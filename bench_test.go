@@ -441,7 +441,6 @@ func buildMicroBench() error {
 	if m.graphs, m.pdoms, err = core.NewSession().Prepared(m.tr); err != nil {
 		return err
 	}
-	m.tr.Cols = trace.BuildCols(m.tr)
 	m.warps, err = warp.Form(m.tr, 32, warp.RoundRobin)
 	return err
 }
@@ -574,11 +573,11 @@ func BenchmarkReadFileV3(b *testing.B) {
 }
 
 // BenchmarkPrepare measures the analyzer's ingest preparation of the
-// microBench trace: a fresh session's Prepared validates every thread, packs
-// its control words, builds the merged DCFGs and their post-dominator trees.
-// It reports ms/op beside ns/op; allocs/op counts the preparation's own
-// allocations, which grow with the trace's control words, one slab per
-// 32 KB of them, not with its thread count.
+// microBench trace: a fresh session's Prepared validates every thread, then
+// builds the merged DCFGs and their post-dominator trees. It reports ms/op
+// beside ns/op; allocs/op and bytes/op count the preparation's own
+// allocations, which do not grow with the trace's records: the decoder
+// wrote their control words.
 func BenchmarkPrepare(b *testing.B) {
 	microBenchSetup(b)
 	tr := microBench.tr

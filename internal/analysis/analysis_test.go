@@ -209,16 +209,20 @@ func TestBadWarpSizeRejected(t *testing.T) {
 
 func TestMalformedTraceGatesStructuralPasses(t *testing.T) {
 	tr := traceFor(t, "seededrace")
-	// Corrupt one record: a block id far outside the function.
-	for _, th := range tr.Threads {
-		for ri := range th.Records {
-			if th.Records[ri].Kind == trace.KindBBL {
-				th.Records[ri].Block = 9999
-				break
-			}
+	// Corrupt one record: a block id far outside the function. The thread is
+	// rebuilt through Append, so only the record is wrong, not its layout.
+	src, bad := tr.Threads[0], &trace.ThreadTrace{TID: tr.Threads[0].TID}
+	corrupted := false
+	for ri := range src.Records {
+		r := &src.Records[ri]
+		rec := *r
+		if !corrupted && rec.Kind == trace.KindBBL {
+			rec.Block = 9999
+			corrupted = true
 		}
-		break
+		bad.Append(rec, src.MemOf(r), src.LocksOf(r))
 	}
+	tr.Threads[0] = bad
 	rep, err := analysis.Run(tr, analysis.Options{})
 	if err != nil {
 		t.Fatalf("malformed trace must yield findings, not an error: %v", err)

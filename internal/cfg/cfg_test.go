@@ -18,11 +18,11 @@ func mkTrace(nblocks int, threads ...[]uint32) *trace.Trace {
 	t := &trace.Trace{Program: "t", Funcs: []trace.FuncInfo{fi}}
 	for tid, seq := range threads {
 		th := &trace.ThreadTrace{TID: tid}
-		th.Records = append(th.Records, trace.Record{Kind: trace.KindCall, Callee: 0})
+		th.Append(trace.Record{Kind: trace.KindCall, Callee: 0}, nil, nil)
 		for _, b := range seq {
-			th.Records = append(th.Records, trace.Record{Kind: trace.KindBBL, Func: 0, Block: b, N: 1})
+			th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: b, N: 1}, nil, nil)
 		}
-		th.Records = append(th.Records, trace.Record{Kind: trace.KindRet})
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
 		t.Threads = append(t.Threads, th)
 	}
 	return t

@@ -194,37 +194,28 @@ type Report struct {
 }
 
 // prep holds the trace-derived analysis products that depend only on the
-// trace itself (not on warp size, formation, or lock options): the packed
-// control-word columns replay's fusion fast path walks, the per-function
-// dynamic CFGs and their post-dominator trees. All are read-only after
-// construction and safe to share across goroutines. prep owns the columns:
-// the caller's trace is never written, so concurrent analyses of one trace
+// trace itself (not on warp size, formation, or lock options): the
+// per-function dynamic CFGs and their post-dominator trees. Both are
+// read-only after construction and safe to share across goroutines; the
+// caller's trace is never written, so concurrent analyses of one trace
 // share nothing mutable.
 type prep struct {
-	cols   *trace.Cols
 	graphs map[uint32]*cfg.DCFG
 	pdoms  map[uint32]*ipdom.PostDom
 }
 
 // prepare is the analyzer's one ingest, shared by Session.Ingest and the
 // batch path, in two phases. First pool workers validate each thread
-// against t's symbol table and pack its control words while it is
-// cache-hot, each into its slot of trace.AllocCols; pool.ForEach reports
-// the first invalid thread in trace order.
+// against t's symbol table; pool.ForEach reports the first invalid thread
+// in trace order.
 // Then one walk in trace order feeds the threads below it to the DCFG
 // builder, which keeps the graphs — including DCFG entry observation order —
 // independent of scheduling. The first failing thread in trace order wins,
 // whichever phase it failed.
 func prepare(t *trace.Trace, parallelism int) (*prep, error) {
 	n := len(t.Threads)
-	cols := trace.AllocCols(t)
 	valid, verr := pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) error {
-		th := t.Threads[i]
-		if err := t.ValidateThread(th); err != nil {
-			return err
-		}
-		trace.PackCtl(cols.Ctl[i], th)
-		return nil
+		return t.ValidateThread(t.Threads[i])
 	})
 	b := cfg.NewBuilder(t.Funcs)
 	for _, th := range t.Threads[:valid] {
@@ -236,7 +227,7 @@ func prepare(t *trace.Trace, parallelism int) (*prep, error) {
 		return nil, fmt.Errorf("core: ingest: %w", verr)
 	}
 	graphs := b.Finish()
-	return &prep{cols: cols, graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil
+	return &prep{graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil
 }
 
 // testHookReplay, when non-nil, is called every time a replay actually runs.
@@ -248,11 +239,7 @@ func analyzeWith(t *trace.Trace, p *prep, warps []warp.Warp, opts Options) (*Rep
 	if testHookReplay != nil {
 		testHookReplay()
 	}
-	// Replay reads the fusion columns off the trace; hand it a shallow copy
-	// carrying the prepared ones rather than writing the caller's trace.
-	tc := *t
-	tc.Cols = p.cols
-	res, err := simt.Replay(&tc, p.graphs, p.pdoms, warps, simt.Options{
+	res, err := simt.Replay(t, p.graphs, p.pdoms, warps, simt.Options{
 		WarpSize:              opts.WarpSize,
 		EmulateLocks:          opts.EmulateLocks,
 		LockReconvergence:     opts.LockReconvergence,

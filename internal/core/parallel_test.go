@@ -136,11 +136,12 @@ func TestSessionMatchesAnalyze(t *testing.T) {
 }
 
 // TestConcurrentAnalysesOfOneTrace runs two analyses of one trace at once.
-// Each Analyze makes its own Session, so both prepare the trace; the packed
-// columns belong to each preparation, and the caller's trace is only read —
-// which -race checks here.
+// Each Analyze makes its own Session, so both prepare the trace, and the
+// caller's trace, control words included, is only read — which -race checks
+// here, and a fresh trace of the same workload confirms after.
 func TestConcurrentAnalysesOfOneTrace(t *testing.T) {
 	tr := traceWorkload(t, "paropoly.nbody", 64)
+	fresh := traceWorkload(t, "paropoly.nbody", 64)
 	var reps [2]*Report
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -160,8 +161,8 @@ func TestConcurrentAnalysesOfOneTrace(t *testing.T) {
 	if !reflect.DeepEqual(reps[0], reps[1]) {
 		t.Error("concurrent analyses of one trace disagree")
 	}
-	if tr.Cols != nil {
-		t.Error("analysis wrote the caller's trace columns")
+	if !reflect.DeepEqual(tr, fresh) {
+		t.Error("analysis wrote the caller's trace")
 	}
 }
 

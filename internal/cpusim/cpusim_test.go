@@ -15,7 +15,7 @@ func mkTrace(n, blocks, ninstr int, memStride uint64) *trace.Trace {
 	}
 	for tid := 0; tid < n; tid++ {
 		th := &trace.ThreadTrace{TID: tid}
-		th.Records = append(th.Records, trace.Record{Kind: trace.KindCall, Callee: 0})
+		th.Append(trace.Record{Kind: trace.KindCall, Callee: 0}, nil, nil)
 		for b := 0; b < blocks; b++ {
 			var mem []trace.MemAccess
 			if memStride > 0 {
@@ -27,7 +27,7 @@ func mkTrace(n, blocks, ninstr int, memStride uint64) *trace.Trace {
 			}
 			th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: uint64(ninstr)}, mem, nil)
 		}
-		th.Records = append(th.Records, trace.Record{Kind: trace.KindRet})
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
 		t.Threads = append(t.Threads, th)
 	}
 	return t

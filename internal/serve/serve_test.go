@@ -31,20 +31,16 @@ func testTrace() *trace.Trace {
 		},
 	}
 	for tid := 0; tid < 2; tid++ {
-		recs := []trace.Record{
-			{Kind: trace.KindCall, Callee: 0},
-			{Kind: trace.KindBBL, Func: 0, Block: 0, N: 2, MemN: 1},
-		}
+		th := &trace.ThreadTrace{TID: tid}
+		th.Append(trace.Record{Kind: trace.KindCall, Callee: 0}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: 2},
+			[]trace.MemAccess{{Instr: 0, Addr: vm.GlobalBase + 256*uint64(tid), Size: 8}}, nil)
 		if tid == 0 {
-			recs = append(recs, trace.Record{Kind: trace.KindBBL, Func: 0, Block: 1, N: 3})
+			th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 1, N: 3}, nil, nil)
 		}
-		recs = append(recs,
-			trace.Record{Kind: trace.KindBBL, Func: 0, Block: 2, N: 1},
-			trace.Record{Kind: trace.KindRet},
-		)
-		t.Threads = append(t.Threads, &trace.ThreadTrace{TID: tid, Records: recs, Mem: []trace.MemAccess{
-			{Instr: 0, Addr: vm.GlobalBase + 256*uint64(tid), Size: 8},
-		}})
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 2, N: 1}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
+		t.Threads = append(t.Threads, th)
 	}
 	return t
 }

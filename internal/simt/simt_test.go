@@ -206,8 +206,17 @@ func TestReplayReportsLowestFailingWarp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, wi := range []int{2, 5} {
-		th := tr.Threads[warps[wi][0]]
-		th.Records = append([]trace.Record{th.Records[0], {Kind: trace.KindCall}, {Kind: trace.KindRet}}, th.Records[1:]...)
+		src := tr.Threads[warps[wi][0]]
+		th := &trace.ThreadTrace{TID: src.TID}
+		for j := range src.Records {
+			r := &src.Records[j]
+			th.Append(*r, src.MemOf(r), src.LocksOf(r))
+			if j == 0 {
+				th.Append(trace.Record{Kind: trace.KindCall}, nil, nil)
+				th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
+			}
+		}
+		tr.Threads[warps[wi][0]] = th
 	}
 	for _, par := range []int{1, 4, 0} {
 		for _, c := range []struct {

@@ -13,8 +13,8 @@ import (
 )
 
 // This file implements the columnar trace arena: the decoded form of a trace
-// as three flat tables — records, memory accesses, lock operations — plus a
-// per-thread span header, instead of per-thread record slices with
+// as four flat tables — records, memory accesses, lock operations, and the
+// records' control words — plus a per-thread span header, instead of per-thread record slices with
 // per-record access slices. The arena is what makes decode run at memory
 // bandwidth: one exactly sized allocation per table (near-zero per-record
 // allocation), filled section by section by one byte-slice routine
@@ -27,9 +27,9 @@ import (
 // walk over the stream; Reader.fill takes it from the footer and reads the
 // sections from the Reader's input, handing any failure back to decode.
 //
-// The decoded trace is a view of the arena: every ThreadTrace.Records is a
-// sub-slice of the record table, and its Mem and Locks tables are
-// sub-slices of the shared access and lock tables. Records locate their
+// The decoded trace is a view of the arena: every ThreadTrace.Records and
+// Ctl is a sub-slice of the record and control-word tables, and its Mem and
+// Locks tables are sub-slices of the shared access and lock tables. Records locate their
 // accesses and lock ops by thread-relative ranges (Record.MemLo/MemN,
 // LockLo/LockN), so a record holds no pointers and the record table, the
 // largest allocation of a decode, is never scanned by the garbage
@@ -40,12 +40,14 @@ import (
 // test file's decodeStream) assert.
 
 // Arena is the columnar backing store of a decoded trace. All threads'
-// records live contiguously in Records (thread sections in file order), all
-// memory accesses in Mem, and all lock operations in Locks, each in record
-// order. Spans maps each thread to its ranges of the three tables.
+// records live contiguously in Records (thread sections in file order), with
+// their control words at the same indices of Ctl, all memory accesses in
+// Mem, and all lock operations in Locks, each in record order. Spans maps
+// each thread to its ranges of the tables.
 type Arena struct {
 	Spans   []Span
 	Records []Record
+	Ctl     []uint64
 	Mem     []MemAccess
 	Locks   []LockOp
 }
@@ -53,13 +55,15 @@ type Arena struct {
 // Span locates one thread's entries inside the arena's tables.
 type Span struct {
 	TID            int
-	Lo, Hi         int // record index range [Lo,Hi)
+	Lo, Hi         int // record and control-word index range [Lo,Hi)
 	MemLo, MemHi   int // access index range
 	LockLo, LockHi int // lock op index range
 }
 
 // Trace materializes the view adapter: a Trace whose threads' tables alias
-// the arena's. The arena must not be mutated afterwards.
+// the arena's, each ending at its capacity, so an append to one copies
+// instead of overwriting the next thread's. The arena must not be mutated
+// afterwards.
 func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	t := &Trace{Program: program, Entry: entry, Funcs: funcs}
 	if len(a.Spans) == 0 {
@@ -70,12 +74,12 @@ func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	t.Threads = make([]*ThreadTrace, len(a.Spans))
 	for i, sp := range a.Spans {
 		th := &block[i]
-		th.TID, th.Records = sp.TID, a.Records[sp.Lo:sp.Hi]
+		th.TID, th.Records, th.Ctl = sp.TID, a.Records[sp.Lo:sp.Hi:sp.Hi], a.Ctl[sp.Lo:sp.Hi:sp.Hi]
 		if sp.MemHi > sp.MemLo {
-			th.Mem = a.Mem[sp.MemLo:sp.MemHi]
+			th.Mem = a.Mem[sp.MemLo:sp.MemHi:sp.MemHi]
 		}
 		if sp.LockHi > sp.LockLo {
-			th.Locks = a.Locks[sp.LockLo:sp.LockHi]
+			th.Locks = a.Locks[sp.LockLo:sp.LockHi:sp.LockHi]
 		}
 		t.Threads[i] = th
 	}
@@ -285,6 +289,7 @@ func newArena(index []indexEntry) (*Arena, error) {
 		nrec, nmem, nlock = a.Spans[i].Hi, a.Spans[i].MemHi, a.Spans[i].LockHi
 	}
 	a.Records = make([]Record, nrec)
+	a.Ctl = make([]uint64, nrec)
 	a.Mem = make([]MemAccess, nmem)
 	a.Locks = make([]LockOp, nlock)
 	return a, nil
@@ -295,7 +300,7 @@ func newArena(index []indexEntry) (*Arena, error) {
 func (a *Arena) fillSpan(i int, sec []byte, en indexEntry, raw bool) error {
 	sp := &a.Spans[i]
 	return fillSection(sec, en, raw, i,
-		a.Records[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
+		a.Records[sp.Lo:sp.Hi], a.Ctl[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
 }
 
 // fill sizes the arena from the index (newArena) and decodes every section
@@ -685,8 +690,9 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 // fillSection decodes one thread section into the section's own tables:
 // recs, mem and locks are exactly the section's records, accesses and lock
 // ops as the index sizes them, and each record's ranges are offsets into
-// mem and locks. It is the only routine that decodes record fields from
-// section bytes. Every caller owns disjoint tables (in fillSpan, sub-ranges
+// mem and locks; ctl, as long as recs, receives each record's control word
+// as the record is decoded. It is the only routine that decodes record
+// fields from section bytes. Every caller owns disjoint tables (in fillSpan, sub-ranges
 // of the arena's; the index's per-section table sizes are the partition), so
 // section fills allocate nothing and may run in parallel. raw selects the v1
 // address encoding (raw addresses instead of zig-zag deltas, the one field
@@ -700,7 +706,7 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 // through the inlined uvarint2 fast path. The section is fully validated
 // against the index before returning: tid, record/access/lock counts and
 // the section byte length must all match exactly.
-func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, mem []MemAccess, locks []LockOp) error {
+func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, ctl []uint64, mem []MemAccess, locks []LockOp) error {
 	d := &bdec{data: data}
 	tid := int(d.uvarint())
 	nr := d.uvarint()
@@ -716,6 +722,7 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 	off := d.off
 	var prevAddr uint64
 	var ok bool
+	ctl = ctl[:len(recs)]
 	for ri := range recs {
 		if off >= len(data) {
 			return fmt.Errorf("trace: thread section %d (tid %d): %w", span, en.tid, io.ErrUnexpectedEOF)
@@ -871,6 +878,7 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 		default:
 			return fmt.Errorf("trace: thread section %d (tid %d): unknown record kind %d", span, en.tid, kind)
 		}
+		ctl[ri] = ctlWord(r)
 	}
 	if off != len(data) || mi != memEnd || li != lockEnd {
 		return fmt.Errorf("trace: thread section %d (tid %d): stream and index disagree on section contents", span, en.tid)

@@ -17,25 +17,28 @@ func arenaEdgeTraces() map[string]*Trace {
 	funcs := []FuncInfo{{Name: "f", Blocks: []BlockInfo{{NInstr: 2}, {NInstr: 3}}}}
 	longRun := &ThreadTrace{TID: 2}
 	for i := 0; i < 5000; i++ {
-		longRun.Records = append(longRun.Records, Record{Kind: KindBBL, Func: 0, Block: 0, N: 2})
+		longRun.Append(Record{Kind: KindBBL, Func: 0, Block: 0, N: 2}, nil, nil)
+	}
+	one := func(tid int, r Record, mem []MemAccess, locks []LockOp) *ThreadTrace {
+		th := &ThreadTrace{TID: tid}
+		th.Append(r, mem, locks)
+		return th
 	}
 	return map[string]*Trace{
 		"no-threads": {Program: "edge", Funcs: funcs},
 		"empty-threads": {Program: "edge", Funcs: funcs, Threads: []*ThreadTrace{
-			{TID: 0, Records: []Record{}},
-			{TID: 1, Records: []Record{{Kind: KindBBL, Func: 0, Block: 1, N: 3}}},
-			{TID: 2, Records: []Record{}},
+			{TID: 0, Records: []Record{}, Ctl: []uint64{}},
+			one(1, Record{Kind: KindBBL, Func: 0, Block: 1, N: 3}, nil, nil),
+			{TID: 2, Records: []Record{}, Ctl: []uint64{}},
 		}},
 		"single-record-threads": {Program: "edge", Funcs: funcs, Threads: []*ThreadTrace{
-			{TID: 0, Records: []Record{{Kind: KindBBL, Func: 0, Block: 0, N: 2, MemN: 1}},
-				Mem: []MemAccess{{Instr: 1, Addr: 1 << 32, Size: 8, Store: true}}},
-			{TID: 1, Records: []Record{{Kind: KindRet}}},
-			{TID: 2, Records: []Record{{Kind: KindSkip, SkipKind: SkipSpin, N: 9}}},
+			one(0, Record{Kind: KindBBL, Func: 0, Block: 0, N: 2}, []MemAccess{{Instr: 1, Addr: 1 << 32, Size: 8, Store: true}}, nil),
+			one(1, Record{Kind: KindRet}, nil, nil),
+			one(2, Record{Kind: KindSkip, SkipKind: SkipSpin, N: 9}, nil, nil),
 		}},
 		"max-run-length": {Program: "edge", Funcs: funcs, Threads: []*ThreadTrace{
 			longRun,
-			{TID: 7, Records: []Record{{Kind: KindBBL, Func: 0, Block: 0, N: 2, LockN: 2}},
-				Locks: []LockOp{{Instr: 0, Addr: 64}, {Instr: 1, Addr: 64, Release: true}}},
+			one(7, Record{Kind: KindBBL, Func: 0, Block: 0, N: 2}, nil, []LockOp{{Instr: 0, Addr: 64}, {Instr: 1, Addr: 64, Release: true}}),
 		}},
 	}
 }

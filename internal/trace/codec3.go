@@ -71,6 +71,33 @@ type indexEntry struct {
 	nrec, nmem, nlock int64
 }
 
+// The fewest bytes the codec encodes a record, an access and a lock op in:
+// a return record is its kind byte; an access is its instr, address delta,
+// size and store bytes; a lock op its instr, address delta and release
+// byte. A record decodes to 48 bytes (a Record and its control word), and
+// an access or lock op to 16, so an index entry that fits its section (fits)
+// sizes at most 48 bytes of tables per section byte.
+const (
+	minRecordBytes = 1
+	minAccessBytes = 4
+	minLockOpBytes = 3
+)
+
+// fits reports whether the entry's tables could be encoded in its section:
+// nrec·minRecordBytes + nmem·minAccessBytes + nlock·minLockOpBytes ≤ len.
+func (e indexEntry) fits() bool {
+	room := e.len
+	for _, c := range [...]struct{ n, size int64 }{
+		{e.nrec, minRecordBytes}, {e.nmem, minAccessBytes}, {e.nlock, minLockOpBytes},
+	} {
+		if c.n < 0 || c.n > room/c.size {
+			return false
+		}
+		room -= c.n * c.size
+	}
+	return true
+}
+
 // Reader provides random access to the thread sections of an indexed v3
 // trace. Thread fills one section from its footer entry; Decode fills the
 // whole trace from the footer, reading sections straight from the input, and
@@ -141,11 +168,11 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 				ErrNoIndex, e.tid, e.off, e.len, headerLen, footerOff, end)
 		}
 		end = e.off + e.len
-		// Every record and table entry costs at least one stream byte, so
-		// counts exceeding the section length cannot be honest. (The record
-		// count additionally went through the shared maxCount cap above,
-		// matching what the stream decoder enforces per thread.)
-		if e.nrec > e.len || e.nmem > e.len || e.nlock > e.len {
+		// The tables share the section's bytes, so counts that need more
+		// bytes than the section holds cannot be honest. (The record count
+		// additionally went through the shared maxCount cap above, matching
+		// what the stream decoder enforces per thread.)
+		if !e.fits() {
 			return nil, fmt.Errorf("%w: thread %d section declares implausible table sizes %d/%d/%d for %d bytes",
 				ErrNoIndex, e.tid, e.nrec, e.nmem, e.nlock, e.len)
 		}
@@ -244,14 +271,14 @@ func (r *Reader) Thread(i int) (*ThreadTrace, error) {
 	if _, err := r.ra.ReadAt(data, en.off); err != nil {
 		return nil, fmt.Errorf("trace: thread section %d (tid %d): %w", i, en.tid, err)
 	}
-	th := &ThreadTrace{TID: en.tid, Records: make([]Record, en.nrec)}
+	th := &ThreadTrace{TID: en.tid, Records: make([]Record, en.nrec), Ctl: make([]uint64, en.nrec)}
 	if en.nmem > 0 {
 		th.Mem = make([]MemAccess, en.nmem)
 	}
 	if en.nlock > 0 {
 		th.Locks = make([]LockOp, en.nlock)
 	}
-	if err := fillSection(data, en, false, i, th.Records, th.Mem, th.Locks); err != nil {
+	if err := fillSection(data, en, false, i, th.Records, th.Ctl, th.Mem, th.Locks); err != nil {
 		return nil, err
 	}
 	return th, nil

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -161,7 +163,8 @@ func rewriteIndex(data []byte, edit func(headerLen *int64, index []indexEntry)) 
 }
 
 // TestIndexOffsetsPastEOFDegrade: a footer whose sections do not tile the
-// data region, or whose header length disagrees with the header, is rejected
+// data region, whose header length disagrees with the header, or whose
+// table sizes no section could hold, is rejected
 // as ErrNoIndex, and the lenient parallel decode falls back to the stream
 // decode rather than erroring.
 func TestIndexOffsetsPastEOFDegrade(t *testing.T) {
@@ -181,6 +184,10 @@ func TestIndexOffsetsPastEOFDegrade(t *testing.T) {
 		// starts where it says the header ends: the sections still tile,
 		// but the header does not fit.
 		{"short header length", func(h *int64, ix []indexEntry) { *h--; ix[0].off--; ix[0].len++ }},
+		// Counts of 2^64-1, which read back as -1: the decoder once sized a
+		// table from them and panicked.
+		{"access count past int64", func(_ *int64, ix []indexEntry) { ix[0].nmem = -1 }},
+		{"lock op count past int64", func(_ *int64, ix []indexEntry) { ix[0].nlock = -1 }},
 	} {
 		data := rewriteIndex(buf.Bytes(), c.edit)
 		if _, err := NewReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
@@ -310,6 +317,83 @@ func TestReaderDecodeReadsInChunks(t *testing.T) {
 		t.Logf("parallelism %d: %d reads over a %d-byte data region", par, len(cr.reads), region)
 		if len(cr.reads) < pool.MinParallelItems {
 			t.Errorf("parallelism %d: %d reads, want at least %d runs", par, len(cr.reads), pool.MinParallelItems)
+		}
+	}
+}
+
+// TestInflatedFooterAllocation: a footer cannot make a decode allocate more
+// than the body's bytes could hold. The tables a footer entry sizes take at
+// most 48 bytes per section byte (a 48-byte record and control word per
+// minRecordBytes), so a lying footer costs at most 48 × the body on top of
+// the honest decode the fallback then runs, plus per-thread headers (span,
+// index entries, ThreadTrace) and the footer and header parses. The body is
+// a v3 encoding of random threads; one footer sets every entry's counts to
+// its section length, which the per-count check of old accepted (76 × the
+// body), and one sits exactly at the bound, all records. Both decode,
+// leniently, to the encoded trace.
+func TestInflatedFooterAllocation(t *testing.T) {
+	tr := &Trace{Program: "inflated"}
+	for seed := int64(0); len(tr.Threads) < 64; seed++ {
+		rt := randomTrace(rand.New(rand.NewSource(seed)))
+		if tr.Funcs == nil {
+			tr.Funcs = rt.Funcs
+		}
+		for _, th := range rt.Threads {
+			th.TID = len(tr.Threads)
+			tr.Threads = append(tr.Threads, th)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, tr, 3); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	allocated := func(data []byte) uint64 {
+		least := uint64(math.MaxUint64)
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decode(data, 1, false)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	want, err := decode(body, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := allocated(body)
+	const perThread = 512
+	limit := 48*uint64(len(body)) + honest + perThread*uint64(len(tr.Threads)) + 4096
+	for _, c := range []struct {
+		name string
+		edit func(*int64, []indexEntry)
+	}{
+		{"counts at the section length", func(_ *int64, ix []indexEntry) {
+			for i := range ix {
+				ix[i].nrec, ix[i].nmem, ix[i].nlock = ix[i].len, ix[i].len, ix[i].len
+			}
+		}},
+		{"records at the bound", func(_ *int64, ix []indexEntry) {
+			for i := range ix {
+				ix[i].nrec, ix[i].nmem, ix[i].nlock = ix[i].len/minRecordBytes, 0, 0
+			}
+		}},
+	} {
+		data := rewriteIndex(body, c.edit)
+		if dec, err := decode(data, 1, false); err != nil || !reflect.DeepEqual(dec, want) {
+			t.Errorf("%s: decode differs from the encoded trace (error %v)", c.name, err)
+		}
+		got := allocated(data)
+		t.Logf("%s: %d-byte body, honest decode %d bytes (%.1f×), lying footer %d bytes (%.1f×)",
+			c.name, len(body), honest, float64(honest)/float64(len(body)), got, float64(got)/float64(len(body)))
+		if got > limit {
+			t.Errorf("%s: decode allocated %d bytes, over the %d that 48 × the %d-byte body, the honest decode and the per-thread headers allow",
+				c.name, got, limit, len(body))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package trace
 
-// This file defines the replay-oriented control-word column of a trace. The
+// This file defines the replay-oriented control word of a trace record. The
 // SIMT replay engine's lockstep-fusion fast path verifies, for every window
 // element, that all active lanes carry the same upcoming block execution — a
 // comparison that only involves a record's control fields (kind, function,
@@ -11,6 +11,11 @@ package trace
 // Record structs. The accesses themselves are read from the threads' Mem
 // tables: the fused memory-charge path gathers the active lanes' access
 // lists only for elements whose control word says they touch memory.
+//
+// The words are a table of the trace: ThreadTrace.Ctl holds one per record,
+// written where the record is written — by fillSection as it decodes the
+// record, and by ThreadTrace.Append — so no analysis packs them, and they
+// are as immutable as the records they describe.
 //
 // Control-word layout (low to high):
 //
@@ -81,98 +86,50 @@ func CtlBlock(ctl uint64) uint32 {
 	return uint32(ctl >> CtlBlockShift & (1<<ctlBlockBits - 1))
 }
 
-// Cols is the packed control-word view of a trace's threads: one control
-// word per record. The outer slice is indexed by the thread's position in
-// Trace.Threads, and Ctl[i] is parallel to Threads[i].Records. A Cols is a
-// derived, read-only view: it must be rebuilt if the underlying records
-// change.
+// Cols is a per-thread table of control words, Ctl[i] parallel to
+// Threads[i].Records.
+//
+// Deprecated: every trace carries its control words in ThreadTrace.Ctl,
+// written by the decoder and by ThreadTrace.Append, and replay reads only
+// those. Cols, NewCols, SetThread and Trace.Cols remain for the end-to-end
+// benchmark's mirror of the analyzer's stages.
 type Cols struct {
 	Ctl [][]uint64
 }
 
-// BuildCols derives the packed column view of a trace: one streaming pass
-// per thread into its slot of AllocCols. The result is safe for concurrent
-// readers.
-func BuildCols(t *Trace) *Cols {
-	c := AllocCols(t)
-	for i, th := range t.Threads {
-		PackCtl(c.Ctl[i], th)
-	}
-	return c
-}
-
-// ctlSlabWords is the size of the slabs AllocCols carves thread columns
-// from: 32 KB, the largest object the Go allocator serves from its small
-// size classes. One multi-megabyte column for a whole trace, the alternative,
-// is a large object, and in paired end-to-end runs on a 2-vCPU machine it
-// raised the peak RSS of a 2048-4096-thread batch analysis by 7%; slabs
-// this size did not.
-const ctlSlabWords = 32 << 10 / 8
-
-// AllocCols returns a column view whose slot i is sized for t.Threads[i]'s
-// control words, ready for PackCtl. Consecutive threads share 32 KB slabs,
-// and a thread too large for one gets an allocation of its own, so a trace
-// costs one allocation per slab, not one per thread. A nil thread gets no
-// slot.
-func AllocCols(t *Trace) *Cols {
-	c := NewCols(len(t.Threads))
-	var slab []uint64
-	for i, th := range t.Threads {
-		if th == nil {
-			continue
-		}
-		n := len(th.Records)
-		switch l := len(slab); {
-		case n <= cap(slab)-l:
-			slab = slab[:l+n]
-			c.Ctl[i] = slab[l : l+n : l+n]
-		case n >= ctlSlabWords:
-			c.Ctl[i] = make([]uint64, n)
-		default:
-			slab = make([]uint64, n, ctlSlabWords)
-			c.Ctl[i] = slab[:n:n]
-		}
-	}
-	return c
-}
-
-// NewCols returns an empty column view with room for n threads, for callers
-// that fill thread slots out of order via SetThread. AllocCols is the sized
-// alternative: the analyzer's ingest packs each thread into its slot in the
-// worker that just validated it, while the thread is still cache-hot.
+// NewCols returns an empty column view with room for n threads.
+//
+// Deprecated: see Cols.
 func NewCols(n int) *Cols {
 	return &Cols{Ctl: make([][]uint64, n)}
 }
 
-// SetThread derives and installs thread i's control words in a slice of
-// their own. Distinct slots may be filled concurrently; the view is safe for
-// readers once every slot a reader touches has been set.
+// SetThread packs thread i's control words into a slice of its own.
+//
+// Deprecated: see Cols.
 func (c *Cols) SetThread(i int, th *ThreadTrace) {
 	c.Ctl[i] = PackCtl(make([]uint64, len(th.Records)), th)
 }
 
 // PackCtl writes the control words of th's records into dst, which must
-// hold at least one word per record, and returns dst[:len(th.Records)]. It
-// allocates nothing, so callers that pack many threads can pack each into
-// its slot of AllocCols.
+// hold at least one word per record, and returns dst[:len(th.Records)].
 func PackCtl(dst []uint64, th *ThreadTrace) []uint64 {
 	ctl := dst[:len(th.Records)]
 	for j := range th.Records {
-		r := &th.Records[j]
-		if r.N > CtlNMask || r.Block >= 1<<ctlBlockBits || r.Func >= 1<<ctlFuncBits || r.Kind > KindSkip {
-			ctl[j] = CtlInvalid
-			continue
-		}
-		w := r.N | uint64(r.Block)<<CtlBlockShift | uint64(r.Func)<<CtlFuncShift | uint64(r.Kind)<<CtlKindShift
-		if r.LockN > 0 {
-			w |= CtlLocksBit
-		}
-		if ml := r.MemN; ml >= CtlMemOverflow {
-			w |= CtlMemOverflow << CtlMemShift
-		} else {
-			w |= uint64(ml) << CtlMemShift
-		}
-		ctl[j] = w
+		ctl[j] = ctlWord(&th.Records[j])
 	}
 	return ctl
+}
+
+// ctlWord packs one record's control word. Every builder writes a record's
+// word through it: fillSection as it decodes the record, and Append.
+func ctlWord(r *Record) uint64 {
+	if r.N > CtlNMask || r.Block >= 1<<ctlBlockBits || r.Func >= 1<<ctlFuncBits || r.Kind > KindSkip {
+		return CtlInvalid
+	}
+	w := r.N | uint64(r.Block)<<CtlBlockShift | uint64(r.Func)<<CtlFuncShift | uint64(r.Kind)<<CtlKindShift
+	if r.LockN > 0 {
+		w |= CtlLocksBit
+	}
+	return w | uint64(min(r.MemN, CtlMemOverflow))<<CtlMemShift
 }

@@ -74,6 +74,7 @@ func (d *decoder) thread(version int) *ThreadTrace {
 	th := &ThreadTrace{TID: int(d.uvarint())}
 	nr := d.count("record", d.uvarint())
 	th.Records = make([]Record, 0, preallocCap(nr))
+	th.Ctl = make([]uint64, 0, preallocCap(nr))
 	var prevAddr uint64
 	for j := uint64(0); j < nr && d.err == nil; j++ {
 		var r Record

@@ -117,16 +117,21 @@ type Record struct {
 }
 
 // ThreadTrace is the complete event stream of one CPU thread: its records,
-// and the memory accesses and lock operations they carry, in record order.
-// Every builder (the decoder, Append) lays the tables out so that the
-// records' non-empty ranges tile them in order with no gaps (CheckLayout),
-// and leaves an empty table nil, so two ThreadTraces built that way are
-// reflect.DeepEqual exactly when they hold the same events.
+// and the memory accesses and lock operations they carry, in record order,
+// plus each record's control word (cols.go). Every builder (the decoder,
+// Append) lays the tables out so that the records' non-empty ranges tile
+// them in order with no gaps, writes one word per record (CheckLayout), and
+// leaves an empty Mem or Locks table nil and Ctl nil exactly when Records
+// is, so two ThreadTraces built that way are reflect.DeepEqual exactly when
+// they hold the same events.
 type ThreadTrace struct {
 	TID     int
 	Records []Record
 	Mem     []MemAccess
 	Locks   []LockOp
+	// Ctl[i] is Records[i]'s control word, which replay's fusion fast path
+	// compares across lanes.
+	Ctl []uint64
 }
 
 // MemOf returns r's memory accesses, a view of t.Mem whose capacity ends
@@ -147,9 +152,10 @@ func (t *ThreadTrace) LocksOf(r *Record) []LockOp {
 }
 
 // Append appends r to the thread with mem and locks as its accesses and lock
-// operations, copying them onto the ends of the thread's tables and setting
-// r's ranges to match (whatever r held). It is the one way in-memory
-// builders add records, so their tables keep the layout CheckLayout checks.
+// operations, copying them onto the ends of the thread's tables, setting r's
+// ranges to match (whatever r held), and packing r's control word. It is
+// the one way in-memory builders add records, so their tables keep the
+// layout CheckLayout checks.
 func (t *ThreadTrace) Append(r Record, mem []MemAccess, locks []LockOp) {
 	r.MemLo, r.MemN = 0, 0
 	if len(mem) > 0 {
@@ -162,6 +168,7 @@ func (t *ThreadTrace) Append(r Record, mem []MemAccess, locks []LockOp) {
 		t.Locks = append(t.Locks, locks...)
 	}
 	t.Records = append(t.Records, r)
+	t.Ctl = append(t.Ctl, ctlWord(&r))
 }
 
 // tableRange returns the range of n entries appended to a table of length
@@ -175,13 +182,20 @@ func tableRange(lo, n int, what string) (uint32, uint32) {
 
 // CheckLayout reports whether t's tables have the layout every builder
 // gives them: the records' non-empty access ranges tile t.Mem in record
-// order with no gaps, empty ranges are zero, and likewise for lock ops.
-// Analysis needs only ranges that lie within the tables, which Validate
-// checks; this layout is what makes reflect.DeepEqual compare events.
+// order with no gaps, empty ranges are zero, and likewise for lock ops; and
+// Ctl holds each record's control word. Analysis needs only ranges that lie
+// within the tables and one word per record, which Validate checks; this
+// layout is what makes reflect.DeepEqual compare events.
 func (t *ThreadTrace) CheckLayout() error {
+	if len(t.Ctl) != len(t.Records) {
+		return fmt.Errorf("trace: thread %d: %d control words for %d records", t.TID, len(t.Ctl), len(t.Records))
+	}
 	var mi, li uint64
 	for i := range t.Records {
 		r := &t.Records[i]
+		if t.Ctl[i] != ctlWord(r) {
+			return fmt.Errorf("trace: thread %d record %d: control word %#x, record packs to %#x", t.TID, i, t.Ctl[i], ctlWord(r))
+		}
 		if r.MemN > 0 && uint64(r.MemLo) != mi || r.MemN == 0 && r.MemLo != 0 ||
 			r.LockN > 0 && uint64(r.LockLo) != li || r.LockN == 0 && r.LockLo != 0 {
 			return fmt.Errorf("trace: thread %d record %d: access range [%d,+%d) and lock range [%d,+%d) do not continue the tables at %d and %d",
@@ -248,12 +262,9 @@ type Trace struct {
 	Funcs   []FuncInfo
 	Threads []*ThreadTrace
 
-	// Cols optionally carries the control-word column replay's fusion fast
-	// path walks (see cols.go). It is derived state — never serialized, never
-	// compared — and invalidated by mutating Records. A caller that replays
-	// one trace directly many times may set it once; simt.Replay derives the
-	// columns when it is nil. Package core never writes it: its ingest keeps
-	// the columns in its own preparation.
+	// Cols is ignored: replay reads each thread's Ctl.
+	//
+	// Deprecated: see Cols.
 	Cols *Cols `json:"-"`
 }
 
@@ -288,7 +299,8 @@ func (t *Trace) TotalSkipped() (io, spin uint64) {
 // Validate checks internal consistency: record function/block ids resolve in
 // the symbol table, BBL instruction counts match the static table, call/ret
 // nesting is balanced, block records' access and lock ranges lie within
-// their thread's tables, and memory/lock instruction indices are in range.
+// their thread's tables, memory/lock instruction indices are in range, and
+// each thread has one control word per record.
 func (t *Trace) Validate() error {
 	for _, th := range t.Threads {
 		if err := t.ValidateThread(th); err != nil {
@@ -300,9 +312,12 @@ func (t *Trace) Validate() error {
 
 // ValidateThread checks one thread's records against the trace's symbol
 // table. Threads validate independently, so the analyzer's ingest checks
-// them in parallel, packing each thread's control words while it is
-// cache-hot.
+// them in parallel. Of the control words it checks only that there is one
+// per record: the builders pack them, and a trace is immutable once built.
 func (t *Trace) ValidateThread(th *ThreadTrace) error {
+	if len(th.Ctl) != len(th.Records) {
+		return fmt.Errorf("trace: thread %d: %d control words for %d records", th.TID, len(th.Ctl), len(th.Records))
+	}
 	depth := 0
 	for i := range th.Records {
 		r := &th.Records[i]
