@@ -94,7 +94,7 @@ func dropThread(t *trace.Trace, i int) *trace.Trace {
 // removed from thread ti.
 func dropRecords(t *trace.Trace, ti, start, size int) *trace.Trace {
 	src := t.Threads[ti]
-	nth := &trace.ThreadTrace{TID: src.TID, Records: make([]trace.Record, 0, len(src.Records)-size)}
+	nth := &trace.ThreadTrace{TID: src.TID}
 	for ri := range src.Records {
 		if r := &src.Records[ri]; ri < start || ri >= start+size {
 			nth.Append(*r, src.MemOf(r), src.LocksOf(r))
@@ -107,7 +107,7 @@ func dropRecords(t *trace.Trace, ti, start, size int) *trace.Trace {
 // stripped of its memory accesses (mem=true) or lock ops (mem=false).
 func stripPayload(t *trace.Trace, ti, ri int, mem bool) *trace.Trace {
 	src := t.Threads[ti]
-	nth := &trace.ThreadTrace{TID: src.TID, Records: make([]trace.Record, 0, len(src.Records))}
+	nth := &trace.ThreadTrace{TID: src.TID}
 	for i := range src.Records {
 		r := &src.Records[i]
 		m, l := src.MemOf(r), src.LocksOf(r)

@@ -14,7 +14,7 @@ import (
 
 // Session is the analyzer: every entry point (Analyze, AnalyzeCached,
 // AnalyzeStream, CacheKey, Upload) runs through one. It memoizes the
-// trace-derived analysis products — the ingest (validation, packed columns, DCFGs),
+// trace-derived analysis products — the ingest (validation, DCFGs),
 // ipdom.ComputeAll, warp formation, and the content digest — keyed by trace
 // identity, so sweeps that analyze one trace under many configurations (warp widths,
 // formations, lock policies: figure 1, the extension studies,
