@@ -25,9 +25,12 @@ test-race:
 # Static sanity: go vet plus the tflint engine over workloads that must stay
 # clean. The trace passes must produce zero findings of any severity; the
 # static oracle pass always emits an informational summary, so the full pass
-# list is held to warning-and-above instead.
+# list is held to warning-and-above instead. The sanitizer runs over every
+# registered workload, which holds the trace validator to what the tracer
+# actually emits.
 lint:
 	$(GO) vet ./...
+	$(GO) run ./cmd/tflint -severity info -passes sanitize -all
 	$(GO) run ./cmd/tflint -severity info -passes sanitize,lockset,divergence,locks,deadlock -workload vectoradd,uncoalesced
 	$(GO) run ./cmd/tflint -severity warning -workload vectoradd,uncoalesced
 

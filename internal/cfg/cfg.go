@@ -12,7 +12,6 @@
 package cfg
 
 import (
-	"fmt"
 	"sort"
 
 	"threadfuser/internal/trace"
@@ -107,14 +106,15 @@ func (g *DCFG) sortEdges() {
 	}
 }
 
-// Build constructs the merged per-function DCFGs for every function that
-// appears in the trace. The map is keyed by function id.
+// Build validates the trace and constructs the merged per-function DCFGs
+// for every function that appears in it. The map is keyed by function id.
 func Build(t *trace.Trace) (map[uint32]*DCFG, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	b := NewBuilder(t.Funcs)
 	for _, th := range t.Threads {
-		if err := b.AddThread(th); err != nil {
-			return nil, err
-		}
+		b.AddThread(th)
 	}
 	return b.Finish(), nil
 }
@@ -127,8 +127,10 @@ type walkFrame struct {
 }
 
 // Builder accumulates merged per-function DCFGs one thread at a time, for
-// callers that walk threads as they become ready (core's ingest walks each
-// thread once it has validated). Feeding threads in trace order makes the
+// callers that validate the threads themselves (core's ingest validates
+// them in parallel, then adds them in order). It decides nothing about
+// well-formedness: every thread it is given must have passed
+// trace.Trace.ValidateThread. Feeding threads in trace order makes the
 // result identical to Build (including which block Entry reports when
 // threads disagree). Graphs live in a slice indexed by function id, so the
 // per-record lookup is an index, not a map probe. A Builder is not safe for
@@ -154,7 +156,10 @@ func (bl *Builder) graphFor(fn uint32) *DCFG {
 	return g
 }
 
-// AddThread merges one thread's observed control flow into the graphs.
+// AddThread merges one thread's observed control flow into the graphs. th
+// must have passed Trace.ValidateThread against the Builder's symbol table,
+// so its blocks nest in well-formed call/ret frames. The error is always
+// nil.
 func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
 	stack := bl.stack[:0]
 	for i := range th.Records {
@@ -163,16 +168,7 @@ func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
 		case trace.KindCall:
 			stack = append(stack, walkFrame{fn: r.Callee, last: -1})
 		case trace.KindBBL:
-			if len(stack) == 0 {
-				bl.stack = stack
-				return fmt.Errorf("cfg: thread %d record %d: block outside any function", th.TID, i)
-			}
 			top := &stack[len(stack)-1]
-			if top.fn != r.Func {
-				bl.stack = stack
-				return fmt.Errorf("cfg: thread %d record %d: block of f%d inside invocation of f%d",
-					th.TID, i, r.Func, top.fn)
-			}
 			g := bl.graphFor(r.Func)
 			b := int32(r.Block)
 			if top.last < 0 {
@@ -182,42 +178,28 @@ func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
 			}
 			top.last = b
 		case trace.KindRet:
-			if len(stack) == 0 {
-				bl.stack = stack
-				return fmt.Errorf("cfg: thread %d record %d: return below entry", th.TID, i)
-			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			g := bl.graphFor(top.fn)
 			if top.last >= 0 {
 				g.addEdge(top.last, g.ExitNode())
 			}
-		case trace.KindSkip:
-			// Skipped regions carry no control-flow information.
 		}
 	}
-	bl.stack = stack[:0]
-	if len(stack) != 0 {
-		return fmt.Errorf("cfg: thread %d: %d unterminated function invocations", th.TID, len(stack))
-	}
+	bl.stack = stack
 	return nil
 }
 
 // Finish seals and returns the merged graphs, keyed by function id. The
-// Builder must not be used afterwards.
+// Builder must not be used afterwards. Every observed block has a
+// successor, as the post-dominator analysis needs: a validated thread
+// closes each invocation with a return, which links the invocation's last
+// block to the virtual exit.
 func (bl *Builder) Finish() map[uint32]*DCFG {
 	out := make(map[uint32]*DCFG)
 	for fn, g := range bl.graphs {
 		if g == nil {
 			continue
-		}
-		// Robustness: any observed block with no successors (possible only
-		// with truncated traces) flows to the virtual exit so the
-		// post-dominator analysis stays well-defined.
-		for b := int32(0); b < int32(g.NBlocks); b++ {
-			if (len(g.succs[b]) > 0 || len(g.preds[b]) > 0) && len(g.succs[b]) == 0 {
-				g.addEdge(b, g.ExitNode())
-			}
 		}
 		g.sortEdges()
 		out[uint32(fn)] = g

@@ -205,26 +205,21 @@ type prep struct {
 }
 
 // prepare is the analyzer's one ingest, shared by Session.Ingest and the
-// batch path, in two phases. First pool workers validate each thread
-// against t's symbol table; pool.ForEach reports the first invalid thread
-// in trace order.
-// Then one walk in trace order feeds the threads below it to the DCFG
-// builder, which keeps the graphs — including DCFG entry observation order —
-// independent of scheduling. The first failing thread in trace order wins,
-// whichever phase it failed.
+// batch path. Pool workers validate each thread against t's symbol table,
+// and pool.ForEach reports the first invalid thread in trace order; a trace
+// that fails returns before any DCFG walk. Then one walk in trace order
+// feeds the threads to the DCFG builder, which keeps the graphs, including
+// DCFG entry observation order, independent of scheduling.
 func prepare(t *trace.Trace, parallelism int) (*prep, error) {
 	n := len(t.Threads)
-	valid, verr := pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) error {
+	if _, err := pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) error {
 		return t.ValidateThread(t.Threads[i])
-	})
-	b := cfg.NewBuilder(t.Funcs)
-	for _, th := range t.Threads[:valid] {
-		if err := b.AddThread(th); err != nil {
-			return nil, fmt.Errorf("core: ingest: %w", err)
-		}
+	}); err != nil {
+		return nil, fmt.Errorf("core: ingest: %w", err)
 	}
-	if verr != nil {
-		return nil, fmt.Errorf("core: ingest: %w", verr)
+	b := cfg.NewBuilder(t.Funcs)
+	for _, th := range t.Threads {
+		b.AddThread(th)
 	}
 	graphs := b.Finish()
 	return &prep{graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil

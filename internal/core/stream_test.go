@@ -152,11 +152,11 @@ func TestAnalyzeStreamSurfacesSectionErrors(t *testing.T) {
 }
 
 // TestBatchAndStreamFailIdentically pins the shared ingest's error order:
-// thread 1 fails only the DCFG walk (a block of another function inside an
-// invocation, which ValidateThread does not check) and thread 3 fails
-// ValidateThread (a wrong instruction count). Every entry point must report
-// the same error, and it must be thread 1's: the first failing thread in
-// trace order wins, whichever stage it failed. A container with an honest
+// thread 1 breaks only the frame rule (a block of another function inside
+// an invocation) and thread 3 has a wrong instruction count; ValidateThread
+// rejects both. Every entry point must report the same error, and it must
+// be thread 1's: the first failing thread in trace order wins, whichever
+// worker validated it first. A container with an honest
 // footer and one damaged section must fail the stream ingest with the batch
 // decode's error, which names the damaged section.
 func TestBatchAndStreamFailIdentically(t *testing.T) {
@@ -190,8 +190,8 @@ func TestBatchAndStreamFailIdentically(t *testing.T) {
 		return false
 	})
 	mutate(3, func(r *trace.Record) bool { r.N += 7; return true })
-	if err := bad.ValidateThread(bad.Threads[1]); err != nil {
-		t.Fatalf("thread 1 must pass validation, got %v", err)
+	if err := bad.ValidateThread(bad.Threads[1]); err == nil || !strings.Contains(err.Error(), "inside an invocation of") {
+		t.Fatalf("thread 1 must fail validation with its frame defect, got %v", err)
 	}
 
 	_, batchErr := Analyze(&bad, Defaults())

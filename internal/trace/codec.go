@@ -238,7 +238,7 @@ func sizeTrace(t *Trace) ([]indexEntry, error) {
 				if r.LockN > maxCount {
 					return nil, tooLarge(fmt.Sprintf("thread %d record %d lock op count", th.TID, j), int(r.LockN), maxCount)
 				}
-				if !th.inTables(r) {
+				if !th.InTables(r) {
 					return nil, fmt.Errorf("trace: encode: thread %d record %d: access or lock range lies outside the thread's tables", th.TID, j)
 				}
 				en.nmem += int64(r.MemN)
