@@ -236,8 +236,7 @@ func TestMalformedTraceGatesStructuralPasses(t *testing.T) {
 				flooded.Append(trace.Record{Kind: trace.KindSkip, N: 1, SkipKind: 99}, nil, nil)
 			}
 			for ri := range th0.Records {
-				r := &th0.Records[ri]
-				flooded.Append(*r, th0.MemOf(r), th0.LocksOf(r))
+				flooded.Append(th0.Records[ri], th0.MemOf(ri), th0.LocksOf(ri))
 			}
 			tr.Threads[0] = flooded
 			victim = len(tr.Threads) - 1
@@ -249,12 +248,11 @@ func TestMalformedTraceGatesStructuralPasses(t *testing.T) {
 		} else {
 			bad := &trace.ThreadTrace{TID: src.TID}
 			for ri := range src.Records {
-				r := &src.Records[ri]
-				rec := *r
+				rec := src.Records[ri]
 				if ri == bi {
 					rec.Block = 9999
 				}
-				bad.Append(rec, src.MemOf(r), src.LocksOf(r))
+				bad.Append(rec, src.MemOf(ri), src.LocksOf(ri))
 			}
 			tr.Threads[victim] = bad
 		}

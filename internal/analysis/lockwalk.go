@@ -57,7 +57,7 @@ func lockWalk(t *trace.Trace, hk lockHooks) {
 			if r.Kind != trace.KindBBL {
 				continue
 			}
-			mem, locks := th.MemOf(r), th.LocksOf(r)
+			mem, locks := th.MemOf(ri), th.LocksOf(ri)
 			li := 0
 			step := func() {
 				if hk.lock != nil {

@@ -99,8 +99,8 @@ func (s *sanitizer) thread(t *trace.Trace, th *trace.ThreadTrace) {
 		case trace.KindBBL:
 			// The walk reported a record whose ranges leave the tables;
 			// its accesses and lock ops cannot be read.
-			if th.InTables(r) {
-				s.payload(th, ri, r)
+			if th.InTables(ri) {
+				s.payload(th, ri)
 			}
 		case trace.KindSkip:
 			if r.SkipKind != trace.SkipIO && r.SkipKind != trace.SkipSpin {
@@ -112,8 +112,8 @@ func (s *sanitizer) thread(t *trace.Trace, th *trace.ThreadTrace) {
 
 // payload checks a block record's accesses and lock ops against the VM
 // segment map.
-func (s *sanitizer) payload(th *trace.ThreadTrace, ri int, r *trace.Record) {
-	mem := th.MemOf(r)
+func (s *sanitizer) payload(th *trace.ThreadTrace, ri int) {
+	mem := th.MemOf(ri)
 	for mi := range mem {
 		m := &mem[mi]
 		if m.Size == 0 {
@@ -147,7 +147,7 @@ func (s *sanitizer) payload(th *trace.ThreadTrace, ri int, r *trace.Record) {
 			}
 		}
 	}
-	for _, l := range th.LocksOf(r) {
+	for _, l := range th.LocksOf(ri) {
 		if l.Addr < vm.GlobalBase {
 			s.at(SevError, th.TID, ri, "lock word at 0x%x outside the known segments", l.Addr)
 		}

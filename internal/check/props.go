@@ -389,12 +389,12 @@ func traceMemBounds(t *trace.Trace) (memInstrs, tx uint64) {
 	var idx []uint16
 	for _, th := range t.Threads {
 		for i := range th.Records {
-			r := &th.Records[i]
-			if r.Kind != trace.KindBBL || r.MemN == 0 {
+			mem := th.MemOf(i)
+			if th.Records[i].Kind != trace.KindBBL || len(mem) == 0 {
 				continue
 			}
 			idx = idx[:0]
-			for _, m := range th.MemOf(r) {
+			for _, m := range mem {
 				seen := false
 				for _, x := range idx {
 					if x == m.Instr {
@@ -426,11 +426,10 @@ func width1MemOracle(t *trace.Trace) (memInstrs, stackTx, heapTx uint64) {
 	var wm struct{ loads, stores []coalesce.Access }
 	for _, th := range t.Threads {
 		for i := range th.Records {
-			r := &th.Records[i]
-			if r.Kind != trace.KindBBL || r.MemN == 0 {
+			mem := th.MemOf(i)
+			if th.Records[i].Kind != trace.KindBBL || len(mem) == 0 {
 				continue
 			}
-			mem := th.MemOf(r)
 			var idx []uint16
 			for _, m := range mem {
 				seen := false
@@ -478,11 +477,10 @@ func checkCoalesceAlgebra(c *ctx) {
 	sets := 0
 	for _, th := range c.tr.Threads {
 		for i := range th.Records {
-			r := &th.Records[i]
-			if r.Kind != trace.KindBBL || r.MemN == 0 {
+			mem := th.MemOf(i)
+			if th.Records[i].Kind != trace.KindBBL || len(mem) == 0 {
 				continue
 			}
-			mem := th.MemOf(r)
 			accs := make([]coalesce.Access, 0, len(mem))
 			for _, m := range mem {
 				accs = append(accs, coalesce.Access{Addr: m.Addr, Size: m.Size})

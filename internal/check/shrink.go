@@ -66,12 +66,10 @@ func Shrink(tr *trace.Trace, fails func(*trace.Trace) bool, budget int) *trace.T
 		// Strip payloads: memory accesses, then lock ops.
 		for ti := 0; ti < len(cur.Threads); ti++ {
 			for ri := range cur.Threads[ti].Records {
-				r := &cur.Threads[ti].Records[ri]
-				if r.MemN > 0 && try(stripPayload(cur, ti, ri, true)) {
+				if len(cur.Threads[ti].MemOf(ri)) > 0 && try(stripPayload(cur, ti, ri, true)) {
 					progress = true
 				}
-				r = &cur.Threads[ti].Records[ri]
-				if r.LockN > 0 && try(stripPayload(cur, ti, ri, false)) {
+				if len(cur.Threads[ti].LocksOf(ri)) > 0 && try(stripPayload(cur, ti, ri, false)) {
 					progress = true
 				}
 			}
@@ -96,8 +94,8 @@ func dropRecords(t *trace.Trace, ti, start, size int) *trace.Trace {
 	src := t.Threads[ti]
 	nth := &trace.ThreadTrace{TID: src.TID}
 	for ri := range src.Records {
-		if r := &src.Records[ri]; ri < start || ri >= start+size {
-			nth.Append(*r, src.MemOf(r), src.LocksOf(r))
+		if ri < start || ri >= start+size {
+			nth.Append(src.Records[ri], src.MemOf(ri), src.LocksOf(ri))
 		}
 	}
 	return replaceThread(t, ti, nth)
@@ -109,8 +107,7 @@ func stripPayload(t *trace.Trace, ti, ri int, mem bool) *trace.Trace {
 	src := t.Threads[ti]
 	nth := &trace.ThreadTrace{TID: src.TID}
 	for i := range src.Records {
-		r := &src.Records[i]
-		m, l := src.MemOf(r), src.LocksOf(r)
+		m, l := src.MemOf(i), src.LocksOf(i)
 		if i == ri {
 			if mem {
 				m = nil
@@ -118,7 +115,7 @@ func stripPayload(t *trace.Trace, ti, ri int, mem bool) *trace.Trace {
 				l = nil
 			}
 		}
-		nth.Append(*r, m, l)
+		nth.Append(src.Records[i], m, l)
 	}
 	return replaceThread(t, ti, nth)
 }

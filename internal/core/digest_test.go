@@ -69,9 +69,8 @@ func editPayload(t *trace.Trace, i int, edit func(j int, mem []trace.MemAccess, 
 	src := t.Threads[i]
 	th := &trace.ThreadTrace{TID: src.TID}
 	for j := range src.Records {
-		r := &src.Records[j]
-		mem, locks := edit(j, src.MemOf(r), src.LocksOf(r))
-		th.Append(*r, mem, locks)
+		mem, locks := edit(j, src.MemOf(j), src.LocksOf(j))
+		th.Append(src.Records[j], mem, locks)
 	}
 	t.Threads[i] = th
 }
@@ -168,10 +167,9 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 	add := func(class, name string, f func(*trace.Trace)) {
 		ms = append(ms, mutation{class, at + "/" + name, f})
 	}
-	rec := func(t *trace.Trace) *trace.Record { return &t.Threads[i].Records[j] }
-	r := &tr.Threads[i].Records[j]
-	for k := range tr.Threads[i].MemOf(r) {
-		m := func(t *trace.Trace) *trace.MemAccess { return &t.Threads[i].MemOf(rec(t))[k] }
+	mem, locks := tr.Threads[i].MemOf(j), tr.Threads[i].LocksOf(j)
+	for k := range mem {
+		m := func(t *trace.Trace) *trace.MemAccess { return &t.Threads[i].MemOf(j)[k] }
 		for _, bit := range edges(16) {
 			add("mem.instr", fmt.Sprintf("m%d/instr^bit%d", k, bit), func(t *trace.Trace) { m(t).Instr ^= 1 << bit })
 		}
@@ -191,8 +189,8 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 			})
 		})
 	}
-	for k := range tr.Threads[i].LocksOf(r) {
-		l := func(t *trace.Trace) *trace.LockOp { return &t.Threads[i].LocksOf(rec(t))[k] }
+	for k := range locks {
+		l := func(t *trace.Trace) *trace.LockOp { return &t.Threads[i].LocksOf(j)[k] }
 		for _, bit := range edges(16) {
 			add("lock.instr", fmt.Sprintf("l%d/instr^bit%d", k, bit), func(t *trace.Trace) { l(t).Instr ^= 1 << bit })
 		}
@@ -219,7 +217,7 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 	if next < 0 {
 		return ms
 	}
-	if r.MemN > 0 {
+	if len(mem) > 0 {
 		add("mem.move", fmt.Sprintf("last access to r%d", next), func(t *trace.Trace) {
 			var moved trace.MemAccess
 			editPayload(t, i, func(n int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp) {
@@ -233,7 +231,7 @@ func accessMutations(tr *trace.Trace, i, j int, at string) []mutation {
 			})
 		})
 	}
-	if r.LockN > 0 {
+	if len(locks) > 0 {
 		add("lock.move", fmt.Sprintf("last lock to r%d", next), func(t *trace.Trace) {
 			var moved trace.LockOp
 			editPayload(t, i, func(n int, mem []trace.MemAccess, locks []trace.LockOp) ([]trace.MemAccess, []trace.LockOp) {
@@ -438,8 +436,7 @@ func nonCanonical(tb testing.TB, tr *trace.Trace, v int, data []byte) map[string
 	tb.Helper()
 	for i, th := range tr.Threads {
 		for j := range th.Records {
-			r := &th.Records[j]
-			for k, m := range th.MemOf(r) {
+			for k, m := range th.MemOf(j) {
 				if !m.Store {
 					continue
 				}
@@ -447,7 +444,7 @@ func nonCanonical(tb testing.TB, tr *trace.Trace, v int, data []byte) map[string
 				// the first byte where the encodings differ.
 				at := func(change func(*trace.MemAccess)) int {
 					c := cloneTrace(tr)
-					change(&c.Threads[i].Mem[int(r.MemLo)+k])
+					change(&c.Threads[i].MemOf(j)[k])
 					var buf bytes.Buffer
 					if err := trace.Encode(&buf, c, v); err != nil {
 						tb.Fatal(err)

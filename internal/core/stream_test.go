@@ -163,21 +163,24 @@ func TestBatchAndStreamFailIdentically(t *testing.T) {
 	tr := traceWorkload(t, "usuite.hdsearch.mid", 16)
 	bad := *tr
 	bad.Threads = append([]*trace.ThreadTrace(nil), tr.Threads...)
-	mutate := func(i int, f func(r *trace.Record) bool) {
+	// mutate corrupts the first block record of thread i that f accepts;
+	// bare says the record carries no accesses or lock ops.
+	mutate := func(i int, f func(r *trace.Record, bare bool) bool) {
 		th := *bad.Threads[i]
 		th.Records = append([]trace.Record(nil), th.Records...)
 		for j := range th.Records {
-			if th.Records[j].Kind == trace.KindBBL && f(&th.Records[j]) {
+			bare := len(th.MemOf(j)) == 0 && len(th.LocksOf(j)) == 0
+			if th.Records[j].Kind == trace.KindBBL && f(&th.Records[j], bare) {
 				bad.Threads[i] = &th
 				return
 			}
 		}
 		t.Fatalf("thread %d: no record to corrupt (%d funcs)", i, len(bad.Funcs))
 	}
-	mutate(1, func(r *trace.Record) bool {
+	mutate(1, func(r *trace.Record, bare bool) bool {
 		// A record without accesses or lock ops: none can then lie outside
 		// the other function's block.
-		if r.MemN > 0 || r.LockN > 0 {
+		if !bare {
 			return false
 		}
 		for fn := range bad.Funcs {
@@ -189,7 +192,7 @@ func TestBatchAndStreamFailIdentically(t *testing.T) {
 		}
 		return false
 	})
-	mutate(3, func(r *trace.Record) bool { r.N += 7; return true })
+	mutate(3, func(r *trace.Record, _ bool) bool { r.N += 7; return true })
 	if err := bad.ValidateThread(bad.Threads[1]); err == nil || !strings.Contains(err.Error(), "inside an invocation of") {
 		t.Fatalf("thread 1 must fail validation with its frame defect, got %v", err)
 	}

@@ -86,7 +86,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			}
 			res.Instrs += r.N
 			cycles += float64(r.N) / cfg.IPC
-			for _, m := range th.MemOf(r) {
+			for _, m := range th.MemOf(ri) {
 				switch {
 				case l1.Access(m.Addr):
 					// Hits overlap with execution on an OoO core.

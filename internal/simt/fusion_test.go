@@ -117,7 +117,10 @@ func TestFusionMatchesSteppedAllWorkloads(t *testing.T) {
 //	worker: head → body loop (store through a TID-indexed table, trip count
 //	        in r1, per-thread) → cs (lock r3 / nops / unlock mid-function,
 //	        breaking uniform runs at the acquire) → ret
-//	join/tail: reconverge, trailing nops
+//	join/tail: reconverge; tail makes nine stores, more than a control
+//	        word's access count field holds, and tail2 one more, so a
+//	        converged window charges an access list past the saturated
+//	        field and then the list after it
 //
 // Per-thread trip counts drive mask narrowing (a lone lane looping after the
 // rest exit), and the lock-address table drives contention.
@@ -133,12 +136,18 @@ func fusionEdgeProgram(t testing.TB) *ir.Program {
 	joinO := mainf.NewBlock("join_odd")
 	joinE := mainf.NewBlock("join_even")
 	tail := mainf.NewBlock("tail")
+	tail2 := mainf.NewBlock("tail2")
 	entry.Test(ir.Rg(ir.R(2)), ir.Imm(1)).Jcc(ir.CondNE, odd, even)
 	odd.Nop(3).Call(workf, joinO)
 	even.Nop(1).Call(workf, joinE)
 	joinO.Jmp(tail)
 	joinE.Jmp(tail)
-	tail.Nop(4).Ret()
+	slot := ir.MemIdx(ir.R(0), ir.TID, 8, 0, 8)
+	for range 9 {
+		tail.Mov(slot, ir.Rg(ir.R(2)))
+	}
+	tail.Jmp(tail2)
+	tail2.Mov(slot, ir.Rg(ir.R(2))).Nop(4).Ret()
 
 	head := workf.NewBlock("head")
 	body := workf.NewBlock("body")

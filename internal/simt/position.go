@@ -134,11 +134,12 @@ func (c *cursor) peekSlow() position {
 
 // consumeBlock advances through skip and call records up to and including
 // the next basic-block record, updating depth and skip counters, and returns
-// the record. It must only be called when peek().kind == posBlock.
-func (c *cursor) consumeBlock() *trace.Record {
+// the record's index. It must only be called when peek().kind == posBlock.
+func (c *cursor) consumeBlock() int {
 	c.posOK = false
 	for c.idx < len(c.recs) {
-		r := &c.recs[c.idx]
+		i := c.idx
+		r := &c.recs[i]
 		c.idx++
 		switch r.Kind {
 		case trace.KindSkip:
@@ -147,7 +148,7 @@ func (c *cursor) consumeBlock() *trace.Record {
 			c.depth++
 			c.funcs = append(c.funcs, r.Callee)
 		case trace.KindBBL:
-			return r
+			return i
 		case trace.KindRet:
 			panic("simt: consumeBlock reached a return record")
 		}
@@ -185,21 +186,22 @@ func (c *cursor) addSkip(r *trace.Record) {
 	}
 }
 
-// peekBlockRecord returns the next basic-block record without consuming it,
-// or nil if the thread's next position is not a block. The lock-contention
-// check inspects the upcoming block's acquire addresses through it.
-func (c *cursor) peekBlockRecord() *trace.Record {
+// peekBlock returns the index of the next basic-block record without
+// consuming it, or -1 if the thread's next position is not a block. The
+// lock-contention check inspects the upcoming block's acquire addresses
+// through it.
+func (c *cursor) peekBlock() int {
 	for i := c.idx; i < len(c.recs); i++ {
-		switch r := &c.recs[i]; r.Kind {
+		switch c.recs[i].Kind {
 		case trace.KindSkip, trace.KindCall:
 			continue
 		case trace.KindBBL:
-			return r
+			return i
 		default:
-			return nil
+			return -1
 		}
 	}
-	return nil
+	return -1
 }
 
 // drainTrailingSkips consumes skip records at the very end of the stream so
@@ -243,7 +245,7 @@ func (c *cursor) releasePosition(addr uint64) (position, bool) {
 			if releaseFound {
 				return position{kind: posBlock, fn: r.Func, block: r.Block, depth: depth}, true
 			}
-			for _, l := range c.th.LocksOf(r) {
+			for _, l := range c.th.LocksOf(i) {
 				if l.Addr != addr {
 					continue
 				}

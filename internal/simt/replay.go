@@ -417,6 +417,7 @@ type warpReplay struct {
 	groupBuf  []group
 	laneBuf   []int
 	memBuf    [][]trace.MemAccess
+	offBuf    []int // lanes' running Mem offsets in a fused window
 	threadBuf []int
 	// Lane-indexed control-word tables of the warp's threads (their
 	// ThreadTrace.Ctl), set once per warp (replayWarp); fused windows index
@@ -779,8 +780,11 @@ const maxWindow = 8192
 // (now cache-hot) words: run-length-scaled instruction accounting (flushed
 // when the (func, block, size) run breaks) and, for elements that touch
 // memory, the lanes' access lists gathered once and charged by chargeUniform's
-// closed form, or by Charge when the closed form does not apply. The stepped
-// loop resumes at the first rejected element.
+// closed form, or by Charge when the closed form does not apply. The lists
+// are read at running offsets into the lanes' Mem tables: one record load
+// per lane at the window's first memory element, then the shared length in
+// the control word's mem field, so only a saturated field reads a record
+// again. The stepped loop resumes at the first rejected element.
 //
 // Exactness rests on verification, not on the proposal: an element executes
 // fused only after every active lane's control word was checked to be the same
@@ -879,6 +883,7 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 	// entry-block, and branch-region lookups out of the loop.
 	wm := wr.wm
 	var fm *FuncMetrics
+	offs := wr.offBuf[:0]
 	var runKey, runCnt uint64
 	for k := 0; k < n; k++ {
 		c0 := ctl0[k]
@@ -889,14 +894,25 @@ func (wr *warpReplay) execRunFused(e *entry, pos position, mask uint64) (int, er
 			wr.curFn, wr.curBlock = pos.fn, trace.CtlBlock(c0)
 		}
 		runCnt++
-		if c0>>trace.CtlMemShift&7 != 0 {
+		if cnt := int(c0 >> trace.CtlMemShift & 7); cnt != 0 {
 			if fm == nil {
 				fm = wr.acc.funcMetrics(pos.fn)
+				// Every element before this one carries no accesses.
+				for _, l := range lanes {
+					c := &wr.cursors[l]
+					offs = append(offs, int(c.recs[c.idx+k].MemLo))
+				}
+				wr.offBuf = offs
 			}
 			mems := wr.memBuf[:0]
-			for _, l := range lanes {
-				c := &wr.cursors[l]
-				mems = append(mems, c.th.MemOf(&c.recs[c.idx+k]))
+			for li, l := range lanes {
+				th := wr.cursors[l].th
+				lo, hi := offs[li], offs[li]+cnt
+				if cnt == trace.CtlMemOverflow {
+					hi = lo + len(th.MemOf(wr.cursors[l].idx+k))
+				}
+				mems = append(mems, th.Mem[lo:hi:hi])
+				offs[li] = hi
 			}
 			wr.memBuf = mems
 			// Shapes the closed form cannot express (oversized, irregular or
@@ -954,7 +970,8 @@ func (wr *warpReplay) execBlock(e *entry, pos position, mask uint64) error {
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m)
 		c := &wr.cursors[lane]
-		r := c.consumeBlock()
+		ri := c.consumeBlock()
+		r := &c.recs[ri]
 		if r.Func != pos.fn || r.Block != pos.block {
 			wr.laneBuf, wr.memBuf = lanes, mems
 			return fmt.Errorf("lane %d consumed f%d.b%d, expected %v", lane, r.Func, r.Block, pos)
@@ -963,7 +980,7 @@ func (wr *warpReplay) execBlock(e *entry, pos position, mask uint64) error {
 			n = r.N
 		}
 		lanes = append(lanes, lane)
-		mems = append(mems, c.th.MemOf(r))
+		mems = append(mems, c.th.MemOf(ri))
 	}
 	wr.laneBuf, wr.memBuf = lanes, mems
 	wr.flushRun(e, pos.fn, pos.block, n, 1, len(lanes))
@@ -1096,11 +1113,11 @@ func (wr *warpReplay) maybeSerialize(e *entry, pos position, mask uint64) bool {
 // firstAcquire returns the address of the first lock-acquire operation in
 // the thread's next block record, if its next position is a block.
 func (c *cursor) firstAcquire() (uint64, bool) {
-	r := c.peekBlockRecord()
-	if r == nil {
+	i := c.peekBlock()
+	if i < 0 {
 		return 0, false
 	}
-	for _, l := range c.th.LocksOf(r) {
+	for _, l := range c.th.LocksOf(i) {
 		if !l.Release {
 			return l.Addr, true
 		}

@@ -209,8 +209,7 @@ func TestReplayReportsLowestFailingWarp(t *testing.T) {
 		src := tr.Threads[warps[wi][0]]
 		th := &trace.ThreadTrace{TID: src.TID}
 		for j := range src.Records {
-			r := &src.Records[j]
-			th.Append(*r, src.MemOf(r), src.LocksOf(r))
+			th.Append(src.Records[j], src.MemOf(j), src.LocksOf(j))
 			if j == 0 {
 				th.Append(trace.Record{Kind: trace.KindCall}, nil, nil)
 				th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)

@@ -29,11 +29,12 @@ import (
 //
 // The decoded trace is a view of the arena: every ThreadTrace.Records and
 // Ctl is a sub-slice of the record and control-word tables, and its Mem and
-// Locks tables are sub-slices of the shared access and lock tables. Records locate their
-// accesses and lock ops by thread-relative ranges (Record.MemLo/MemN,
-// LockLo/LockN), so a record holds no pointers and the record table, the
-// largest allocation of a decode, is never scanned by the garbage
-// collector. The tables have the layout every in-memory builder gives them
+// Locks tables are sub-slices of the shared access and lock tables. Each
+// record holds its thread-relative running offsets into them (Record.MemLo,
+// LockLo), and its range ends where the next record's begins, so a record
+// is 32 bytes with no pointers: two share a cache line, and the record
+// table, the largest allocation of a decode, is never scanned by the
+// garbage collector. The tables have the layout every in-memory builder gives them
 // (ThreadTrace.CheckLayout), so an arena-backed trace and one built record by
 // record are reflect.DeepEqual exactly when they hold the same events, which
 // is what the differential tests against the reference stream decoder (a
@@ -321,8 +322,8 @@ func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error
 }
 
 // checkWidths refuses a section whose access or lock op count does not fit
-// the uint32 thread-relative offsets of Record, before any table is sized
-// from it.
+// the uint32 thread-relative running offsets of Record, before any table is
+// sized from it.
 func (en indexEntry) checkWidths() error {
 	if en.nmem > math.MaxUint32 || en.nlock > math.MaxUint32 {
 		return fmt.Errorf("trace: thread section (tid %d) declares %d accesses and %d lock ops; a thread holds at most %d of each",
@@ -689,9 +690,9 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 
 // fillSection decodes one thread section into the section's own tables:
 // recs, mem and locks are exactly the section's records, accesses and lock
-// ops as the index sizes them, and each record's ranges are offsets into
-// mem and locks; ctl, as long as recs, receives each record's control word
-// as the record is decoded. It is the only routine that decodes record
+// ops as the index sizes them, and each record receives its running
+// offsets into mem and locks; ctl, as long as recs, receives each record's
+// control word as the record is decoded. It is the only routine that decodes record
 // fields from section bytes. Every caller owns disjoint tables (in fillSpan, sub-ranges
 // of the arena's; the index's per-section table sizes are the partition), so
 // section fills allocate nothing and may run in parallel. raw selects the v1
@@ -730,7 +731,8 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 		kind := Kind(data[off])
 		off++
 		r := &recs[ri]
-		r.Kind = kind
+		r.Kind, r.MemLo, r.LockLo = kind, uint32(mi), uint32(li)
+		m0, l0 := mi, li
 		switch kind {
 		case KindBBL:
 			// Fused header read: func/block/n/nmem are almost always one
@@ -771,7 +773,6 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 			if cnt > maxCount || cnt > uint64(memEnd-mi) {
 				return fmt.Errorf("trace: thread section %d: stream carries more accesses than the index declares", span)
 			}
-			m0 := mi
 			for i := uint64(0); i < cnt; i++ {
 				var instr uint64
 				if instr, off, ok = uvarint2(data, off); !ok {
@@ -816,9 +817,6 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 				off += 2
 				mi++
 			}
-			if mi > m0 {
-				r.MemLo, r.MemN = uint32(m0), uint32(mi-m0)
-			}
 			if cnt, off, ok = uvarint2(data, off); !ok {
 				if cnt, off, ok = uvarintAt(data, off); !ok {
 					return badVarint(span, en)
@@ -827,7 +825,6 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 			if cnt > maxCount || cnt > uint64(lockEnd-li) {
 				return fmt.Errorf("trace: thread section %d: stream carries more lock ops than the index declares", span)
 			}
-			l0 := li
 			for i := uint64(0); i < cnt; i++ {
 				var instr, delta uint64
 				if instr, off, ok = uvarint2(data, off); !ok {
@@ -852,9 +849,6 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 				off++
 				li++
 			}
-			if li > l0 {
-				r.LockLo, r.LockN = uint32(l0), uint32(li-l0)
-			}
 		case KindCall:
 			var callee uint64
 			if callee, off, ok = uvarint2(data, off); !ok {
@@ -878,7 +872,7 @@ func fillSection(data []byte, en indexEntry, raw bool, span int, recs []Record, 
 		default:
 			return fmt.Errorf("trace: thread section %d (tid %d): unknown record kind %d", span, en.tid, kind)
 		}
-		ctl[ri] = ctlWord(r)
+		ctl[ri] = ctlWord(r, mi-m0, li-l0)
 	}
 	if off != len(data) || mi != memEnd || li != lockEnd {
 		return fmt.Errorf("trace: thread section %d (tid %d): stream and index disagree on section contents", span, en.tid)

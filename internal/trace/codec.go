@@ -232,17 +232,18 @@ func sizeTrace(t *Trace) ([]indexEntry, error) {
 			r := &th.Records[j]
 			switch r.Kind {
 			case KindBBL:
-				if r.MemN > maxCount {
-					return nil, tooLarge(fmt.Sprintf("thread %d record %d mem access count", th.TID, j), int(r.MemN), maxCount)
-				}
-				if r.LockN > maxCount {
-					return nil, tooLarge(fmt.Sprintf("thread %d record %d lock op count", th.TID, j), int(r.LockN), maxCount)
-				}
-				if !th.InTables(r) {
+				mlo, mhi, llo, lhi := th.bounds(j)
+				if !th.fits(mlo, mhi, llo, lhi) {
 					return nil, fmt.Errorf("trace: encode: thread %d record %d: access or lock range lies outside the thread's tables", th.TID, j)
 				}
-				en.nmem += int64(r.MemN)
-				en.nlock += int64(r.LockN)
+				if mhi-mlo > maxCount {
+					return nil, tooLarge(fmt.Sprintf("thread %d record %d mem access count", th.TID, j), mhi-mlo, maxCount)
+				}
+				if lhi-llo > maxCount {
+					return nil, tooLarge(fmt.Sprintf("thread %d record %d lock op count", th.TID, j), lhi-llo, maxCount)
+				}
+				en.nmem += int64(mhi - mlo)
+				en.nlock += int64(lhi - llo)
 			case KindCall, KindRet, KindSkip:
 			default:
 				return nil, fmt.Errorf("trace: encode: unknown record kind %d", r.Kind)
@@ -366,14 +367,16 @@ func (e *encoder) section(th *ThreadTrace, delta bool) {
 			b = binary.AppendUvarint(b, uint64(r.Func))
 			b = binary.AppendUvarint(b, uint64(r.Block))
 			b = binary.AppendUvarint(b, r.N)
-			b = binary.AppendUvarint(b, uint64(r.MemN))
-			for _, m := range th.MemOf(r) {
+			mem := th.MemOf(i)
+			b = binary.AppendUvarint(b, uint64(len(mem)))
+			for _, m := range mem {
 				b = binary.AppendUvarint(b, uint64(m.Instr))
 				b = addr(b, m.Addr)
 				b = append(b, m.Size, boolByte(m.Store))
 			}
-			b = binary.AppendUvarint(b, uint64(r.LockN))
-			for _, l := range th.LocksOf(r) {
+			locks := th.LocksOf(i)
+			b = binary.AppendUvarint(b, uint64(len(locks)))
+			for _, l := range locks {
 				b = binary.AppendUvarint(b, uint64(l.Instr))
 				b = addr(b, l.Addr)
 				b = append(b, boolByte(l.Release))

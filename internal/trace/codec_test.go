@@ -403,8 +403,7 @@ func TestEncodeReturnsWriteErrors(t *testing.T) {
 	long := &trace.ThreadTrace{TID: 4}
 	for th := tr.Threads[0]; len(long.Records) < 1<<16; {
 		for i := range th.Records {
-			r := &th.Records[i]
-			long.Append(*r, th.MemOf(r), th.LocksOf(r))
+			long.Append(th.Records[i], th.MemOf(i), th.LocksOf(i))
 		}
 	}
 	tr.Threads = append(tr.Threads, long)

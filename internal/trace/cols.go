@@ -7,10 +7,11 @@ package trace
 // block, instruction count, lock presence, access-list length), never its
 // accesses. Packing exactly those fields into one uint64 per record turns
 // that per-lane check into a single 8-byte compare and cuts the
-// verification loop's memory traffic fivefold versus touching 40-byte
+// verification loop's memory traffic fourfold versus touching 32-byte
 // Record structs. The accesses themselves are read from the threads' Mem
 // tables: the fused memory-charge path gathers the active lanes' access
-// lists only for elements whose control word says they touch memory.
+// lists only for elements whose control word says they touch memory, and
+// takes their length from the word's mem field below its saturation.
 //
 // The words are a table of the trace: ThreadTrace.Ctl holds one per record,
 // written where the record is written — by fillSection as it decodes the
@@ -52,7 +53,7 @@ const (
 	// CtlMemShift positions the access-list length field.
 	CtlMemShift = 60
 	// CtlMemOverflow is the saturated access-list length: the real list is
-	// this long or longer and must be read from the Record.
+	// this long or longer, and its length is read from the record offsets.
 	CtlMemOverflow = 7
 	// CtlInvalid marks a record whose fields overflow the packed widths.
 	CtlInvalid = uint64(1) << 63
@@ -112,24 +113,31 @@ func (c *Cols) SetThread(i int, th *ThreadTrace) {
 }
 
 // PackCtl writes the control words of th's records into dst, which must
-// hold at least one word per record, and returns dst[:len(th.Records)].
+// hold at least one word per record, and returns dst[:len(th.Records)]. It
+// takes each record's access and lock op counts from the offsets.
 func PackCtl(dst []uint64, th *ThreadTrace) []uint64 {
 	ctl := dst[:len(th.Records)]
 	for j := range th.Records {
-		ctl[j] = ctlWord(&th.Records[j])
+		mlo, mhi, llo, lhi := th.bounds(j)
+		ctl[j] = ctlWord(&th.Records[j], mhi-mlo, lhi-llo)
 	}
 	return ctl
 }
 
-// ctlWord packs one record's control word. Every builder writes a record's
-// word through it: fillSection as it decodes the record, and Append.
-func ctlWord(r *Record) uint64 {
+// ctlWord packs the control word of record r carrying nmem accesses and
+// nlock lock ops; a count below zero, from offsets that decrease, packs as
+// zero. Every builder writes a record's word through it: fillSection as it
+// decodes the record, and Append.
+func ctlWord(r *Record, nmem, nlock int) uint64 {
 	if r.N > CtlNMask || r.Block >= 1<<ctlBlockBits || r.Func >= 1<<ctlFuncBits || r.Kind > KindSkip {
 		return CtlInvalid
 	}
 	w := r.N | uint64(r.Block)<<CtlBlockShift | uint64(r.Func)<<CtlFuncShift | uint64(r.Kind)<<CtlKindShift
-	if r.LockN > 0 {
+	if nlock > 0 {
 		w |= CtlLocksBit
 	}
-	return w | uint64(min(r.MemN, CtlMemOverflow))<<CtlMemShift
+	if nmem > 0 {
+		w |= uint64(min(nmem, CtlMemOverflow)) << CtlMemShift
+	}
+	return w
 }

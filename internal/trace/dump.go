@@ -36,14 +36,14 @@ func Dump(w io.Writer, t *Trace, tid int, maxRecords int) error {
 			fmt.Fprintf(w, "%sret\n", fmt.Sprintf("%*s", 2*depth, ""))
 		case KindBBL:
 			fmt.Fprintf(w, "%s%s.b%d x%d", indent, t.FuncName(r.Func), r.Block, r.N)
-			for _, m := range th.MemOf(r) {
+			for _, m := range th.MemOf(i) {
 				op := "ld"
 				if m.Store {
 					op = "st"
 				}
 				fmt.Fprintf(w, " [%d:%s%d@%#x]", m.Instr, op, m.Size, m.Addr)
 			}
-			for _, l := range th.LocksOf(r) {
+			for _, l := range th.LocksOf(i) {
 				op := "lock"
 				if l.Release {
 					op = "unlock"

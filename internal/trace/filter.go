@@ -31,7 +31,7 @@ func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
 					continue
 				}
 				s.flush()
-				s.keep(r)
+				s.keep(i)
 			case KindRet:
 				if depth > 0 {
 					depth--
@@ -40,13 +40,13 @@ func ExcludeFunctions(t *Trace, names ...string) (*Trace, error) {
 					}
 					continue
 				}
-				s.keep(r)
+				s.keep(i)
 			case KindBBL, KindSkip:
 				if depth > 0 {
 					s.dropped += r.N
 					continue
 				}
-				s.keep(r)
+				s.keep(i)
 			}
 		}
 	}), nil
@@ -75,7 +75,7 @@ func OnlyFunctions(t *Trace, names ...string) (*Trace, error) {
 				if emit {
 					keptDepth++
 					s.flush()
-					s.keep(r)
+					s.keep(i)
 				}
 				emitted = append(emitted, emit)
 			case KindRet:
@@ -91,11 +91,11 @@ func OnlyFunctions(t *Trace, names ...string) (*Trace, error) {
 					}
 				}
 				if emit {
-					s.keep(r)
+					s.keep(i)
 				}
 			case KindBBL, KindSkip:
 				if keptDepth > 0 {
-					s.keep(r)
+					s.keep(i)
 				} else {
 					s.dropped += r.N
 				}
@@ -132,10 +132,10 @@ type stream struct {
 	dropped  uint64
 }
 
-// keep appends src's record r, with its accesses and lock ops, to the
+// keep appends src's record i, with its accesses and lock ops, to the
 // output.
-func (s *stream) keep(r *Record) {
-	s.out.Append(*r, s.src.MemOf(r), s.src.LocksOf(r))
+func (s *stream) keep(i int) {
+	s.out.Append(s.src.Records[i], s.src.MemOf(i), s.src.LocksOf(i))
 }
 
 func (s *stream) flush() {

@@ -166,7 +166,7 @@ func TestFilterOutputsTileTables(t *testing.T) {
 						for ; si < len(src.Records); si++ {
 							s := &src.Records[si]
 							if s.Kind == KindBBL && s.Func == r.Func && s.Block == r.Block &&
-								slices.Equal(th.MemOf(r), src.MemOf(s)) && slices.Equal(th.LocksOf(r), src.LocksOf(s)) {
+								slices.Equal(th.MemOf(ri), src.MemOf(si)) && slices.Equal(th.LocksOf(ri), src.LocksOf(si)) {
 								break
 							}
 						}

@@ -342,8 +342,9 @@ func checkCtl(t testing.TB, tr *trace.Trace) {
 }
 
 // checkTiles fails t unless every thread of tr has the table layout every
-// builder gives it: the records' ranges tile the thread's Mem and Locks
-// tables in order with no gaps. With that layout, reflect.DeepEqual between
+// builder gives it: each record's offsets are the running counts of the
+// thread's Mem and Locks tables, so the records' ranges tile them in order
+// with no gaps. With that layout, reflect.DeepEqual between
 // traces built different ways compares the events and nothing else.
 func checkTiles(t testing.TB, tr *trace.Trace) {
 	t.Helper()

@@ -92,26 +92,27 @@ type LockOp struct {
 // Record is one trace event.
 //
 //   - KindBBL: Func/Block identify the block, N its instruction count, and
-//     MemLo/MemN and LockLo/LockN its per-instruction memory and lock
-//     activity, as ranges of its thread's Mem and Locks tables (read them
-//     through ThreadTrace.MemOf and LocksOf).
+//     its per-instruction memory and lock activity is a range of its
+//     thread's Mem and Locks tables (read them through ThreadTrace.MemOf and
+//     LocksOf).
 //   - KindCall: Callee identifies the function being entered.
 //   - KindRet: no fields.
 //   - KindSkip: N instructions of SkipKind were executed untraced.
 //
 // A Record holds no pointers (TestRecordIsPointerFree pins it), so a record
-// table is one flat allocation the garbage collector never scans. An empty
-// range is the zero range: MemN == 0 implies MemLo == 0, and likewise for
-// locks.
+// table is one flat allocation the garbage collector never scans. Every
+// record, whatever its kind, holds its running offsets into the thread's
+// tables: MemLo counts the accesses of the records before it, LockLo their
+// lock ops. A record's range runs from its offset to the next record's, or
+// to the end of the table after the last record, so the counts are not
+// stored, and only a block record's range may be non-empty.
 type Record struct {
 	N        uint64
 	Func     uint32
 	Block    uint32
 	Callee   uint32
-	MemLo    uint32 // first access in the thread's Mem table
-	MemN     uint32 // number of accesses
-	LockLo   uint32 // first lock op in the thread's Locks table
-	LockN    uint32 // number of lock ops
+	MemLo    uint32 // accesses of the records before this one
+	LockLo   uint32 // lock ops of the records before this one
 	Kind     Kind
 	SkipKind SkipKind
 }
@@ -119,11 +120,10 @@ type Record struct {
 // ThreadTrace is the complete event stream of one CPU thread: its records,
 // and the memory accesses and lock operations they carry, in record order,
 // plus each record's control word (cols.go). Every builder (the decoder,
-// Append) lays the tables out so that the records' non-empty ranges tile
-// them in order with no gaps, writes one word per record (CheckLayout), and
-// leaves an empty Mem or Locks table nil and Ctl nil exactly when Records
-// is, so two ThreadTraces built that way are reflect.DeepEqual exactly when
-// they hold the same events.
+// Append) writes each record's running offsets and control word
+// (CheckLayout), and leaves an empty Mem or Locks table nil and Ctl nil
+// exactly when Records is, so two ThreadTraces built that way are
+// reflect.DeepEqual exactly when they hold the same events.
 type ThreadTrace struct {
 	TID     int
 	Records []Record
@@ -134,80 +134,81 @@ type ThreadTrace struct {
 	Ctl []uint64
 }
 
-// MemOf returns r's memory accesses, a view of t.Mem whose capacity ends
-// with the view, so an append to it copies instead of overwriting the next
-// record's accesses. r must be one of t's records.
-func (t *ThreadTrace) MemOf(r *Record) []MemAccess {
-	lo := int(r.MemLo)
-	hi := lo + int(r.MemN)
+// bounds returns record i's access range [mlo,mhi) and lock range
+// [llo,lhi): each runs from the record's offset to the next record's, or to
+// the end of the table after the last record. A range is well-formed when
+// fits holds.
+func (t *ThreadTrace) bounds(i int) (mlo, mhi, llo, lhi int) {
+	mlo, llo = int(t.Records[i].MemLo), int(t.Records[i].LockLo)
+	if i+1 < len(t.Records) {
+		next := &t.Records[i+1]
+		return mlo, int(next.MemLo), llo, int(next.LockLo)
+	}
+	return mlo, len(t.Mem), llo, len(t.Locks)
+}
+
+// MemOf returns record i's memory accesses, a view of t.Mem whose capacity
+// ends with the view, so an append to it copies instead of overwriting the
+// next record's accesses.
+func (t *ThreadTrace) MemOf(i int) []MemAccess {
+	lo, hi, _, _ := t.bounds(i)
 	return t.Mem[lo:hi:hi]
 }
 
-// LocksOf returns r's lock operations, a view of t.Locks bounded like
-// MemOf's. r must be one of t's records.
-func (t *ThreadTrace) LocksOf(r *Record) []LockOp {
-	lo := int(r.LockLo)
-	hi := lo + int(r.LockN)
+// LocksOf returns record i's lock operations, a view of t.Locks bounded
+// like MemOf's.
+func (t *ThreadTrace) LocksOf(i int) []LockOp {
+	_, _, lo, hi := t.bounds(i)
 	return t.Locks[lo:hi:hi]
 }
 
 // Append appends r to the thread with mem and locks as its accesses and lock
 // operations, copying them onto the ends of the thread's tables, setting r's
-// ranges to match (whatever r held), and packing r's control word. It is
+// offsets to match (whatever r held), and packing r's control word. It is
 // the one way in-memory builders add records, so their tables keep the
 // layout CheckLayout checks.
 func (t *ThreadTrace) Append(r Record, mem []MemAccess, locks []LockOp) {
-	r.MemLo, r.MemN = 0, 0
-	if len(mem) > 0 {
-		r.MemLo, r.MemN = tableRange(len(t.Mem), len(mem), "access")
-		t.Mem = append(t.Mem, mem...)
-	}
-	r.LockLo, r.LockN = 0, 0
-	if len(locks) > 0 {
-		r.LockLo, r.LockN = tableRange(len(t.Locks), len(locks), "lock op")
-		t.Locks = append(t.Locks, locks...)
-	}
+	r.MemLo = tableOffset(len(t.Mem), len(mem), "access")
+	r.LockLo = tableOffset(len(t.Locks), len(locks), "lock op")
+	t.Mem = append(t.Mem, mem...)
+	t.Locks = append(t.Locks, locks...)
 	t.Records = append(t.Records, r)
-	t.Ctl = append(t.Ctl, ctlWord(&r))
+	t.Ctl = append(t.Ctl, ctlWord(&r, len(mem), len(locks)))
 }
 
-// tableRange returns the range of n entries appended to a table of length
+// tableOffset returns the offset of n entries appended to a table of length
 // lo, panicking if the table would outgrow the uint32 offsets.
-func tableRange(lo, n int, what string) (uint32, uint32) {
+func tableOffset(lo, n int, what string) uint32 {
 	if uint64(lo)+uint64(n) > math.MaxUint32 {
 		panic(fmt.Sprintf("trace: a thread's %s table would exceed %d entries", what, uint64(math.MaxUint32)))
 	}
-	return uint32(lo), uint32(n)
+	return uint32(lo)
 }
 
 // CheckLayout reports whether t's tables have the layout every builder
-// gives them: the records' non-empty access ranges tile t.Mem in record
-// order with no gaps, empty ranges are zero, and likewise for lock ops; and
-// Ctl holds each record's control word. Analysis needs only ranges that lie
-// within the tables and one word per record, which Validate checks; this
-// layout is what makes reflect.DeepEqual compare events. The error, if any,
-// is a Defect.
+// gives them: each record's offsets are the running counts of the accesses
+// and lock ops before it, starting at 0, so the records' ranges tile the
+// tables in record order; and Ctl holds each record's control word.
+// Analysis needs only offsets that never decrease and stay within the
+// tables, and one word per record, which Validate checks; this layout is
+// what makes reflect.DeepEqual compare events. The error, if any, is a
+// Defect.
 func (t *ThreadTrace) CheckLayout() error {
 	if err := t.checkCtlCount(); err != nil {
 		return err
 	}
-	var mi, li uint64
-	for i := range t.Records {
-		r := &t.Records[i]
-		if t.Ctl[i] != ctlWord(r) {
-			return t.defect(i, "control word %#x, record packs to %#x", t.Ctl[i], ctlWord(r))
-		}
-		if r.MemN > 0 && uint64(r.MemLo) != mi || r.MemN == 0 && r.MemLo != 0 ||
-			r.LockN > 0 && uint64(r.LockLo) != li || r.LockN == 0 && r.LockLo != 0 {
-			return t.defect(i, "access range [%d,+%d) and lock range [%d,+%d) do not continue the tables at %d and %d",
-				r.MemLo, r.MemN, r.LockLo, r.LockN, mi, li)
-		}
-		mi += uint64(r.MemN)
-		li += uint64(r.LockN)
+	if len(t.Records) == 0 && (len(t.Mem) > 0 || len(t.Locks) > 0) {
+		return t.defect(-1, "no records for tables holding %d accesses and %d lock ops", len(t.Mem), len(t.Locks))
 	}
-	if mi != uint64(len(t.Mem)) || li != uint64(len(t.Locks)) {
-		return t.defect(-1, "records cover %d accesses and %d lock ops of tables holding %d and %d",
-			mi, li, len(t.Mem), len(t.Locks))
+	for i := range t.Records {
+		mlo, mhi, llo, lhi := t.bounds(i)
+		if i == 0 && (mlo != 0 || llo != 0) || !t.fits(mlo, mhi, llo, lhi) {
+			return t.defect(i, "access range [%d,%d) and lock range [%d,%d) do not continue the tables (%d and %d entries) from 0",
+				mlo, mhi, llo, lhi, len(t.Mem), len(t.Locks))
+		}
+		if w := ctlWord(&t.Records[i], mhi-mlo, lhi-llo); t.Ctl[i] != w {
+			return t.defect(i, "control word %#x, record packs to %#x", t.Ctl[i], w)
+		}
 	}
 	return nil
 }
@@ -221,11 +222,15 @@ func (t *ThreadTrace) checkCtlCount() error {
 	return nil
 }
 
-// InTables reports whether r's ranges lie within t's tables, which is all
-// MemOf and LocksOf need.
-func (t *ThreadTrace) InTables(r *Record) bool {
-	return uint64(r.MemLo)+uint64(r.MemN) <= uint64(len(t.Mem)) &&
-		uint64(r.LockLo)+uint64(r.LockN) <= uint64(len(t.Locks))
+// InTables reports whether record i's ranges are well-formed: its offsets
+// are no greater than the next record's, and those lie within t's tables.
+// It is all MemOf and LocksOf need.
+func (t *ThreadTrace) InTables(i int) bool { return t.fits(t.bounds(i)) }
+
+// fits reports whether [mlo,mhi) and [llo,lhi) are ranges of t's Mem and
+// Locks tables.
+func (t *ThreadTrace) fits(mlo, mhi, llo, lhi int) bool {
+	return mlo <= mhi && mhi <= len(t.Mem) && llo <= lhi && lhi <= len(t.Locks)
 }
 
 // Instructions returns the number of traced (non-skipped) dynamic
@@ -340,10 +345,11 @@ func (t *Trace) Validate() error {
 // ValidateThread returns one thread's first defect (a Defect) against the
 // trace's symbol table: ids that do not resolve, instruction counts off the
 // static table, access and lock ranges outside the thread's tables or past
-// their block, call/ret frames that do not nest (a return below the entry,
-// a block outside any invocation or of another function than the innermost
-// call, calls left open), or a control word count other than one per
-// record. The DCFG builder and replay rely on a thread that passes. Threads
+// their block, a call, return or skip record with accesses or lock ops,
+// call/ret frames that do not nest (a return below the entry, a block
+// outside any invocation or of another function than the innermost call,
+// calls left open), or a control word count other than one per record.
+// The DCFG builder and replay rely on a thread that passes. Threads
 // validate independently, so the analyzer's ingest checks them in parallel.
 func (t *Trace) ValidateThread(th *ThreadTrace) error {
 	if err := th.checkCtlCount(); err != nil {
@@ -382,6 +388,7 @@ func (t *Trace) walk(th *ThreadTrace, bad func(rec int, format string, args ...a
 	outer, top, more := buf[:0], uint32(0), true
 	for i := 0; more && i < len(th.Records); i++ {
 		r := &th.Records[i]
+		mlo, mhi, llo, lhi := th.bounds(i)
 		switch r.Kind {
 		case KindBBL:
 			if int(r.Func) >= len(t.Funcs) {
@@ -391,22 +398,18 @@ func (t *Trace) walk(th *ThreadTrace, bad func(rec int, format string, args ...a
 			} else if want := uint64(blocks[r.Block].NInstr); r.N != want {
 				more = bad(i, "%s block %d has %d instrs, static table says %d", t.Funcs[r.Func].Name, r.Block, r.N, want)
 			}
-			if !th.InTables(r) {
-				more = bad(i, "access range [%d,+%d) or lock range [%d,+%d) lies outside the tables (%d and %d entries)",
-					r.MemLo, r.MemN, r.LockLo, r.LockN, len(th.Mem), len(th.Locks))
+			if !th.fits(mlo, mhi, llo, lhi) {
+				more = bad(i, "access range [%d,%d) or lock range [%d,%d) lies outside the tables (%d and %d entries)",
+					mlo, mhi, llo, lhi, len(th.Mem), len(th.Locks))
 			} else {
-				if r.MemN > 0 {
-					for _, m := range th.MemOf(r) {
-						if uint64(m.Instr) >= r.N {
-							more = bad(i, "mem access at instr %d >= block size %d", m.Instr, r.N)
-						}
+				for _, m := range th.Mem[mlo:mhi] {
+					if uint64(m.Instr) >= r.N {
+						more = bad(i, "mem access at instr %d >= block size %d", m.Instr, r.N)
 					}
 				}
-				if r.LockN > 0 {
-					for _, l := range th.LocksOf(r) {
-						if uint64(l.Instr) >= r.N {
-							more = bad(i, "lock op at instr %d >= block size %d", l.Instr, r.N)
-						}
+				for _, l := range th.Locks[llo:lhi] {
+					if uint64(l.Instr) >= r.N {
+						more = bad(i, "lock op at instr %d >= block size %d", l.Instr, r.N)
 					}
 				}
 			}
@@ -431,6 +434,11 @@ func (t *Trace) walk(th *ThreadTrace, bad func(rec int, format string, args ...a
 		case KindSkip:
 		default:
 			more = bad(i, "unknown kind %d", r.Kind)
+		}
+		// The encoder writes accesses and lock ops only for blocks, and the
+		// offsets would attribute them to any other record.
+		if r.Kind != KindBBL && (mlo != mhi || llo != lhi) {
+			more = bad(i, "%v record carries access range [%d,%d) and lock range [%d,%d); only a block may", r.Kind, mlo, mhi, llo, lhi)
 		}
 	}
 	if more && len(outer) != 0 {

@@ -182,8 +182,9 @@ func TestCompactCodecShrinksRealTraces(t *testing.T) {
 }
 
 // TestCheckLayoutCatchesGaps: CheckLayout refuses every departure from the
-// layout the builders share, including ones Validate accepts because the
-// ranges still lie within the tables.
+// layout the builders share, each record's offsets being the running counts
+// of the tables from 0, including ones Validate accepts because the offsets
+// still rise within the tables.
 func TestCheckLayoutCatchesGaps(t *testing.T) {
 	base := func() *ThreadTrace {
 		th := &ThreadTrace{TID: 3}
@@ -200,14 +201,24 @@ func TestCheckLayoutCatchesGaps(t *testing.T) {
 		name   string
 		mutate func(*ThreadTrace)
 	}{
-		{"gap before a range", func(th *ThreadTrace) { th.Records[2].MemLo++; th.Mem = append(th.Mem, MemAccess{}) }},
-		{"overlapping ranges", func(th *ThreadTrace) { th.Records[2].MemLo = 1 }},
-		{"empty range not zero", func(th *ThreadTrace) { th.Records[3].MemLo = 3 }},
-		{"empty lock range not zero", func(th *ThreadTrace) { th.Records[1].LockLo = 1 }},
-		{"table longer than its ranges", func(th *ThreadTrace) { th.Locks = append(th.Locks, LockOp{}) }},
-		{"ranges out of record order", func(th *ThreadTrace) {
-			th.Records[1].MemLo, th.Records[2].MemLo = 1, 0
+		{"gap before the first access", func(th *ThreadTrace) {
+			for i := range th.Records {
+				th.Records[i].MemLo++
+			}
+			th.Mem = append([]MemAccess{{}}, th.Mem...)
 		}},
+		{"gap before the first lock op", func(th *ThreadTrace) {
+			for i := range th.Records {
+				th.Records[i].LockLo++
+			}
+			th.Locks = append([]LockOp{{}}, th.Locks...)
+		}},
+		{"access offsets decrease", func(th *ThreadTrace) { th.Records[3].MemLo = 1 }},
+		{"lock offsets decrease", func(th *ThreadTrace) { th.Records[2].LockLo, th.Records[3].LockLo = 2, 1 }},
+		{"offset past the table", func(th *ThreadTrace) { th.Records[3].MemLo = 4 }},
+		{"access moved to the previous block", func(th *ThreadTrace) { th.Records[2].MemLo = 3 }},
+		{"table longer than its ranges", func(th *ThreadTrace) { th.Locks = append(th.Locks, LockOp{}) }},
+		{"tables without records", func(th *ThreadTrace) { th.Records, th.Ctl = nil, nil }},
 		{"control words missing", func(th *ThreadTrace) { th.Ctl = nil }},
 		{"control words too few", func(th *ThreadTrace) { th.Ctl = th.Ctl[:len(th.Ctl)-1] }},
 		{"control word stale after a record edit", func(th *ThreadTrace) { th.Records[1].N = 5 }},

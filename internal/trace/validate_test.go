@@ -32,17 +32,29 @@ var corruptions = []struct {
 	{"block out of range", func(tr *trace.Trace) { tr.Threads[0].Records[1].Block = 9 }, "out of range"},
 	{"instr count mismatch", func(tr *trace.Trace) { tr.Threads[0].Records[1].N = 3 }, "static table"},
 	{"mem index out of block", func(tr *trace.Trace) {
-		tr.Threads[0].Records[1].MemN = 1
+		tr.Threads[0].Records[2].MemLo = 1
 		tr.Threads[0].Mem = []trace.MemAccess{{Instr: 8, Addr: 1, Size: 8}}
 	}, "instr 8"},
 	{"lock index out of block", func(tr *trace.Trace) {
-		tr.Threads[0].Records[1].LockN = 1
+		tr.Threads[0].Records[2].LockLo = 1
 		tr.Threads[0].Locks = []trace.LockOp{{Instr: 9, Addr: 1}}
 	}, "instr 9"},
 	{"access range outside the table", func(tr *trace.Trace) {
-		tr.Threads[0].Records[1].MemLo, tr.Threads[0].Records[1].MemN = 1, 1
+		tr.Threads[0].Records[2].MemLo = 2
 		tr.Threads[0].Mem = make([]trace.MemAccess, 1)
 	}, "outside the tables"},
+	{"call record carrying accesses", func(tr *trace.Trace) {
+		th := &trace.ThreadTrace{TID: 0}
+		th.Append(trace.Record{Kind: trace.KindCall, Callee: 0}, []trace.MemAccess{{Addr: 1 << 32, Size: 8}}, nil)
+		th.Append(trace.Record{Kind: trace.KindBBL, Func: 0, Block: 0, N: 4}, nil, nil)
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, nil)
+		tr.Threads[0] = th
+	}, "CALL record carries"},
+	{"return record carrying lock ops", func(tr *trace.Trace) {
+		th := tr.Threads[0]
+		th.Records, th.Ctl = th.Records[:2], th.Ctl[:2]
+		th.Append(trace.Record{Kind: trace.KindRet}, nil, []trace.LockOp{{Addr: 1 << 32}})
+	}, "RET record carries"},
 	{"unbalanced ret", func(tr *trace.Trace) {
 		tr.Threads[0].Append(trace.Record{Kind: trace.KindRet}, nil, nil)
 	}, "below entry"},
