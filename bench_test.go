@@ -689,6 +689,34 @@ func benchCanonicalKey(b *testing.B, data []byte) {
 	}
 }
 
+// BenchmarkIngestV3 measures the ingest of a Table-I-scale indexed file:
+// OpenFile on digestBench's v3 bytes, then Session.Ingest, which decodes the
+// trace with its sections read straight from the file and prepares it
+// (validation, DCFGs, post-dominator trees) on one worker per core. Its
+// MB/s are v3 file bytes per second, the unit of the decode rows; bytes/op
+// is the arena's tables, the run buffers and the preparation.
+func BenchmarkIngestV3(b *testing.B) {
+	digestTrace(b)
+	data := digestBench.v3
+	path := filepath.Join(b.TempDir(), "post.tft")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := trace.OpenFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = core.NewSession().Ingest(r, 0)
+		r.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEncodeV3 measures writing digestBench's trace as an indexed v3
 // file, the work behind WriteFileIndexed and tftrace -index. Its MB/s are v1
 // file bytes per second, the same unit as trace_digest.

@@ -33,8 +33,9 @@ type DCFG struct {
 	succs [][]int32
 	preds [][]int32
 
-	entrySeen bool
-	entry     int32
+	entrySeen   bool
+	entry       int32
+	entryThread int // trace index of the thread that supplied entry
 }
 
 // NumNodes returns the node count including the virtual exit.
@@ -43,8 +44,9 @@ func (g *DCFG) NumNodes() int { return g.NBlocks + 1 }
 // ExitNode returns the virtual exit node id.
 func (g *DCFG) ExitNode() int32 { return Exit(g.NBlocks) }
 
-// Entry returns the observed entry block (the first block executed on any
-// invocation of the function). Functions are entered at block 0 by
+// Entry returns the observed entry block: the first block executed on any
+// invocation of the function, in trace order (the lowest-indexed thread that
+// invokes it, at its first invocation). Functions are entered at block 0 by
 // construction, but the DCFG records what the trace shows.
 func (g *DCFG) Entry() int32 { return g.entry }
 
@@ -90,9 +92,24 @@ func (g *DCFG) addEdge(from, to int32) {
 	g.preds[to] = append(g.preds[to], from)
 }
 
-func (g *DCFG) observeEntry(b int32) {
-	if !g.entrySeen {
-		g.entry, g.entrySeen = b, true
+// observeEntry records b, entered by thread, as the entry unless a thread
+// earlier in trace order (or thread itself, earlier in its records)
+// already supplied one.
+func (g *DCFG) observeEntry(b int32, thread int) {
+	if !g.entrySeen || thread < g.entryThread {
+		g.entry, g.entrySeen, g.entryThread = b, true, thread
+	}
+}
+
+// merge adds o's edges and entry to g, which is of the same function.
+func (g *DCFG) merge(o *DCFG) {
+	for from, succs := range o.succs {
+		for _, to := range succs {
+			g.addEdge(int32(from), to)
+		}
+	}
+	if o.entrySeen {
+		g.observeEntry(o.entry, o.entryThread)
 	}
 }
 
@@ -107,7 +124,9 @@ func (g *DCFG) sortEdges() {
 }
 
 // Build validates the trace and constructs the merged per-function DCFGs
-// for every function that appears in it. The map is keyed by function id.
+// for every function that appears in it, walking the threads serially in
+// trace order. The map is keyed by function id. core's ingest builds the
+// same graphs over parallel workers (see Builder).
 func Build(t *trace.Trace) (map[uint32]*DCFG, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -127,18 +146,24 @@ type walkFrame struct {
 }
 
 // Builder accumulates merged per-function DCFGs one thread at a time, for
-// callers that validate the threads themselves (core's ingest validates
-// them in parallel, then adds them in order). It decides nothing about
+// callers that validate the threads themselves. It decides nothing about
 // well-formedness: every thread it is given must have passed
-// trace.Trace.ValidateThread. Feeding threads in trace order makes the
-// result identical to Build (including which block Entry reports when
-// threads disagree). Graphs live in a slice indexed by function id, so the
+// trace.Trace.ValidateThread. Each thread is added under its index in the
+// trace: AddThread takes the next index, Add a given one. Builders that
+// each saw some of a trace's threads combine with Merge, which is how
+// core's ingest builds the graphs on every worker: each validates a thread
+// and adds it to a Builder of its own while its records are still in
+// cache, and the Builders are merged at the end. Whatever the split or the
+// order of the adds, the result is Build's: Finish sorts the edges, and
+// Entry keeps the block of the lowest-indexed thread that entered the
+// function. Graphs live in a slice indexed by function id, so the
 // per-record lookup is an index, not a map probe. A Builder is not safe for
 // concurrent use.
 type Builder struct {
 	funcs  []trace.FuncInfo
 	graphs []*DCFG     // by function id; nil until the function is observed
 	stack  []walkFrame // reused across AddThread calls
+	next   int         // the index AddThread gives its thread
 }
 
 // NewBuilder returns a Builder resolving block counts against funcs, which
@@ -156,11 +181,20 @@ func (bl *Builder) graphFor(fn uint32) *DCFG {
 	return g
 }
 
-// AddThread merges one thread's observed control flow into the graphs. th
-// must have passed Trace.ValidateThread against the Builder's symbol table,
-// so its blocks nest in well-formed call/ret frames. The error is always
-// nil.
+// AddThread merges one thread's observed control flow into the graphs as
+// the thread after the last one added (the first is thread 0), so adding a
+// trace's threads in order gives each its trace index. th must have passed
+// Trace.ValidateThread against the Builder's symbol table, so its blocks
+// nest in well-formed call/ret frames. The error is always nil.
 func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
+	bl.Add(bl.next, th)
+	return nil
+}
+
+// Add merges the control flow of th, thread index of the trace, into the
+// graphs, as AddThread does.
+func (bl *Builder) Add(index int, th *trace.ThreadTrace) {
+	bl.next = index + 1
 	stack := bl.stack[:0]
 	for i := range th.Records {
 		r := &th.Records[i]
@@ -172,7 +206,7 @@ func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
 			g := bl.graphFor(r.Func)
 			b := int32(r.Block)
 			if top.last < 0 {
-				g.observeEntry(b)
+				g.observeEntry(b, index)
 			} else {
 				g.addEdge(top.last, b)
 			}
@@ -187,7 +221,20 @@ func (bl *Builder) AddThread(th *trace.ThreadTrace) error {
 		}
 	}
 	bl.stack = stack
-	return nil
+}
+
+// Merge adds the graphs of o, built over other threads of the same trace,
+// to bl's. o must not be used afterwards.
+func (bl *Builder) Merge(o *Builder) {
+	for fn, g := range o.graphs {
+		switch {
+		case g == nil:
+		case bl.graphs[fn] == nil:
+			bl.graphs[fn] = g
+		default:
+			bl.graphs[fn].merge(g)
+		}
+	}
 }
 
 // Finish seals and returns the merged graphs, keyed by function id. The

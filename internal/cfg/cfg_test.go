@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -226,5 +227,54 @@ func TestStaticCFGTerminators(t *testing.T) {
 	cg := FromFunction(prog.FuncByName("callee"))
 	if cg.NumNodes() != 2 || !cg.HasEdge(0, cg.ExitNode()) {
 		t.Error("callee graph malformed")
+	}
+}
+
+// TestMergeMatchesBuild splits one trace's threads over three Builders in
+// every possible way, adds each Builder's threads under their trace
+// indices in ascending and in descending order, merges the Builders
+// forwards and backwards, and requires Build's graphs every time. The
+// threads enter the function at blocks 3, 2, 0, 1 and 0, so only the
+// lowest-indexed thread's block, 3, is Build's entry: a merge that kept the
+// first entry it met, or a Builder's first add, would report another.
+func TestMergeMatchesBuild(t *testing.T) {
+	tr := mkTrace(4, []uint32{3}, []uint32{2, 3}, []uint32{0, 1, 3}, []uint32{1, 3}, []uint32{0, 2, 3})
+	want, err := Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := want[0].Entry(); e != 3 {
+		t.Fatalf("Build's entry is block %d, want thread 0's block 3", e)
+	}
+	n := len(tr.Threads)
+	for split := 0; split < 243; split++ { // 3^5 assignments of 5 threads
+		for _, reverse := range []bool{false, true} {
+			parts := make([]*Builder, 3)
+			for j := range parts {
+				parts[j] = NewBuilder(tr.Funcs)
+			}
+			for k := 0; k < n; k++ {
+				i := k
+				if reverse {
+					i = n - 1 - k
+				}
+				owner := split
+				for range i {
+					owner /= 3
+				}
+				parts[owner%3].Add(i, tr.Threads[i])
+			}
+			b := NewBuilder(tr.Funcs)
+			for j := range parts {
+				if reverse {
+					j = len(parts) - 1 - j
+				}
+				b.Merge(parts[j])
+			}
+			if got := b.Finish(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("split %d (reverse %v): merged graphs differ from Build: entry %d, %d edges; want entry %d, %d edges",
+					split, reverse, got[0].Entry(), got[0].NumEdges(), want[0].Entry(), want[0].NumEdges())
+			}
+		}
 	}
 }

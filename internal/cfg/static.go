@@ -11,7 +11,7 @@ import (
 // from traces.
 func FromFunction(f *ir.Function) *DCFG {
 	g := newDCFG(uint32(f.ID), len(f.Blocks))
-	g.observeEntry(0)
+	g.observeEntry(0, 0)
 	for _, b := range f.Blocks {
 		from := int32(b.ID)
 		term := b.Terminator()

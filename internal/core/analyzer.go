@@ -205,21 +205,36 @@ type prep struct {
 }
 
 // prepare is the analyzer's one ingest, shared by Session.Ingest and the
-// batch path. Pool workers validate each thread against t's symbol table,
-// and pool.ForEach reports the first invalid thread in trace order; a trace
-// that fails returns before any DCFG walk. Then one walk in trace order
-// feeds the threads to the DCFG builder, which keeps the graphs, including
-// DCFG entry observation order, independent of scheduling.
+// batch path. Each pool work item validates one thread against t's symbol
+// table and then, while the thread's records are still in cache, adds it
+// to the claiming worker's own DCFG builder, so no thread is walked for
+// its graph before it validates. pool.ForEach reports the first invalid
+// thread in trace order. The workers' builders are then merged; the merge
+// keeps each function's entry from the lowest-indexed thread that entered
+// it and Finish sorts the edges, so the graphs are cfg.Build's at every
+// parallelism.
 func prepare(t *trace.Trace, parallelism int) (*prep, error) {
 	n := len(t.Threads)
-	if _, err := pool.ForEach(pool.Workers(parallelism, n), n, func(_, i int) error {
-		return t.ValidateThread(t.Threads[i])
+	workers := pool.Workers(parallelism, n)
+	builders := make([]*cfg.Builder, workers)
+	if _, err := pool.ForEach(workers, n, func(k, i int) error {
+		th := t.Threads[i]
+		if err := t.ValidateThread(th); err != nil {
+			return err
+		}
+		if builders[k] == nil {
+			builders[k] = cfg.NewBuilder(t.Funcs)
+		}
+		builders[k].Add(i, th)
+		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("core: ingest: %w", err)
 	}
 	b := cfg.NewBuilder(t.Funcs)
-	for _, th := range t.Threads {
-		b.AddThread(th)
+	for _, wb := range builders {
+		if wb != nil {
+			b.Merge(wb)
+		}
 	}
 	graphs := b.Finish()
 	return &prep{graphs: graphs, pdoms: ipdom.ComputeAll(graphs)}, nil

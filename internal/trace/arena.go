@@ -16,44 +16,56 @@ import (
 // as four flat tables — records, memory accesses, lock operations, and the
 // records' control words — plus a per-thread span header, instead of per-thread record slices with
 // per-record access slices. The arena is what makes decode run at memory
-// bandwidth: one exactly sized allocation per table (near-zero per-record
-// allocation), filled section by section by one byte-slice routine
-// (fillSection) with no reader interface calls on the hot path, and filled
-// in disjoint sub-ranges by parallel workers.
+// bandwidth: near-zero per-record allocation, tables filled section by
+// section by one byte-slice routine (fillSection) with no reader interface
+// calls on the hot path, and no serial stage ahead of the parallel workers.
 //
-// Every whole-trace decode sizes its arena from an index with newArena and
-// fills it section by section. decode, over input in memory, takes the index
+// The arena is allocated in chunks. Every whole-trace decode groups the
+// thread sections of an index into runs of consecutive sections
+// (sectionRuns), and each run is one chunk with tables of its own, sized
+// exactly from the run's index entries. The pool worker that claims a run
+// allocates its chunk's four tables and fills them at once, so the zeroing
+// of fresh memory runs on every worker, and fillSection writes to memory
+// that is still in cache. decode, over input in memory, takes the index
 // from the v3 footer when that validates, and otherwise from a measuring
-// walk over the stream; Reader.fill takes it from the footer and reads the
-// sections from the Reader's input, handing any failure back to decode.
+// walk over the stream; Reader.fill takes it from the footer and reads each
+// run from the Reader's input, handing any failure back to decode.
 //
 // The decoded trace is a view of the arena: every ThreadTrace.Records and
-// Ctl is a sub-slice of the record and control-word tables, and its Mem and
-// Locks tables are sub-slices of the shared access and lock tables. Each
-// record holds its thread-relative running offsets into them (Record.MemLo,
-// LockLo), and its range ends where the next record's begins, so a record
-// is 32 bytes with no pointers: two share a cache line, and the record
-// table, the largest allocation of a decode, is never scanned by the
+// Ctl is a sub-slice of its chunk's record and control-word tables, and its
+// Mem and Locks tables are sub-slices of the chunk's access and lock tables.
+// Each record holds its thread-relative running offsets into them
+// (Record.MemLo, LockLo), and its range ends where the next record's begins,
+// so a record is 32 bytes with no pointers: two share a cache line, and the
+// record table, the largest allocation of a decode, is never scanned by the
 // garbage collector. The tables have the layout every in-memory builder gives them
 // (ThreadTrace.CheckLayout), so an arena-backed trace and one built record by
 // record are reflect.DeepEqual exactly when they hold the same events, which
 // is what the differential tests against the reference stream decoder (a
 // test file's decodeStream) assert.
 
-// Arena is the columnar backing store of a decoded trace. All threads'
-// records live contiguously in Records (thread sections in file order), with
-// their control words at the same indices of Ctl, all memory accesses in
-// Mem, and all lock operations in Locks, each in record order. Spans maps
-// each thread to its ranges of the tables.
+// Arena is the columnar backing store of a decoded trace, one Chunk per run
+// of consecutive thread sections. Spans maps each thread, in file order, to
+// its ranges of its chunk's tables.
 type Arena struct {
-	Spans   []Span
+	Spans  []Span
+	Chunks []Chunk
+}
+
+// Chunk holds the tables of the thread sections [Lo,Hi) of the arena's
+// Spans: their records contiguously in Records, in section order, with
+// their control words at the same indices of Ctl, their memory accesses in
+// Mem, and their lock operations in Locks, each in record order. The
+// sections' spans tile the tables.
+type Chunk struct {
+	Lo, Hi  int
 	Records []Record
 	Ctl     []uint64
 	Mem     []MemAccess
 	Locks   []LockOp
 }
 
-// Span locates one thread's entries inside the arena's tables.
+// Span locates one thread's entries inside its chunk's tables.
 type Span struct {
 	TID            int
 	Lo, Hi         int // record and control-word index range [Lo,Hi)
@@ -62,7 +74,7 @@ type Span struct {
 }
 
 // Trace materializes the view adapter: a Trace whose threads' tables alias
-// the arena's, each ending at its capacity, so an append to one copies
+// their chunks', each ending at its capacity, so an append to one copies
 // instead of overwriting the next thread's. The arena must not be mutated
 // afterwards.
 func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
@@ -73,16 +85,19 @@ func (a *Arena) Trace(program string, entry uint32, funcs []FuncInfo) *Trace {
 	// One block allocation for all ThreadTrace headers.
 	block := make([]ThreadTrace, len(a.Spans))
 	t.Threads = make([]*ThreadTrace, len(a.Spans))
-	for i, sp := range a.Spans {
-		th := &block[i]
-		th.TID, th.Records, th.Ctl = sp.TID, a.Records[sp.Lo:sp.Hi:sp.Hi], a.Ctl[sp.Lo:sp.Hi:sp.Hi]
-		if sp.MemHi > sp.MemLo {
-			th.Mem = a.Mem[sp.MemLo:sp.MemHi:sp.MemHi]
+	for _, c := range a.Chunks {
+		for i := c.Lo; i < c.Hi; i++ {
+			sp := a.Spans[i]
+			th := &block[i]
+			th.TID, th.Records, th.Ctl = sp.TID, c.Records[sp.Lo:sp.Hi:sp.Hi], c.Ctl[sp.Lo:sp.Hi:sp.Hi]
+			if sp.MemHi > sp.MemLo {
+				th.Mem = c.Mem[sp.MemLo:sp.MemHi:sp.MemHi]
+			}
+			if sp.LockHi > sp.LockLo {
+				th.Locks = c.Locks[sp.LockLo:sp.LockHi:sp.LockHi]
+			}
+			t.Threads[i] = th
 		}
-		if sp.LockHi > sp.LockLo {
-			th.Locks = a.Locks[sp.LockLo:sp.LockHi:sp.LockHi]
-		}
-		t.Threads[i] = th
 	}
 	return t
 }
@@ -219,7 +234,7 @@ func (d *bdec) header() *Header {
 func decode(data []byte, workers int, strict bool) (*Trace, error) {
 	r, rerr := NewReader(bytes.NewReader(data), int64(len(data)))
 	if rerr == nil {
-		if a, err := fill(data, r.index, false, workers); err == nil {
+		if a, err := fill(data, nil, r.index, false, workers); err == nil {
 			return a.Trace(r.hdr.Program, r.hdr.Entry, r.hdr.Funcs), nil
 		}
 	}
@@ -235,7 +250,7 @@ func decode(data []byte, workers int, strict bool) (*Trace, error) {
 	if strict && rerr != nil && end != len(data) {
 		return nil, fmt.Errorf("trace: decode: %d trailing bytes after the last thread section (truncated or damaged index?)", len(data)-end)
 	}
-	a, err := fill(data, index, h.Version == version1, workers)
+	a, err := fill(data, nil, index, h.Version == version1, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -269,54 +284,93 @@ func DecodeStrictBytes(data []byte, parallelism int) (*Trace, error) {
 	return decode(data, parallelism, true)
 }
 
-// newArena sizes the arena's tables once from the index's per-section
-// counts: each table is one exact allocation, and each section's Span is its
-// disjoint sub-range of them, ready for fillSpan.
-func newArena(index []indexEntry) (*Arena, error) {
+// runCap is the most bytes a fill takes in one run of sections, unless a
+// single section is larger: a quarter megabyte keeps the Reader's per-worker
+// buffers small while one read still covers hundreds of typical sections.
+const runCap = 256 << 10
+
+// sectionRuns groups the sections of index, which tile their data region,
+// into runs of consecutive sections of at most runCap bytes — lowered to a
+// pool.MinParallelItems-th of the region, so small traces still fan out —
+// and a section larger than that limit is a run of its own. runs[j] is the
+// first section of run j, and the last element is len(index); limit is the
+// run size in bytes the grouping aimed at.
+func sectionRuns(index []indexEntry) (runs []int, limit int64) {
+	n := len(index)
+	if n == 0 {
+		return []int{0}, 0
+	}
+	lo, hi := index[0].off, index[n-1].off+index[n-1].len
+	limit = min(runCap, (hi-lo+pool.MinParallelItems-1)/pool.MinParallelItems)
+	runs = []int{0}
+	for i, start := 1, lo; i < n; i++ {
+		if en := index[i]; en.off+en.len-start > limit {
+			runs = append(runs, i)
+			start = en.off
+		}
+	}
+	return append(runs, n), limit
+}
+
+// fill is the one arena fill: it decodes every section that index locates
+// into a new arena, one chunk per run of sections. It refuses an entry
+// whose counts overflow a record's offsets (checkWidths) before any table
+// is sized, then groups the sections into runs (sectionRuns). Up to
+// pool.Workers(workers, runs) workers claim runs in order. The worker that
+// claims a run takes the run's bytes — a sub-slice of data, or, when ra is
+// not nil, one ReadAt from ra into a buffer of its own, sized for a run at
+// the limit and grown only for a larger section — then allocates the run's
+// chunk tables at their exact sizes and fills the run's sections into them
+// in order. So no table is allocated or zeroed ahead of the workers, the
+// input is never copied whole, and the first failing section in index
+// order supplies the error.
+func fill(data []byte, ra io.ReaderAt, index []indexEntry, raw bool, workers int) (*Arena, error) {
 	for _, en := range index {
 		if err := en.checkWidths(); err != nil {
 			return nil, err
 		}
 	}
-	a := &Arena{Spans: make([]Span, len(index))}
-	var nrec, nmem, nlock int
-	for i, en := range index {
-		a.Spans[i] = Span{
-			TID: en.tid,
-			Lo:  nrec, Hi: nrec + int(en.nrec),
-			MemLo: nmem, MemHi: nmem + int(en.nmem),
-			LockLo: nlock, LockHi: nlock + int(en.nlock),
+	runs, limit := sectionRuns(index)
+	a := &Arena{Spans: make([]Span, len(index)), Chunks: make([]Chunk, len(runs)-1)}
+	workers = pool.Workers(workers, len(a.Chunks))
+	bufs := make([][]byte, workers)
+	_, err := pool.ForEach(workers, len(a.Chunks), func(k, j int) error {
+		c := &a.Chunks[j]
+		c.Lo, c.Hi = runs[j], runs[j+1]
+		first, last := index[c.Lo], index[c.Hi-1]
+		// sec holds the run's bytes; base is the input offset of sec[0].
+		sec, base := data, int64(0)
+		if ra != nil {
+			size := last.off + last.len - first.off
+			if int64(cap(bufs[k])) < size {
+				bufs[k] = make([]byte, max(size, limit))
+			}
+			sec, base = bufs[k][:size], first.off
+			if m, err := ra.ReadAt(sec, base); m < len(sec) {
+				return fmt.Errorf("trace: thread section %d (tid %d): %w", c.Lo, first.tid, err)
+			}
 		}
-		nrec, nmem, nlock = a.Spans[i].Hi, a.Spans[i].MemHi, a.Spans[i].LockHi
-	}
-	a.Records = make([]Record, nrec)
-	a.Ctl = make([]uint64, nrec)
-	a.Mem = make([]MemAccess, nmem)
-	a.Locks = make([]LockOp, nlock)
-	return a, nil
-}
-
-// fillSpan decodes section i, whose bytes are sec, into its span of the
-// arena's tables.
-func (a *Arena) fillSpan(i int, sec []byte, en indexEntry, raw bool) error {
-	sp := &a.Spans[i]
-	return fillSection(sec, en, raw, i,
-		a.Records[sp.Lo:sp.Hi], a.Ctl[sp.Lo:sp.Hi], a.Mem[sp.MemLo:sp.MemHi], a.Locks[sp.LockLo:sp.LockHi])
-}
-
-// fill sizes the arena from the index (newArena) and decodes every section
-// of data into its span, distributing sections over
-// pool.Workers(workers, len(index)) goroutines. The first failing section in
-// index order supplies the error.
-func fill(data []byte, index []indexEntry, raw bool, workers int) (*Arena, error) {
-	a, err := newArena(index)
-	if err != nil {
-		return nil, err
-	}
-	n := len(index)
-	_, err = pool.ForEach(pool.Workers(workers, n), n, func(_, i int) error {
-		en := index[i]
-		return a.fillSpan(i, data[en.off:en.off+en.len], en, raw)
+		var nrec, nmem, nlock int
+		for i := c.Lo; i < c.Hi; i++ {
+			en := index[i]
+			a.Spans[i] = Span{
+				TID: en.tid,
+				Lo:  nrec, Hi: nrec + int(en.nrec),
+				MemLo: nmem, MemHi: nmem + int(en.nmem),
+				LockLo: nlock, LockHi: nlock + int(en.nlock),
+			}
+			nrec, nmem, nlock = a.Spans[i].Hi, a.Spans[i].MemHi, a.Spans[i].LockHi
+		}
+		c.Records, c.Ctl = make([]Record, nrec), make([]uint64, nrec)
+		c.Mem, c.Locks = make([]MemAccess, nmem), make([]LockOp, nlock)
+		for i := c.Lo; i < c.Hi; i++ {
+			en, sp := index[i], a.Spans[i]
+			if err := fillSection(sec[en.off-base:en.off-base+en.len], en, raw, i,
+				c.Records[sp.Lo:sp.Hi], c.Ctl[sp.Lo:sp.Hi], c.Mem[sp.MemLo:sp.MemHi], c.Locks[sp.LockLo:sp.LockHi]); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	return a, err
 }
@@ -693,9 +747,9 @@ func uvarintAt(data []byte, off int) (uint64, int, bool) {
 // ops as the index sizes them, and each record receives its running
 // offsets into mem and locks; ctl, as long as recs, receives each record's
 // control word as the record is decoded. It is the only routine that decodes record
-// fields from section bytes. Every caller owns disjoint tables (in fillSpan, sub-ranges
-// of the arena's; the index's per-section table sizes are the partition), so
-// section fills allocate nothing and may run in parallel. raw selects the v1
+// fields from section bytes. Every caller owns disjoint tables (in fill,
+// sub-ranges of a chunk's; the index's per-section table sizes are the
+// partition), so section fills allocate nothing and may run in parallel. raw selects the v1
 // address encoding (raw addresses instead of zig-zag deltas, the one field
 // that differs between versions). Any disagreement between the stream and
 // the index is an error; decode then falls back to a measured index, which

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -43,13 +44,46 @@ func arenaEdgeTraces() map[string]*Trace {
 	}
 }
 
-// TestArenaInvariants checks the columnar layout contract over both index
-// sources (the v3 footer, and the measuring walk over a v1 stream): spans
-// partition each arena table in file order, and every thread's tables are
-// zero-copy aliases of its span of the arena's (not copies), with the
-// layout CheckLayout checks.
+// chunkedTrace is a trace of 48 threads of uneven sizes, large enough that
+// every fill groups its sections into several chunks: most threads make
+// accesses and some take locks, and every eleventh thread is empty.
+func chunkedTrace() *Trace {
+	t := &Trace{Program: "chunks", Funcs: []FuncInfo{{Name: "f", Blocks: []BlockInfo{{NInstr: 4}, {NInstr: 2}}}}}
+	for tid := 0; tid < 48; tid++ {
+		th := &ThreadTrace{TID: tid}
+		if tid%11 == 0 {
+			th.Records, th.Ctl = []Record{}, []uint64{}
+			t.Threads = append(t.Threads, th)
+			continue
+		}
+		th.Append(Record{Kind: KindCall}, nil, nil)
+		for i := 0; i < 20+(tid*37)%90; i++ {
+			var mem []MemAccess
+			if tid%5 != 0 {
+				mem = []MemAccess{{Instr: 1, Addr: uint64(tid)<<20 + uint64(i)*8, Size: 8, Store: i%3 == 0}}
+			}
+			var locks []LockOp
+			if tid%4 == 0 && i%7 == 0 {
+				locks = []LockOp{{Instr: 2, Addr: 64}, {Instr: 3, Addr: 64, Release: true}}
+			}
+			th.Append(Record{Kind: KindBBL, N: 4}, mem, locks)
+			th.Append(Record{Kind: KindBBL, Block: 1, N: 2}, nil, nil)
+		}
+		th.Append(Record{Kind: KindRet}, nil, nil)
+		t.Threads = append(t.Threads, th)
+	}
+	return t
+}
+
+// TestArenaInvariants checks the chunked layout contract (checkArena) over
+// every index source — the v3 footer and the measuring walk over a v1
+// stream, both filled from memory, and the footer filled by Reader.fill
+// from the Reader's input — at parallelism 1 and 4, on the edge traces and
+// on chunkedTrace, which must fill at least three chunks.
 func TestArenaInvariants(t *testing.T) {
-	for name, tr := range arenaEdgeTraces() {
+	traces := arenaEdgeTraces()
+	traces["chunked"] = chunkedTrace()
+	for name, tr := range traces {
 		var v1, v3 bytes.Buffer
 		if err := Encode(&v1, tr, 1); err != nil {
 			t.Fatal(err)
@@ -67,62 +101,104 @@ func TestArenaInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: measure: %v", name, err)
 		}
-		for _, src := range []struct {
-			kind  string
-			data  []byte
-			index []indexEntry
-			raw   bool
-		}{
-			{"footer", v3.Bytes(), r.index, false},
-			{"measured", v1.Bytes(), measured, true},
-		} {
-			a, err := fill(src.data, src.index, src.raw, 1)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, src.kind, err)
+		for _, par := range []int{1, 4} {
+			for _, src := range []struct {
+				kind string
+				fill func() (*Arena, error)
+			}{
+				{"footer", func() (*Arena, error) { return fill(v3.Bytes(), nil, r.index, false, par) }},
+				{"measured", func() (*Arena, error) { return fill(v1.Bytes(), nil, measured, true, par) }},
+				{"reader", func() (*Arena, error) { return r.fill(par) }},
+			} {
+				where := fmt.Sprintf("%s/%s/parallelism %d", name, src.kind, par)
+				a, err := src.fill()
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				view := a.Trace(tr.Program, tr.Entry, tr.Funcs)
+				if !reflect.DeepEqual(tr, view) {
+					t.Fatalf("%s: arena view differs from the encoded trace", where)
+				}
+				if name == "chunked" && len(a.Chunks) < 3 {
+					t.Fatalf("%s: %d chunks, want at least 3", where, len(a.Chunks))
+				}
+				checkArena(t, where, a, view)
 			}
-			view := a.Trace(tr.Program, tr.Entry, tr.Funcs)
-			if !reflect.DeepEqual(tr, view) {
-				t.Fatalf("%s/%s: arena view differs from the encoded trace", name, src.kind)
-			}
-			checkArena(t, name+"/"+src.kind, a, view)
 		}
 	}
 }
 
+// checkArena checks that the chunks tile the spans in file order, that each
+// chunk's spans tile that chunk's tables, that every thread's four tables
+// are zero-copy views inside its chunk which end at their capacity, with
+// the layout CheckLayout checks, and that an append to a chunk's last
+// thread copies its entries instead of writing past them.
 func checkArena(t *testing.T, name string, a *Arena, view *Trace) {
 	t.Helper()
-	var prev Span
-	for i, sp := range a.Spans {
-		if sp.Lo != prev.Hi || sp.Hi < sp.Lo || sp.MemLo != prev.MemHi || sp.MemHi < sp.MemLo ||
-			sp.LockLo != prev.LockHi || sp.LockHi < sp.LockLo {
-			t.Fatalf("%s: span %d = %+v does not continue the partition at %+v", name, i, sp, prev)
-		}
-		prev = sp
-	}
-	if prev.Hi != len(a.Records) || prev.MemHi != len(a.Mem) || prev.LockHi != len(a.Locks) {
-		t.Fatalf("%s: spans cover %d/%d/%d of %d/%d/%d table entries", name,
-			prev.Hi, prev.MemHi, prev.LockHi, len(a.Records), len(a.Mem), len(a.Locks))
-	}
 	if len(view.Threads) != len(a.Spans) {
 		t.Fatalf("%s: %d threads for %d spans", name, len(view.Threads), len(a.Spans))
 	}
-	for i, th := range view.Threads {
-		sp := a.Spans[i]
-		if th.TID != sp.TID {
-			t.Fatalf("%s: thread %d tid %d, span tid %d", name, i, th.TID, sp.TID)
+	next := 0
+	for j, c := range a.Chunks {
+		if c.Lo != next || c.Hi <= c.Lo {
+			t.Fatalf("%s: chunk %d holds spans [%d,%d), want a non-empty run from %d", name, j, c.Lo, c.Hi, next)
 		}
-		if len(th.Records) > 0 && &th.Records[0] != &a.Records[sp.Lo] {
-			t.Fatalf("%s: thread %d records are not a view into the arena", name, i)
+		next = c.Hi
+		var prev Span
+		for i := c.Lo; i < c.Hi; i++ {
+			sp := a.Spans[i]
+			if sp.Lo != prev.Hi || sp.Hi < sp.Lo || sp.MemLo != prev.MemHi || sp.MemHi < sp.MemLo ||
+				sp.LockLo != prev.LockHi || sp.LockHi < sp.LockLo {
+				t.Fatalf("%s: chunk %d span %d = %+v does not continue the partition at %+v", name, j, i, sp, prev)
+			}
+			prev = sp
 		}
-		if len(th.Mem) != sp.MemHi-sp.MemLo || len(th.Mem) > 0 && &th.Mem[0] != &a.Mem[sp.MemLo] {
-			t.Fatalf("%s: thread %d Mem is not its span of the arena", name, i)
+		if prev.Hi != len(c.Records) || prev.Hi != len(c.Ctl) || prev.MemHi != len(c.Mem) || prev.LockHi != len(c.Locks) {
+			t.Fatalf("%s: chunk %d spans cover %d/%d/%d of %d/%d/%d/%d table entries", name, j,
+				prev.Hi, prev.MemHi, prev.LockHi, len(c.Records), len(c.Ctl), len(c.Mem), len(c.Locks))
 		}
-		if len(th.Locks) != sp.LockHi-sp.LockLo || len(th.Locks) > 0 && &th.Locks[0] != &a.Locks[sp.LockLo] {
-			t.Fatalf("%s: thread %d Locks is not its span of the arena", name, i)
+		for i := c.Lo; i < c.Hi; i++ {
+			th, sp := view.Threads[i], a.Spans[i]
+			if th.TID != sp.TID {
+				t.Fatalf("%s: thread %d tid %d, span tid %d", name, i, th.TID, sp.TID)
+			}
+			for _, tab := range []struct {
+				what         string
+				n, cap, want int
+				inChunk      bool
+			}{
+				{"Records", len(th.Records), cap(th.Records), sp.Hi - sp.Lo, len(th.Records) == 0 || &th.Records[0] == &c.Records[sp.Lo]},
+				{"Ctl", len(th.Ctl), cap(th.Ctl), sp.Hi - sp.Lo, len(th.Ctl) == 0 || &th.Ctl[0] == &c.Ctl[sp.Lo]},
+				{"Mem", len(th.Mem), cap(th.Mem), sp.MemHi - sp.MemLo, len(th.Mem) == 0 || &th.Mem[0] == &c.Mem[sp.MemLo]},
+				{"Locks", len(th.Locks), cap(th.Locks), sp.LockHi - sp.LockLo, len(th.Locks) == 0 || &th.Locks[0] == &c.Locks[sp.LockLo]},
+			} {
+				if tab.n != tab.want || tab.cap != tab.n || !tab.inChunk {
+					t.Fatalf("%s: thread %d %s (len %d, cap %d) is not its span's %d entries of chunk %d", name, i, tab.what, tab.n, tab.cap, tab.want, j)
+				}
+			}
+			if err := th.CheckLayout(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
 		}
-		if err := th.CheckLayout(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if last := view.Threads[c.Hi-1]; len(last.Records) > 0 {
+			recs, ctl := append(last.Records, Record{}), append(last.Ctl, 0)
+			if &recs[0] == &last.Records[0] || &ctl[0] == &last.Ctl[0] {
+				t.Fatalf("%s: an append to chunk %d's last thread wrote into its tables", name, j)
+			}
+			if len(last.Mem) > 0 {
+				if mem := append(last.Mem, MemAccess{}); &mem[0] == &last.Mem[0] {
+					t.Fatalf("%s: an access appended to chunk %d's last thread went into its table", name, j)
+				}
+			}
+			if len(last.Locks) > 0 {
+				if locks := append(last.Locks, LockOp{}); &locks[0] == &last.Locks[0] {
+					t.Fatalf("%s: a lock op appended to chunk %d's last thread went into its table", name, j)
+				}
+			}
 		}
+	}
+	if next != len(a.Spans) {
+		t.Fatalf("%s: chunks cover %d of %d spans", name, next, len(a.Spans))
 	}
 }
 
@@ -171,7 +247,7 @@ func TestFillRefusesOffsetOverflow(t *testing.T) {
 		{tid: 5, nrec: 1, nlock: math.MaxUint32 + 1},
 		{tid: 5, nrec: 2, nmem: math.MaxUint32 + 1, nlock: math.MaxUint32 + 1},
 	} {
-		if _, err := fill(nil, []indexEntry{{tid: 4}, en}, false, 1); err == nil || !strings.Contains(err.Error(), "at most") {
+		if _, err := fill(nil, nil, []indexEntry{{tid: 4}, en}, false, 1); err == nil || !strings.Contains(err.Error(), "at most") {
 			t.Errorf("fill over %+v: error %v, want the offset-width refusal", en, err)
 		}
 		if _, err := (&Reader{index: []indexEntry{en}}).Thread(0); err == nil || !strings.Contains(err.Error(), "at most") {

@@ -192,7 +192,7 @@ func CanonicalKey(data []byte) (k *Keyed, ok bool) {
 // would, filling the arena over the keying walk's index with up to workers
 // goroutines. fill still checks every section against the index.
 func (k *Keyed) Decode(data []byte, workers int) (*Trace, error) {
-	a, err := fill(data, k.index, k.hdr.Version == version1, workers)
+	a, err := fill(data, nil, k.index, k.hdr.Version == version1, workers)
 	if err != nil {
 		return nil, err
 	}

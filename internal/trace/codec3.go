@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"threadfuser/internal/pool"
 )
 
 // Version 3 of the .tft format keeps the v2 delta-encoded record stream but
@@ -66,8 +64,8 @@ type indexEntry struct {
 	tid      int
 	off, len int64
 	// Columnar table sizes of the section: record, memory-access, and
-	// lock-op counts. They turn parallel decode into exact preallocation
-	// plus disjoint-range fills instead of per-worker allocation.
+	// lock-op counts. They let a fill worker size its run's chunk of the
+	// arena exactly before decoding a byte of it.
 	nrec, nmem, nlock int64
 }
 
@@ -298,61 +296,11 @@ func (r *Reader) Decode(parallelism int) (*Trace, error) {
 	return DecodeStrict(r.ra, r.size, parallelism)
 }
 
-// runCap is the most bytes fill reads in one ReadAt, unless a single
-// section is larger: a quarter megabyte keeps the per-worker buffers small
-// while one read still covers hundreds of typical sections.
-const runCap = 256 << 10
-
-// fill sizes an arena from the footer's index (newArena) and fills it from
-// the Reader's input. Consecutive sections are grouped into runs of at most
-// runCap bytes — lowered to a pool.MinParallelItems-th of the data region,
-// so small files still fan out — and a section larger than the cap is a run
-// of its own. Up to pool.Workers(parallelism, runs) workers claim runs in
-// order; each reads its run with one ReadAt into a buffer of its own, sized
-// for a run at the cap and grown only for a larger section, and fills the
-// run's sections in order. So the input is never copied whole, and the
-// first failing section in index order supplies the error.
+// fill decodes the whole trace from the footer's index into a new arena
+// (the package's fill), reading each run of sections straight from the Reader's input
+// with one ReadAt, so the input is never copied whole.
 func (r *Reader) fill(parallelism int) (*Arena, error) {
-	a, err := newArena(r.index)
-	if err != nil {
-		return nil, err
-	}
-	n := len(r.index)
-	if n == 0 {
-		return a, nil
-	}
-	lo, hi := r.index[0].off, r.index[n-1].off+r.index[n-1].len
-	limit := min(runCap, (hi-lo+pool.MinParallelItems-1)/pool.MinParallelItems)
-	// runs[j] is the first section of run j; runs[len(runs)-1] is n.
-	runs := []int{0}
-	for i, start := 1, lo; i < n; i++ {
-		if en := r.index[i]; en.off+en.len-start > limit {
-			runs = append(runs, i)
-			start = en.off
-		}
-	}
-	runs = append(runs, n)
-	workers := pool.Workers(parallelism, len(runs)-1)
-	bufs := make([][]byte, workers)
-	_, err = pool.ForEach(workers, len(runs)-1, func(k, j int) error {
-		first, last := r.index[runs[j]], r.index[runs[j+1]-1]
-		size := last.off + last.len - first.off
-		if int64(cap(bufs[k])) < size {
-			bufs[k] = make([]byte, max(size, limit))
-		}
-		buf := bufs[k][:size]
-		if m, err := r.ra.ReadAt(buf, first.off); m < len(buf) {
-			return fmt.Errorf("trace: thread section %d (tid %d): %w", runs[j], first.tid, err)
-		}
-		for i := runs[j]; i < runs[j+1]; i++ {
-			en := r.index[i]
-			if err := a.fillSpan(i, buf[en.off-first.off:en.off-first.off+en.len], en, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return a, err
+	return fill(nil, r.ra, r.index, false, parallelism)
 }
 
 // ReadFileParallel decodes the named .tft file like Decode, filling its

@@ -19,7 +19,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-rows='ReplaySerial ReplayParallel Prepare DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel ReadFileV3 TraceDigest CanonicalDigest CanonicalDigestV1 EncodeV3'
+rows='ReplaySerial ReplayParallel Prepare DecodeV1Serial DecodeV2Serial DecodeV3Serial DecodeV3Parallel ReadFileV3 IngestV3 TraceDigest CanonicalDigest CanonicalDigestV1 EncodeV3'
 
 raw=$(go test -run '^$' -bench "^Benchmark($(echo $rows | tr ' ' '|'))\$" -benchmem -count 3 .) || {
 	echo "$raw"
